@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datagen, evalmetrics, gte, model, svgplot
+from . import evalmetrics, svgplot
 from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
 from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain, training_stats
@@ -60,9 +60,9 @@ def cmd_generate(args) -> int:
         if cfg.equation != args.dataset:
             raise ConfigError(f"config is for {cfg.equation!r}, requested {args.dataset!r}")
         ds = generate_equation_dataset(cfg, seed=args.seed)
-    ds.save_csv(out)
+    written = ds.save_csv(out)
     record_stage(_manifest_path(), f"generate:{args.dataset}", ds.config_hash, args.seed,
-                 [args.config] if args.config else [], [out, datagen.sidecar_path(out)])
+                 [args.config] if args.config else [], written)
     hist = np.bincount(ds.labels, minlength=ds.n_classes)
     print(f"wrote {out} ({len(ds)} instances, {ds.n_classes} classes)")
     print("class histogram:", " ".join(str(int(c)) for c in hist))
@@ -130,13 +130,12 @@ def cmd_explain(args) -> int:
     mat = batch_explain(
         m, ds.X[idx], training_stats(ds.X), cfg, args.runs, args.seed,
         schema=ds.schema, dataset_hash=ds.config_hash, instance_ids=idx,
-        threads=args.threads,
     )
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    mat.save_csv(out)
+    written = mat.save_csv(out)
     record_stage(_manifest_path(), "explain", mat.config_hash, args.seed,
-                 [args.dataset, args.model], [out, datagen.sidecar_path(out)])
+                 [args.dataset, args.model], written)
     print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     return 0
 
@@ -154,8 +153,7 @@ def cmd_align(args) -> int:
         mat = batch_gte(ds, idx, cfg, args.runs, args.seed)
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         out.parent.mkdir(parents=True, exist_ok=True)
-        mat.save_csv(out)
-        outputs += [out, datagen.sidecar_path(out)]
+        outputs += mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     record_stage(_manifest_path(), "align",
                  config_hash({"num_samples": args.num_samples, "alpha": args.alpha}),
@@ -170,11 +168,9 @@ def cmd_evaluate(args) -> int:
     report = evalmetrics.build_report(
         exp, gte_mat, second, rank_by=args.rank_by, zero_tolerance=args.zero_tolerance
     )
-    out_dir = _resolve(args.out_dir)
-    report.save(out_dir, dataset_name=args.dataset_name)
+    written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
     record_stage(_manifest_path(), "evaluate", exp.config_hash, None,
-                 [args.exp, args.gte],
-                 [out_dir / "report.json", out_dir / "per_instance.csv", out_dir / "summary.csv"])
+                 [args.exp, args.gte], written)
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
           f"ave_all={report.ave_all:.4f}")
     if report.invariance is not None:
@@ -209,13 +205,7 @@ def cmd_report(args) -> int:
         path = out_dir / f"{measure}.svg"
         path.write_text(svg, encoding="utf-8")
         outputs.append(path)
-    # combined summary table
-    lines = ["evaluation,ave_c_of_ed,ave_second,ave_all"]
-    for name, rep in reports:
-        lines.append(f"{name},{rep.ave_c_of_ed!r},{rep.ave_second!r},{rep.ave_all!r}")
-    summary = out_dir / "combined_summary.csv"
-    summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append(summary)
+    outputs += evalmetrics.write_summary(out_dir / "combined_summary.csv", "evaluation", reports)
     record_stage(_manifest_path(), "report", config_hash(sorted(str(d) for d in dirs)),
                  None, [str(d) for d in dirs], outputs)
     print(f"wrote {len(outputs)} files to {out_dir}")
@@ -231,16 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Ground-truth explanation benchmark pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
-
     g = sub.add_parser("generate", help="generate a dataset CSV")
     g.add_argument("dataset", choices=["loan", "time", "distance"])
     g.add_argument("--config", help="generator config JSON (defaults shipped per dataset)")
     g.add_argument("--out", required=True)
-    common(g)
+    g.add_argument("--seed", type=int, default=0)
     g.set_defaults(fn=cmd_generate)
 
     t = sub.add_parser("train", help="train a classifier on a dataset CSV")
@@ -251,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, default=400)
     t.add_argument("--lr", type=float, default=0.3)
     t.add_argument("--batch-size", type=int, default=16)
-    common(t)
+    t.add_argument("--seed", type=int, default=0)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("explain", help="explain predictions, write a coefficient matrix")
@@ -270,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--second-model", help="additional model for --only-correct filtering")
     e.add_argument("--sample", type=int, default=None, help="explain a random subset of this size")
     e.add_argument("--out", required=True)
-    common(e)
+    e.add_argument("--seed", type=int, default=0)
     e.set_defaults(fn=cmd_explain)
 
     a = sub.add_parser("align", help="produce ground-truth coefficient matrices")
@@ -282,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--resample-per-run", action="store_true")
     a.add_argument("--instances-from", help="coefficient CSV whose instance ids to reuse")
     a.add_argument("--out-prefix", required=True)
-    common(a)
+    a.add_argument("--seed", type=int, default=0)
     a.set_defaults(fn=cmd_align)
 
     v = sub.add_parser("evaluate", help="compare explainer vs ground-truth matrices")
@@ -293,13 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--zero-tolerance", type=float, default=0.0)
     v.add_argument("--dataset-name", default="dataset")
     v.add_argument("--out-dir", required=True)
-    common(v, seed=False)
     v.set_defaults(fn=cmd_evaluate)
 
     r = sub.add_parser("report", help="emit SVG charts + combined summary for evaluations")
     r.add_argument("eval_dirs", nargs="+")
     r.add_argument("--out-dir", required=True)
-    common(r, seed=False)
     r.set_defaults(fn=cmd_report)
     return p
 

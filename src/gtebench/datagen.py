@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError, NumericFailure
 from .numerics import make_rng, truncated_normal
 
@@ -128,19 +129,12 @@ class Dataset:
     def instance(self, i: int) -> Instance:
         return Instance(self.X[i], int(self.labels[i]), int(self.variation_ids[i]), i)
 
-    def save_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        cols = self.schema.names + ["label", "variation_id"]
-        lines = [",".join(cols)]
-        for i in range(len(self)):
-            vals = [
-                _format_value(self.X[i, j], f)
-                for j, f in enumerate(self.schema.features)
-            ]
-            vals.append(str(int(self.labels[i])))
-            vals.append(str(int(self.variation_ids[i])))
-            lines.append(",".join(vals))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def save_csv(self, path: str | Path) -> list[Path]:
+        """Write the rows and the sidecar; returns the paths written."""
+        fmts = [f"%.{f.precision}f" if f.kind == "continuous" else "%d"
+                for f in self.schema.features]
+        cols = [self.X[:, j] if f.kind == "continuous" else np.round(self.X[:, j])
+                for j, f in enumerate(self.schema.features)]
         meta = {
             "equation": self.equation,
             "seed": self.seed,
@@ -148,19 +142,15 @@ class Dataset:
             "n_classes": self.n_classes,
             "schema": self.schema.to_dict(),
         }
-        sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        return artifacts.write_csv(path, self.schema.names + ["label", "variation_id"],
+                                   fmts + ["%d", "%d"], cols + [self.labels, self.variation_ids],
+                                   meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
-        path = Path(path)
-        meta = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
+        meta = artifacts.read_meta(path)
         schema = FeatureSchema.from_dict(meta["schema"])
-        rows = path.read_text(encoding="utf-8").strip().split("\n")
-        header = rows[0].split(",")
-        expected = schema.names + ["label", "variation_id"]
-        if header != expected:
-            raise ConfigError(f"CSV header {header} does not match schema {expected}")
-        data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+        data = artifacts.read_csv(path, schema.names + ["label", "variation_id"])
         d = len(schema.features)
         return Dataset(
             schema=schema,
@@ -172,17 +162,6 @@ class Dataset:
             config_hash=meta["config_hash"],
             equation=meta["equation"],
         )
-
-
-def sidecar_path(path: str | Path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".meta.json")
-
-
-def _format_value(v: float, f: Feature) -> str:
-    if f.kind == "continuous":
-        return f"{v:.{f.precision}f}"
-    return str(int(round(v)))
 
 
 def config_hash(obj) -> str:

@@ -8,16 +8,18 @@ order accuracy (Second Correct / All Correct), implementation invariance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import IncompatibilityError
 from .explainer import CoefficientMatrix
 from .numerics import TTestResult, minmax_normalize, paired_t_test
 
 INVARIANCE_P_THRESHOLD = 0.1
+SUMMARY = ("ave_c_of_ed", "ave_second", "ave_all")
 
 
 def euclidean(a, b) -> float:
@@ -106,74 +108,47 @@ class EvalReport:
     n_features: int
 
     def to_dict(self) -> dict:
-        d = {
-            "ave_c_of_ed": self.ave_c_of_ed,
-            "ave_second": self.ave_second,
-            "ave_all": self.ave_all,
-            "invariance": None
-            if self.invariance is None
-            else {
-                "t_statistic": self.invariance.t_statistic,
-                "degrees_of_freedom": self.invariance.degrees_of_freedom,
-                "p_value": self.invariance.p_value,
-                "kind": self.invariance.kind,
-                "not_rejected": self.invariance_not_rejected,
-            },
-            "zero_counts_exp": self.zero_counts_exp,
-            "zero_rates_exp": self.zero_rates_exp,
-            "zero_counts_gte": self.zero_counts_gte,
-            "zero_rates_gte": self.zero_rates_gte,
-            "exp_config_hash": self.exp_config_hash,
-            "gte_config_hash": self.gte_config_hash,
-            "dataset_hash": self.dataset_hash,
-            "runs": self.runs,
-            "n_features": self.n_features,
-            "instances": [vars(s) for s in self.instance_scores],
-        }
+        """report.json: every field but the scores in declaration order, the
+        t-test with its verdict folded in, then the per-instance scores."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        del d["invariance_not_rejected"]
+        if self.invariance is not None:
+            d["invariance"] = {**vars(self.invariance), "not_rejected": self.invariance_not_rejected}
+        d["instances"] = [vars(s) for s in self.instance_scores]
         return d
 
-    def save(self, out_dir: str | Path, dataset_name: str = "dataset") -> None:
+    def save(self, out_dir: str | Path, dataset_name: str = "dataset") -> list[Path]:
+        """Write report.json, per_instance.csv and summary.csv; returns their paths."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(
             json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
         )
-        lines = ["instance_id,mean_ed,std_ed,mean_c_of_ed,std_c_of_ed,second_correct,all_correct"]
-        for s in self.instance_scores:
-            lines.append(
-                f"{s.instance_id},{s.mean_ed!r},{s.std_ed!r},{s.mean_c_of_ed!r},"
-                f"{s.std_c_of_ed!r},{s.second_correct!r},{s.all_correct!r}"
-            )
-        (out / "per_instance.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (out / "summary.csv").write_text(
-            "dataset,ave_c_of_ed,ave_second,ave_all\n"
-            f"{dataset_name},{self.ave_c_of_ed!r},{self.ave_second!r},{self.ave_all!r}\n",
-            encoding="utf-8",
+        names = [f.name for f in fields(InstanceScore)]
+        per_instance = artifacts.write_csv(
+            out / "per_instance.csv", names, ["%d"] + ["%r"] * (len(names) - 1),
+            [[getattr(s, k) for s in self.instance_scores] for k in names],
         )
+        summary = write_summary(out / "summary.csv", "dataset", [(dataset_name, self)])
+        return [out / "report.json", *per_instance, *summary]
 
     @staticmethod
     def load(out_dir: str | Path) -> "EvalReport":
         doc = json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))
-        inv = doc["invariance"]
-        return EvalReport(
-            instance_scores=[InstanceScore(**s) for s in doc["instances"]],
-            ave_c_of_ed=doc["ave_c_of_ed"],
-            ave_second=doc["ave_second"],
-            ave_all=doc["ave_all"],
-            invariance=None
-            if inv is None
-            else TTestResult(inv["t_statistic"], inv["degrees_of_freedom"], inv["p_value"], inv["kind"]),
-            invariance_not_rejected=None if inv is None else inv["not_rejected"],
-            zero_counts_exp=doc["zero_counts_exp"],
-            zero_rates_exp=doc["zero_rates_exp"],
-            zero_counts_gte=doc["zero_counts_gte"],
-            zero_rates_gte=doc["zero_rates_gte"],
-            exp_config_hash=doc["exp_config_hash"],
-            gte_config_hash=doc["gte_config_hash"],
-            dataset_hash=doc["dataset_hash"],
-            runs=doc["runs"],
-            n_features=doc["n_features"],
-        )
+        inv = doc.pop("invariance") or {}
+        doc["invariance_not_rejected"] = inv.pop("not_rejected", None)
+        doc["invariance"] = TTestResult(**inv) if inv else None
+        scores = [InstanceScore(**s) for s in doc.pop("instances")]
+        return EvalReport(scores, **doc)
+
+
+def write_summary(path: str | Path, first_column: str,
+                  reports: list[tuple[str, EvalReport]]) -> list[Path]:
+    """One row of averages per (name, report)."""
+    return artifacts.write_csv(
+        path, [first_column, *SUMMARY], ["%s"] + ["%r"] * len(SUMMARY),
+        [[name for name, _ in reports], *([getattr(r, k) for _, r in reports] for k in SUMMARY)],
+    )
 
 
 def _check_compatible(a: CoefficientMatrix, b: CoefficientMatrix) -> None:
@@ -183,6 +158,8 @@ def _check_compatible(a: CoefficientMatrix, b: CoefficientMatrix) -> None:
         raise IncompatibilityError(
             f"dataset hash mismatch: {a.dataset_hash!r} vs {b.dataset_hash!r}"
         )
+    if not np.array_equal(a.instance_ids, b.instance_ids):
+        raise IncompatibilityError("the matrices explain different instances or orders")
 
 
 def build_report(

@@ -5,15 +5,14 @@ similarity-weighted ridge regression against the model's class probability.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import FeatureSchema, config_hash, sidecar_path
-from .errors import ConfigError, DegenerateSampleError
+from . import artifacts
+from .datagen import FeatureSchema, config_hash
+from .errors import ConfigError, DegenerateSampleError, NumericFailure, ZeroVectorError
 from .numerics import cosine_similarity_rows, make_rng, weighted_ridge
 
 MAX_PERTURBATION_POOL = 100_000
@@ -78,17 +77,8 @@ class CoefficientMatrix:
     def shape(self) -> tuple[int, int, int]:
         return self.coefficients.shape
 
-    def save_csv(self, path: str | Path) -> None:
-        runs, n, d = self.shape
-        path = Path(path)
-        header = ["run", "instance_id", "intercept"] + [f"coef_{j + 1}" for j in range(d)]
-        lines = [",".join(header)]
-        for r in range(runs):
-            for i in range(n):
-                row = [str(r), str(int(self.instance_ids[i])), repr(float(self.intercepts[r, i]))]
-                row += [repr(float(c)) for c in self.coefficients[r, i]]
-                lines.append(",".join(row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    def save_csv(self, path: str | Path) -> list[Path]:
+        """Write the rows and the sidecar; returns the paths written."""
         meta = {
             "source": self.source,
             "config_hash": self.config_hash,
@@ -97,23 +87,12 @@ class CoefficientMatrix:
             "shape": list(self.shape),
             "failures": [list(f) for f in self.failures],
         }
-        sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        return artifacts.write_matrix(path, self.coefficients, self.intercepts,
+                                      self.instance_ids, meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "CoefficientMatrix":
-        path = Path(path)
-        meta = json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-        runs, n, d = meta["shape"]
-        coef = np.full((runs, n, d), np.nan)
-        inter = np.full((runs, n), np.nan)
-        ids = np.zeros(n, dtype=int)
-        lines = path.read_text(encoding="utf-8").strip().split("\n")[1:]
-        for k, line in enumerate(lines):
-            parts = line.split(",")
-            r, i = int(parts[0]), k % n
-            ids[i] = int(parts[1])
-            inter[r, i] = float(parts[2])
-            coef[r, i] = [float(x) for x in parts[3:]]
+        coef, inter, ids, meta = artifacts.read_matrix(path)
         return CoefficientMatrix(
             coefficients=coef,
             intercepts=inter,
@@ -216,7 +195,6 @@ def batch_explain(
     schema: FeatureSchema | None = None,
     dataset_hash: str = "",
     instance_ids: np.ndarray | None = None,
-    threads: int = 1,
 ) -> CoefficientMatrix:
     """``runs`` independent repetitions over all instances; child rng per
     (run, instance) so results are independent of execution order."""
@@ -227,24 +205,14 @@ def batch_explain(
     coef = np.full((runs, n, d), np.nan)
     inter = np.full((runs, n), np.nan)
     failures: list[tuple[int, int, str]] = []
-
-    def one(task):
-        r, i = task
-        rng = make_rng(base_seed, r, i)
-        try:
-            c, b = explain(model, instances[i], stats, cfg, rng, schema)
-            coef[r, i] = c
-            inter[r, i] = b
-        except Exception as exc:  # record, keep going
-            failures.append((r, i, f"{type(exc).__name__}: {exc}"))
-
-    tasks = [(r, i) for r in range(runs) for i in range(n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, tasks))
-    else:
-        for task in tasks:
-            one(task)
+    for r in range(runs):
+        for i in range(n):
+            try:
+                coef[r, i], inter[r, i] = explain(
+                    model, instances[i], stats, cfg, make_rng(base_seed, r, i), schema
+                )
+            except (NumericFailure, ZeroVectorError) as exc:  # record, keep going
+                failures.append((r, i, f"{type(exc).__name__}: {exc}"))
     return CoefficientMatrix(
         coefficients=coef,
         intercepts=inter,
@@ -253,7 +221,7 @@ def batch_explain(
         dataset_hash=dataset_hash,
         seed=base_seed,
         instance_ids=np.arange(n) if instance_ids is None else np.asarray(instance_ids, dtype=int),
-        failures=sorted(failures),
+        failures=failures,
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset, config_hash
-from .errors import ConfigError
+from .errors import ConfigError, NumericFailure, ZeroVectorError
 from .explainer import CoefficientMatrix
 from .numerics import cosine_similarity_rows, make_rng, weighted_ridge
 
@@ -94,11 +94,13 @@ def batch_gte(
                 tie_rng = make_rng(base_seed, r, int(i)) if cfg.resample_per_run else None
                 try:
                     coef[r, k], inter[r, k] = gte_explain(dataset, int(i), cfg, tie_rng)
-                except Exception as exc:
+                except (NumericFailure, ZeroVectorError) as exc:
                     failures.append((r, k, f"{type(exc).__name__}: {exc}"))
         else:
+            # a copied run copies its failures too
             coef[r] = coef[0]
             inter[r] = inter[0]
+            failures += [(r, k, msg) for r0, k, msg in failures if r0 == 0]
     return CoefficientMatrix(
         coefficients=coef,
         intercepts=inter,
@@ -107,5 +109,5 @@ def batch_gte(
         dataset_hash=dataset.config_hash,
         seed=base_seed,
         instance_ids=indices,
-        failures=sorted(failures),
+        failures=failures,
     )

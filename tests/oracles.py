@@ -47,3 +47,54 @@ def numeric_gradients(loss_fn, params, eps=1e-4):
             g[idx] = (hi - lo) / (2 * eps)
         grads.append(g)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Per-row CSV writers and reader: the byte reference for gtebench.artifacts.
+
+
+def dataset_csv_oracle(ds) -> str:
+    lines = [",".join(ds.schema.names + ["label", "variation_id"])]
+    for i in range(len(ds)):
+        vals = [
+            f"{ds.X[i, j]:.{f.precision}f}" if f.kind == "continuous" else str(int(round(ds.X[i, j])))
+            for j, f in enumerate(ds.schema.features)
+        ]
+        vals += [str(int(ds.labels[i])), str(int(ds.variation_ids[i]))]
+        lines.append(",".join(vals))
+    return "\n".join(lines) + "\n"
+
+
+def csv_rows_oracle(text: str) -> np.ndarray:
+    """Data rows of a CSV parsed field by field with ``float``."""
+    rows = text.strip().split("\n")[1:]
+    return np.array([[float(x) for x in r.split(",")] for r in rows])
+
+
+def matrix_csv_oracle(mat) -> str:
+    runs, n, d = mat.shape
+    header = ["run", "instance_id", "intercept"] + [f"coef_{j + 1}" for j in range(d)]
+    lines = [",".join(header)]
+    for r in range(runs):
+        for i in range(n):
+            row = [str(r), str(int(mat.instance_ids[i])), repr(float(mat.intercepts[r, i]))]
+            row += [repr(float(c)) for c in mat.coefficients[r, i]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def per_instance_csv_oracle(scores) -> str:
+    lines = ["instance_id,mean_ed,std_ed,mean_c_of_ed,std_c_of_ed,second_correct,all_correct"]
+    for s in scores:
+        lines.append(
+            f"{s.instance_id},{s.mean_ed!r},{s.std_ed!r},{s.mean_c_of_ed!r},"
+            f"{s.std_c_of_ed!r},{s.second_correct!r},{s.all_correct!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def summary_csv_oracle(first_column: str, rows) -> str:
+    """``rows`` of (name, ave_c_of_ed, ave_second, ave_all)."""
+    lines = [f"{first_column},ave_c_of_ed,ave_second,ave_all"]
+    lines += [f"{name},{a!r},{b!r},{c!r}" for name, a, b, c in rows]
+    return "\n".join(lines) + "\n"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from gtebench.cli import main
+from gtebench.evalmetrics import EvalReport
 from gtebench.manifest import verify_manifest
+from oracles import summary_csv_oracle
 
 CFG = Path(__file__).resolve().parents[1] / "src" / "gtebench" / "configs"
 
@@ -91,6 +93,31 @@ class TestTrainExplainAlignEvaluate:
         for name in ("c_of_ed.svg", "second_correct.svg", "all_correct.svg",
                      "combined_summary.csv"):
             assert (workdir / "plots" / name).exists()
+        rep = EvalReport.load(workdir / "ev")
+        assert (workdir / "plots" / "combined_summary.csv").read_text() == summary_csv_oracle(
+            "evaluation", [("ev", rep.ave_c_of_ed, rep.ave_second, rep.ave_all)])
+
+    def test_truncated_matrix_exit_2(self, loan_artifacts, workdir, capsys):
+        run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 2,
+            "--seed", 0, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "10", "--runs", 2,
+            "--seed", 0, "--out-prefix", "g")
+        text = (workdir / "e.csv").read_text()
+        (workdir / "e.csv").write_text(text[: len(text) // 2])
+        assert run("evaluate", "e.csv", "g_ns10.csv", "--out-dir", "ev3") == 2
+        assert "e.csv" in capsys.readouterr().err
+        assert not (workdir / "ev3").exists()
+
+    def test_align_num_samples_too_large_exit_2(self, workdir, capsys):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        assert run("align", "loan.csv", "--num-samples", "60", "--runs", 2,
+                   "--out-prefix", "g") == 2
+        assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
+        assert not (workdir / "g_ns60.csv").exists()
+
+    def test_no_threads_option(self, workdir):
+        with pytest.raises(SystemExit):
+            run("generate", "loan", "--out", "loan.csv", "--threads", 2)
 
     def test_only_correct_filter(self, loan_artifacts, workdir):
         assert run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 1,

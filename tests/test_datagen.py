@@ -214,6 +214,15 @@ class TestCsvRoundTrip:
         generate_equation_dataset(cfg, seed=2).save_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_header_only(self, loan_dataset, tmp_path):
+        empty = Dataset(loan_dataset.schema, np.empty((0, 3)), np.empty(0, int),
+                        np.empty(0, int), 2, 0, "h", "loan")
+        p = tmp_path / "empty.csv"
+        empty.save_csv(p)
+        assert p.read_text() == "x1,x2,x3,label,variation_id\n"
+        back = Dataset.load_csv(p)
+        assert len(back) == 0 and back.X.shape == (0, 3) and back.labels.shape == (0,)
+
 
 class TestClassOverlap:
     def _toy(self, X, labels, n_classes):

@@ -13,6 +13,7 @@ from gtebench.evalmetrics import (
 )
 from gtebench.explainer import CoefficientMatrix
 from gtebench.numerics import make_rng
+from oracles import per_instance_csv_oracle, summary_csv_oracle
 
 
 def _matrix(coefs, source="explainer", dataset_hash="dsh"):
@@ -174,15 +175,26 @@ class TestBuildReport:
             build_report(_matrix(np.zeros((1, 2, 3)), dataset_hash="h1"),
                          _matrix(np.zeros((1, 2, 3)), dataset_hash="h2"))
 
+    def test_instance_ids_mismatch(self):
+        swapped = _matrix(np.zeros((1, 2, 3)))
+        swapped.instance_ids = np.array([1, 0])
+        with pytest.raises(IncompatibilityError, match="different instances"):
+            build_report(_matrix(np.zeros((1, 2, 3))), swapped)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = make_rng(6)
         rep = build_report(_matrix(rng.normal(size=(2, 5, 3))),
                            _matrix(rng.normal(size=(2, 5, 3)), source="gte"))
-        rep.save(tmp_path / "e", dataset_name="toy")
+        out = tmp_path / "e"
+        assert rep.save(out, dataset_name="toy") == [
+            out / "report.json", out / "per_instance.csv", out / "summary.csv"]
         from gtebench.evalmetrics import EvalReport
 
-        back = EvalReport.load(tmp_path / "e")
+        back = EvalReport.load(out)
         assert back.ave_c_of_ed == rep.ave_c_of_ed
         assert len(back.instance_scores) == 5
-        summary = (tmp_path / "e" / "summary.csv").read_text()
+        summary = (out / "summary.csv").read_text()
         assert summary.startswith("dataset,ave_c_of_ed,ave_second,ave_all\ntoy,")
+        assert summary == summary_csv_oracle(
+            "dataset", [("toy", rep.ave_c_of_ed, rep.ave_second, rep.ave_all)])
+        assert (out / "per_instance.csv").read_text() == per_instance_csv_oracle(rep.instance_scores)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gtebench.datagen import LOAN_SCHEMA
-from gtebench.errors import ConfigError, DegenerateSampleError
+from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError
 from gtebench.explainer import (
     CoefficientMatrix,
     ExplainerConfig,
@@ -100,24 +100,41 @@ class TestBatchExplain:
         assert np.all(np.isfinite(mat.coefficients))
 
     def test_single_run_equals_loop(self, loan_nn1, loan_dataset):
+        # cell (r, i) is explain() on the child stream (seed, r, i), for one
+        # run and for several
         stats = training_stats(loan_dataset.X)
         cfg = ExplainerConfig(num_samples=25)
-        mat = batch_explain(loan_nn1, loan_dataset.X[:5], stats, cfg, runs=1, base_seed=9,
-                            schema=loan_dataset.schema)
-        for i in range(5):
-            coef, inter = explain(loan_nn1, loan_dataset.X[i], stats, cfg,
-                                  make_rng(9, 0, i), loan_dataset.schema)
-            assert np.array_equal(mat.coefficients[0, i], coef)
-            assert mat.intercepts[0, i] == inter
+        for runs, seed, n in ((1, 9, 5), (2, 1, 8)):
+            mat = batch_explain(loan_nn1, loan_dataset.X[:n], stats, cfg, runs=runs,
+                                base_seed=seed, schema=loan_dataset.schema)
+            for r in range(runs):
+                for i in range(n):
+                    coef, inter = explain(loan_nn1, loan_dataset.X[i], stats, cfg,
+                                          make_rng(seed, r, i), loan_dataset.schema)
+                    assert np.array_equal(mat.coefficients[r, i], coef)
+                    assert mat.intercepts[r, i] == inter
 
-    def test_deterministic_across_threads(self, loan_nn1, loan_dataset):
-        stats = training_stats(loan_dataset.X)
-        cfg = ExplainerConfig(num_samples=25)
-        a = batch_explain(loan_nn1, loan_dataset.X[:8], stats, cfg, runs=2, base_seed=1,
-                          schema=loan_dataset.schema, threads=1)
-        b = batch_explain(loan_nn1, loan_dataset.X[:8], stats, cfg, runs=2, base_seed=1,
-                          schema=loan_dataset.schema, threads=4)
-        assert np.array_equal(a.coefficients, b.coefficients)
+    def test_numeric_failures_recorded_other_errors_raised(self):
+        class FailingModel:
+            def __init__(self, exc):
+                self.exc = exc
+
+            def predict_batch(self, X):
+                if X.shape[0] == 1 and X[0, 0] == 1.0:  # the second instance itself
+                    raise self.exc
+                return np.column_stack([np.full(len(X), 0.5)] * 2)
+
+        X = np.array([[0.0, 1.0], [1.0, 1.0]])
+        stats = (np.zeros(2), np.ones(2))
+        cfg = ExplainerConfig(num_samples=5)
+        mat = batch_explain(FailingModel(SingularSystemError("boom")), X, stats, cfg,
+                            runs=2, base_seed=0)
+        assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1)]
+        assert mat.failures[0][2] == "SingularSystemError: boom"
+        assert np.isnan(mat.coefficients[:, 1]).all()
+        assert np.isfinite(mat.coefficients[:, 0]).all()
+        with pytest.raises(TypeError):
+            batch_explain(FailingModel(TypeError("bug")), X, stats, cfg, runs=1, base_seed=0)
 
     def test_coefficient_count_matches_features(self, loan_nn1, loan_dataset):
         stats = training_stats(loan_dataset.X)
@@ -133,12 +150,17 @@ class TestCoefficientMatrixIO:
                             runs=2, base_seed=3, schema=loan_dataset.schema,
                             dataset_hash=loan_dataset.config_hash,
                             instance_ids=np.array([4, 8, 15, 16, 23, 42]))
+        # a failed cell is NaN in the file and listed in the sidecar
+        mat.coefficients[1, 2] = np.nan
+        mat.intercepts[1, 2] = np.nan
+        mat.failures = [(1, 2, "SingularSystemError: injected")]
         p = tmp_path / "m.csv"
         mat.save_csv(p)
         back = CoefficientMatrix.load_csv(p)
-        assert np.array_equal(back.coefficients, mat.coefficients)
-        assert np.array_equal(back.intercepts, mat.intercepts)
+        assert np.array_equal(back.coefficients, mat.coefficients, equal_nan=True)
+        assert np.array_equal(back.intercepts, mat.intercepts, equal_nan=True)
         assert np.array_equal(back.instance_ids, mat.instance_ids)
+        assert back.failures == mat.failures
         assert back.dataset_hash == mat.dataset_hash
         assert back.source == "explainer"
 

@@ -3,6 +3,7 @@ import pytest
 
 from gtebench.datagen import Dataset, FeatureSchema
 from gtebench.errors import ConfigError
+from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import GteConfig, batch_gte, gte_explain
 from gtebench.numerics import make_rng
 from oracles import ridge_oracle
@@ -104,3 +105,15 @@ class TestBatchGte:
         mat = batch_gte(loan_dataset, np.arange(5), GteConfig(num_samples=10),
                         runs=2, base_seed=1)
         assert mat.shape[2] == loan_dataset.n_features
+
+    def test_failures_copied_with_runs(self, tmp_path):
+        ds = _linear_threshold_dataset(n=30)
+        ds.X[3] = 0.0  # a zero-vector target cannot be ranked
+        mat = batch_gte(ds, np.array([2, 3, 4]), GteConfig(num_samples=10), runs=3, base_seed=0)
+        assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1), (2, 1)]
+        assert mat.failures[0][2].startswith("ZeroVectorError")
+        assert np.isnan(mat.coefficients[:, 1]).all()
+        # the file validates: its non-finite cells are exactly the failures
+        mat.save_csv(tmp_path / "g.csv")
+        back = CoefficientMatrix.load_csv(tmp_path / "g.csv")
+        assert back.failures == mat.failures
