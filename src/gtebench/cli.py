@@ -17,7 +17,8 @@ from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain, training_stats
 from .gte import GteConfig, batch_gte
 from .manifest import record_stage
-from .model import ModelConfig, TrainConfig, TrainedModel, select_correct, train
+from .model import (ModelConfig, TrainConfig, TrainedModel, jointly_correct, select_correct,
+                    train)
 from .numerics import make_rng
 
 EXIT_CONFIG = 2
@@ -100,15 +101,9 @@ def cmd_train(args) -> int:
 def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarray:
     rng = make_rng(args.seed, 9999)
     if args.only_correct:
-        n = args.sample if args.sample else None
-        ok_models = [m for m in models if m is not None]
-        if n is None:
-            # all jointly-correct instances
-            ok = np.ones(len(ds), dtype=bool)
-            for m in ok_models:
-                ok &= m.predict_batch(ds.X).argmax(axis=1) == ds.labels
-            return np.flatnonzero(ok)
-        return select_correct(ok_models, ds.X, ds.labels, n, rng)
+        if args.sample:
+            return select_correct(models, ds.X, ds.labels, args.sample, rng)
+        return np.flatnonzero(jointly_correct(models, ds.X, ds.labels))
     if args.sample:
         return np.sort(rng.choice(len(ds), size=args.sample, replace=False))
     return np.arange(len(ds))
@@ -206,8 +201,11 @@ def cmd_report(args) -> int:
         path.write_text(svg, encoding="utf-8")
         outputs.append(path)
     outputs += evalmetrics.write_summary(out_dir / "combined_summary.csv", "evaluation", reports)
-    record_stage(_manifest_path(), "report", config_hash(sorted(str(d) for d in dirs)),
-                 None, [str(d) for d in dirs], outputs)
+    # the configuration of each evaluation, not where it lives
+    cfg = [(name, rep.exp_config_hash, rep.gte_config_hash, rep.dataset_hash)
+           for name, rep in reports]
+    record_stage(_manifest_path(), "report", config_hash(cfg), None,
+                 [str(d) for d in dirs], outputs)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0
 

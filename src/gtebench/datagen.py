@@ -96,14 +96,6 @@ class FeatureSchema:
         return FeatureSchema(tuple(feats))
 
 
-@dataclass(frozen=True)
-class Instance:
-    features: np.ndarray
-    label: int
-    variation_id: int
-    row_index: int
-
-
 @dataclass
 class Dataset:
     schema: FeatureSchema
@@ -125,9 +117,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
-
-    def instance(self, i: int) -> Instance:
-        return Instance(self.X[i], int(self.labels[i]), int(self.variation_ids[i]), i)
 
     def save_csv(self, path: str | Path) -> list[Path]:
         """Write the rows and the sidecar; returns the paths written."""
@@ -294,11 +283,6 @@ def apply_variation_raw(X: np.ndarray, spec: VariationSpec, schema: FeatureSchem
         if not np.all(np.isfinite(X[..., j])):
             raise NumericFailure(f"variation op ({var}, {op}, {param}) produced non-finite values")
     return X
-
-
-def apply_variation(row: Instance, spec: VariationSpec, schema: FeatureSchema) -> Instance:
-    out = apply_variation_raw(row.features, spec, schema)
-    return Instance(schema.round_clamp(out), spec.class_id, spec.class_id, row.row_index)
 
 
 # ---------------------------------------------------------------------------

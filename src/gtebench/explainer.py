@@ -13,7 +13,7 @@ import numpy as np
 from . import artifacts
 from .datagen import FeatureSchema, config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure, ZeroVectorError
-from .numerics import cosine_similarity_rows, make_rng, weighted_ridge
+from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
 
 MAX_PERTURBATION_POOL = 100_000
 
@@ -77,6 +77,34 @@ class CoefficientMatrix:
     def shape(self) -> tuple[int, int, int]:
         return self.coefficients.shape
 
+    @classmethod
+    def fill(cls, fit, runs: int, distinct_runs: int, n_features: int,
+             **fields) -> "CoefficientMatrix":
+        """Matrix of ``fit(r, i) -> (coefficients, intercept)`` over every run
+        below ``distinct_runs`` and every instance in ``fields["instance_ids"]``;
+        each later run is a copy of run 0, failures included.
+
+        A fit that fails numerically leaves a NaN cell and a (run, instance,
+        message) failure; failures are listed in run-major order.
+        """
+        if runs < 1:
+            raise ConfigError(f"runs must be positive, got {runs}")
+        n = len(fields["instance_ids"])
+        coef = np.full((runs, n, n_features), np.nan)
+        inter = np.full((runs, n), np.nan)
+        failures: list[tuple[int, int, str]] = []
+        for r in range(runs):
+            if r >= distinct_runs:
+                coef[r], inter[r] = coef[0], inter[0]
+                failures += [(r, i, msg) for r0, i, msg in failures if r0 == 0]
+                continue
+            for i in range(n):
+                try:
+                    coef[r, i], inter[r, i] = fit(r, i)
+                except (NumericFailure, ZeroVectorError) as exc:  # record, keep going
+                    failures.append((r, i, f"{type(exc).__name__}: {exc}"))
+        return cls(coefficients=coef, intercepts=inter, failures=failures, **fields)
+
     def save_csv(self, path: str | Path) -> list[Path]:
         """Write the rows and the sidecar; returns the paths written."""
         meta = {
@@ -129,23 +157,6 @@ def perturb_instance(
     return pts
 
 
-def _select_and_fit(points, sims, probs, instance, p_instance, cfg: ExplainerConfig):
-    k = cfg.num_samples
-    # stable descending sort, ties broken by draw order
-    order = np.lexsort((np.arange(len(sims)), -sims))[:k]
-    X_fit = np.vstack([instance[None, :], points[order]])
-    y_fit = np.concatenate([[p_instance], probs[order]])
-    if cfg.selection == "kernel":
-        w_sel = np.exp(-((1.0 - sims[order]) ** 2) / cfg.kernel_width**2)
-        w = np.concatenate([[1.0], w_sel])
-    else:
-        w = np.concatenate([[1.0], sims[order]])
-    # ridge weights must be non-negative; anti-aligned points carry no weight
-    w = np.maximum(w, 0.0)
-    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
-    return fit.coefficients, fit.intercept
-
-
 def explain(
     model,
     instance: np.ndarray,
@@ -182,7 +193,14 @@ def explain(
     probs = model.predict_batch(points)
     p_self = model.predict_batch(instance[None, :])[0]
     pred_class = int(np.argmax(p_self))
-    return _select_and_fit(points, sims, probs[:, pred_class], instance, p_self[pred_class], cfg)
+    weights = None
+    if cfg.selection == "kernel":
+        weights = np.exp(-((1.0 - sims) ** 2) / cfg.kernel_width**2)
+    # ties in similarity are broken by draw order
+    X, y, w = neighbourhood(instance, p_self[pred_class], points, probs[:, pred_class], sims,
+                            cfg.num_samples, weights=weights)
+    fit = weighted_ridge(X, y, w, cfg.alpha)
+    return fit.coefficients, fit.intercept
 
 
 def batch_explain(
@@ -198,30 +216,16 @@ def batch_explain(
 ) -> CoefficientMatrix:
     """``runs`` independent repetitions over all instances; child rng per
     (run, instance) so results are independent of execution order."""
-    if runs < 1:
-        raise ConfigError(f"runs must be positive, got {runs}")
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     n, d = instances.shape
-    coef = np.full((runs, n, d), np.nan)
-    inter = np.full((runs, n), np.nan)
-    failures: list[tuple[int, int, str]] = []
-    for r in range(runs):
-        for i in range(n):
-            try:
-                coef[r, i], inter[r, i] = explain(
-                    model, instances[i], stats, cfg, make_rng(base_seed, r, i), schema
-                )
-            except (NumericFailure, ZeroVectorError) as exc:  # record, keep going
-                failures.append((r, i, f"{type(exc).__name__}: {exc}"))
-    return CoefficientMatrix(
-        coefficients=coef,
-        intercepts=inter,
+    return CoefficientMatrix.fill(
+        lambda r, i: explain(model, instances[i], stats, cfg, make_rng(base_seed, r, i), schema),
+        runs, runs, d,
         source="explainer",
         config_hash=config_hash(cfg.to_dict()),
         dataset_hash=dataset_hash,
         seed=base_seed,
         instance_ids=np.arange(n) if instance_ids is None else np.asarray(instance_ids, dtype=int),
-        failures=failures,
     )
 
 

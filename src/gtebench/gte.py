@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset, config_hash
-from .errors import ConfigError, NumericFailure, ZeroVectorError
+from .errors import ConfigError
 from .explainer import CoefficientMatrix
-from .numerics import cosine_similarity_rows, make_rng, weighted_ridge
+from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,14 @@ def gte_explain(
             f"num_samples ({cfg.num_samples}) must be below dataset size ({n})"
         )
     target = dataset.X[index]
-    others = np.delete(np.arange(n), index)
-    sims = cosine_similarity_rows(dataset.X[others], target)
-    if np.isnan(sims).any():
-        # zero-vector rows cannot be ranked; push them to the end
-        sims = np.nan_to_num(sims, nan=-2.0)
-    tie_key = np.arange(len(others)) if tie_rng is None else tie_rng.permutation(len(others))
-    order = np.lexsort((tie_key, -sims))[: cfg.num_samples]
-    sel = others[order]
-
-    X_fit = np.vstack([target[None, :], dataset.X[sel]])
-    y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])
-    w = np.concatenate([[1.0], np.maximum(sims[order], 0.0)])
-    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
+    sims = cosine_similarity_rows(dataset.X, target)
+    # zero-vector rows cannot be ranked: they go to the end, the target after them
+    sims[np.isnan(sims)] = -2.0
+    sims[index] = -np.inf
+    tie_key = None if tie_rng is None else np.insert(tie_rng.permutation(n - 1), index, 0)
+    same_class = (dataset.labels == dataset.labels[index]).astype(float)
+    X, y, w = neighbourhood(target, 1.0, dataset.X, same_class, sims, cfg.num_samples, tie_key)
+    fit = weighted_ridge(X, y, w, cfg.alpha)
     return fit.coefficients, fit.intercept
 
 
@@ -81,33 +76,18 @@ def batch_gte(
     The procedure is deterministic on fixed data, so runs are identical
     unless ``resample_per_run`` injects per-run tie-breaking.
     """
-    if runs < 1:
-        raise ConfigError(f"runs must be positive, got {runs}")
     indices = np.asarray(indices, dtype=int)
-    n, d = len(indices), dataset.n_features
-    coef = np.full((runs, n, d), np.nan)
-    inter = np.full((runs, n), np.nan)
-    failures: list[tuple[int, int, str]] = []
-    for r in range(runs):
-        if r == 0 or cfg.resample_per_run:
-            for k, i in enumerate(indices):
-                tie_rng = make_rng(base_seed, r, int(i)) if cfg.resample_per_run else None
-                try:
-                    coef[r, k], inter[r, k] = gte_explain(dataset, int(i), cfg, tie_rng)
-                except (NumericFailure, ZeroVectorError) as exc:
-                    failures.append((r, k, f"{type(exc).__name__}: {exc}"))
-        else:
-            # a copied run copies its failures too
-            coef[r] = coef[0]
-            inter[r] = inter[0]
-            failures += [(r, k, msg) for r0, k, msg in failures if r0 == 0]
-    return CoefficientMatrix(
-        coefficients=coef,
-        intercepts=inter,
+
+    def fit(r, k):
+        i = int(indices[k])
+        return gte_explain(dataset, i, cfg,
+                           make_rng(base_seed, r, i) if cfg.resample_per_run else None)
+
+    return CoefficientMatrix.fill(
+        fit, runs, runs if cfg.resample_per_run else 1, dataset.n_features,
         source="gte",
         config_hash=config_hash(cfg.to_dict()),
         dataset_hash=dataset.config_hash,
         seed=base_seed,
         instance_ids=indices,
-        failures=failures,
     )

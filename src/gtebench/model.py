@@ -61,27 +61,13 @@ class TrainedModel:
     def _normalize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.norm_lo) / self.norm_span
 
-    def _forward(self, X: np.ndarray) -> list[np.ndarray]:
-        """Activations per layer, input first, softmax output last."""
-        acts = [X]
-        h = X
-        n_layers = len(self.weights)
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
-            if i < n_layers - 1:
-                h = np.maximum(z, 0.0) if self.config.activation == "relu" else np.tanh(z)
-            else:
-                h = _softmax(z)
-            acts.append(h)
-        return acts
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.config.layers[0]:
             raise ValueError(
                 f"expected {self.config.layers[0]} features, got {X.shape[1]}"
             )
-        return self._forward(self._normalize(X))[-1]
+        return _forward(self.weights, self.biases, self.config.activation, self._normalize(X))[-1]
 
     def predict(self, features) -> np.ndarray:
         return self.predict_batch(features)[0]
@@ -122,6 +108,18 @@ class TrainedModel:
         )
 
 
+def _forward(weights, biases, activation, X) -> list[np.ndarray]:
+    """Activations per layer, input first, softmax output last."""
+    acts = [X]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ W + b
+        if i < len(weights) - 1:
+            acts.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+        else:
+            acts.append(_softmax(z))
+    return acts
+
+
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -160,18 +158,8 @@ def init_params(mcfg: ModelConfig, rng: np.random.Generator):
 
 def forward_backward(weights, biases, activation, X, y_onehot):
     """Mean cross-entropy loss and parameter gradients for one batch."""
-    acts = [X]
-    pre = []
-    h = X
+    acts = _forward(weights, biases, activation, X)
     L = len(weights)
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        z = h @ W + b
-        pre.append(z)
-        if i < L - 1:
-            h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
-        else:
-            h = _softmax(z)
-        acts.append(h)
     n = X.shape[0]
     probs = acts[-1]
     loss = float(-np.sum(y_onehot * np.log(np.clip(probs, 1e-300, None))) / n)
@@ -184,10 +172,12 @@ def forward_backward(weights, biases, activation, X, y_onehot):
         db[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ weights[i].T
+            # the activation's derivative from its output: relu(z) > 0 iff
+            # z > 0, and tanh' = 1 - tanh^2
             if activation == "relu":
-                delta = delta * (pre[i - 1] > 0)
+                delta = delta * (acts[i] > 0)
             else:
-                delta = delta * (1.0 - np.tanh(pre[i - 1]) ** 2)
+                delta = delta * (1.0 - acts[i] ** 2)
     return loss, dW, db
 
 
@@ -267,6 +257,17 @@ def accuracy(model: TrainedModel, X, labels) -> float:
     return float((pred == labels).mean())
 
 
+def jointly_correct(models: list[TrainedModel | None], X: np.ndarray,
+                    labels: np.ndarray) -> np.ndarray:
+    """Mask of the instances every supplied model predicts correctly;
+    ``None`` entries are skipped."""
+    ok = np.ones(len(labels), dtype=bool)
+    for m in models:
+        if m is not None:
+            ok &= m.predict_batch(X).argmax(axis=1) == labels
+    return ok
+
+
 def select_correct(
     models: list[TrainedModel],
     X: np.ndarray,
@@ -276,12 +277,7 @@ def select_correct(
 ) -> np.ndarray:
     """Indices of a uniform no-replacement sample of size ``n`` from the
     instances every supplied model predicts correctly."""
-    ok = np.ones(len(labels), dtype=bool)
-    for m in models:
-        if m is None:
-            continue
-        ok &= m.predict_batch(X).argmax(axis=1) == labels
-    correct = np.flatnonzero(ok)
+    correct = np.flatnonzero(jointly_correct(models, X, labels))
     if n > len(correct):
         raise ValueError(
             f"requested {n} jointly-correct instances but only {len(correct)} available"

@@ -1,4 +1,5 @@
-"""Deterministic numeric kernels: seeded sampling, similarity, weighted ridge
+"""Deterministic numeric kernels: seeded sampling, similarity, the
+neighbourhood design shared by the explainer and GTE, weighted ridge
 regression, and the small amount of statistics the pipeline needs.
 
 All functions are pure; random ones take an explicit numpy Generator obtained
@@ -92,6 +93,24 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         sims = rows @ v / (norms * nv)
     sims = np.where(norms == 0, np.nan, sims)
     return np.clip(sims, -1.0, 1.0)
+
+
+def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, weights=None):
+    """Design ``(X, y, w)`` of a local surrogate fit around ``target``.
+
+    The target comes first with weight 1, then the ``k`` pool rows of highest
+    similarity: a stable descending sort of ``sims``, ties broken by ascending
+    ``tie_key`` (default: pool order). Each selected row is weighted by its
+    entry of ``weights`` (default: its similarity).
+    """
+    if tie_key is None:
+        tie_key = np.arange(len(sims))
+    order = np.lexsort((tie_key, -sims))[:k]
+    X = np.vstack([target[None, :], pool[order]])
+    y = np.concatenate([[y_target], y_pool[order]])
+    w = (sims if weights is None else weights)[order]
+    # ridge weights must be non-negative; anti-aligned rows carry no weight
+    return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
 
 
 @dataclass(frozen=True)

@@ -98,3 +98,85 @@ def summary_csv_oracle(first_column: str, rows) -> str:
     lines = [f"{first_column},ave_c_of_ed,ave_second,ave_all"]
     lines += [f"{name},{a!r},{b!r},{c!r}" for name, a, b, c in rows]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Per-target neighbourhood fits, each module with its own copy of the rank ->
+# top-k -> weighted-ridge policy: the reference for explainer.explain and
+# gte.gte_explain, which share gtebench.numerics.neighbourhood.
+
+
+def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
+    from gtebench.numerics import weighted_ridge
+
+    k = cfg.num_samples
+    # stable descending sort, ties broken by draw order
+    order = np.lexsort((np.arange(len(sims)), -sims))[:k]
+    X_fit = np.vstack([instance[None, :], points[order]])
+    y_fit = np.concatenate([[p_instance], probs[order]])
+    if cfg.selection == "kernel":
+        w_sel = np.exp(-((1.0 - sims[order]) ** 2) / cfg.kernel_width**2)
+        w = np.concatenate([[1.0], w_sel])
+    else:
+        w = np.concatenate([[1.0], sims[order]])
+    w = np.maximum(w, 0.0)
+    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
+    return fit.coefficients, fit.intercept
+
+
+def explain_oracle(model, instance, stats, cfg, rng, schema=None):
+    from gtebench.errors import DegenerateSampleError
+    from gtebench.explainer import perturb_instance
+    from gtebench.numerics import cosine_similarity_rows
+
+    instance = np.asarray(instance, dtype=float)
+    means, stds = stats
+    points = perturb_instance(instance, means, stds, cfg.pool_size, rng, cfg.scale, schema,
+                              cfg.clamp_to_schema)
+    sims = cosine_similarity_rows(points, instance)
+    for _ in range(10):
+        bad = np.isnan(sims)
+        if not bad.any():
+            break
+        redraw = perturb_instance(instance, means, stds, int(bad.sum()), rng, cfg.scale, schema,
+                                  cfg.clamp_to_schema)
+        points[bad] = redraw
+        sims[bad] = cosine_similarity_rows(redraw, instance)
+    else:
+        raise DegenerateSampleError("could not draw enough nonzero perturbations")
+    probs = model.predict_batch(points)
+    p_self = model.predict_batch(instance[None, :])[0]
+    pred_class = int(np.argmax(p_self))
+    return select_and_fit_oracle(points, sims, probs[:, pred_class], instance,
+                                 p_self[pred_class], cfg)
+
+
+def gte_explain_oracle(dataset, index, cfg, tie_rng=None):
+    """Ranks a copy of the dataset without the target row."""
+    from gtebench.numerics import cosine_similarity_rows, weighted_ridge
+
+    target = dataset.X[index]
+    others = np.delete(np.arange(len(dataset)), index)
+    sims = cosine_similarity_rows(dataset.X[others], target)
+    if np.isnan(sims).any():
+        sims = np.nan_to_num(sims, nan=-2.0)
+    tie_key = np.arange(len(others)) if tie_rng is None else tie_rng.permutation(len(others))
+    order = np.lexsort((tie_key, -sims))[: cfg.num_samples]
+    sel = others[order]
+    X_fit = np.vstack([target[None, :], dataset.X[sel]])
+    y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])
+    w = np.concatenate([[1.0], np.maximum(sims[order], 0.0)])
+    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
+    return fit.coefficients, fit.intercept
+
+
+def fit_outcome(fn):
+    """The bytes of a fit's (coefficients, intercept), or the type of the
+    recorded failure it raised."""
+    from gtebench.errors import NumericFailure, ZeroVectorError
+
+    try:
+        coef, intercept = fn()
+    except (NumericFailure, ZeroVectorError) as exc:
+        return type(exc)
+    return np.append(coef, intercept).tobytes()

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +71,7 @@ class TestTrainExplainAlignEvaluate:
         assert run("train", "loan.csv", "--model-config", bad, "--out", "m.json") == 2
         assert not (loan_artifacts / "m.json").exists()
 
-    def test_explain_align_evaluate_report(self, loan_artifacts, capsys, workdir):
+    def test_explain_align_evaluate_report(self, loan_artifacts, capsys, workdir, monkeypatch):
         assert run("explain", "nn1.json", "loan.csv", "--num-samples", 25,
                    "--runs", 5, "--seed", 100, "--out", "exp1.csv") == 0
         assert run("explain", "nn2.json", "loan.csv", "--num-samples", 25,
@@ -96,6 +97,17 @@ class TestTrainExplainAlignEvaluate:
         rep = EvalReport.load(workdir / "ev")
         assert (workdir / "plots" / "combined_summary.csv").read_text() == summary_csv_oracle(
             "evaluation", [("ev", rep.ave_c_of_ed, rep.ave_second, rep.ave_all)])
+
+        # the same evaluation reported from another data dir records the same
+        # report config hash
+        other = workdir / "elsewhere"
+        shutil.copytree(workdir / "ev", other / "ev")
+        monkeypatch.setenv("GTEBENCH_DATA_DIR", str(other))
+        assert run("report", "ev", "--out-dir", "plots") == 0
+        hashes = [[json.loads(line)["config_hash"] for line in
+                   (d / "manifest.jsonl").read_text().splitlines()
+                   if json.loads(line)["stage"] == "report"] for d in (workdir, other)]
+        assert hashes[0] == hashes[1] and len(hashes[0]) == 1
 
     def test_truncated_matrix_exit_2(self, loan_artifacts, workdir, capsys):
         run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 2,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtebench.datagen import LOAN_SCHEMA
+from gtebench.datagen import LOAN_SCHEMA, FeatureSchema
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError
 from gtebench.explainer import (
     CoefficientMatrix,
@@ -12,6 +14,7 @@ from gtebench.explainer import (
     training_stats,
 )
 from gtebench.numerics import make_rng
+from oracles import explain_oracle, fit_outcome
 
 
 class LinearProbModel:
@@ -87,6 +90,31 @@ class TestExplain:
         assert ExplainerConfig(num_samples=25).pool_size == 500
         assert ExplainerConfig(num_samples=10_000).pool_size == 100_000
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), d=st.integers(2, 4), clamp=st.booleans(),
+           selection=st.sampled_from(["top_k", "kernel"]), k=st.integers(1, 8),
+           extra=st.integers(0, 12), spread=st.sampled_from([0.5, 1.0, 4.0]),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_module_oracle(self, data, d, clamp, selection, k, extra, spread, alpha,
+                                      seed):
+        # Perturbations clamped onto a small integer grid repeat and scale
+        # each other (tied similarities), hit zero (redrawn) and point away
+        # from the instance (negative similarities).
+        small_ints = st.integers(-3, 3)
+        instance = np.array(data.draw(st.lists(small_ints, min_size=d, max_size=d)
+                                      .filter(any)), float)
+        weights = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d))
+        model = LinearProbModel(weights, 0.5)
+        schema = FeatureSchema.from_dict(
+            [{"name": f"f{j}", "kind": "ordinal", "lo": -3, "hi": 3} for j in range(d)])
+        cfg = ExplainerConfig(num_samples=k, n_perturb=k + extra, alpha=alpha,
+                              clamp_to_schema=clamp, selection=selection)
+        stats = (np.zeros(d), np.full(d, spread))
+        got = fit_outcome(lambda: explain(model, instance, stats, cfg, make_rng(seed), schema))
+        want = fit_outcome(
+            lambda: explain_oracle(model, instance, stats, cfg, make_rng(seed), schema))
+        assert got == want
+
 
 class TestBatchExplain:
     def test_tensor_shape(self, loan_nn1, loan_dataset):
@@ -101,10 +129,10 @@ class TestBatchExplain:
 
     def test_single_run_equals_loop(self, loan_nn1, loan_dataset):
         # cell (r, i) is explain() on the child stream (seed, r, i), for one
-        # run and for several
+        # run and for several, and for either selection
         stats = training_stats(loan_dataset.X)
-        cfg = ExplainerConfig(num_samples=25)
-        for runs, seed, n in ((1, 9, 5), (2, 1, 8)):
+        for runs, seed, n, selection in ((1, 9, 5, "top_k"), (2, 1, 8, "kernel")):
+            cfg = ExplainerConfig(num_samples=25, selection=selection)
             mat = batch_explain(loan_nn1, loan_dataset.X[:n], stats, cfg, runs=runs,
                                 base_seed=seed, schema=loan_dataset.schema)
             for r in range(runs):

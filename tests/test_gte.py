@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtebench.datagen import Dataset, FeatureSchema
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import GteConfig, batch_gte, gte_explain
 from gtebench.numerics import make_rng
-from oracles import ridge_oracle
+from oracles import fit_outcome, gte_explain_oracle, ridge_oracle
 
 
 def _linear_threshold_dataset(n=80, seed=4):
@@ -65,6 +67,33 @@ class TestGteExplain:
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
+           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]),
+           tie_seed=st.none() | st.integers(0, 2**32 - 1))
+    def test_equals_np_delete_oracle(self, data, d, n, scale, alpha, tie_seed):
+        # a small integer grid, plus a duplicated row, a positively scaled
+        # row and a zero row: tied, negative and undefined similarities
+        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+        X = np.array(rows, dtype=float)
+        j = data.draw(st.integers(0, n - 1))
+        X = np.vstack([X, X[j], scale * X[j], np.zeros(d)])
+        X = X[data.draw(st.permutations(range(len(X))))]
+        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(X),
+                                             max_size=len(X))))
+        schema = FeatureSchema.from_dict(
+            [{"name": f"f{c}", "kind": "continuous", "lo": -9, "hi": 9} for c in range(d)])
+        ds = Dataset(schema, X, labels, np.zeros(len(X), int), 3, 0, "h", "time")
+        index = data.draw(st.integers(0, len(X) - 1))
+        cfg = GteConfig(num_samples=data.draw(st.integers(1, len(X) - 1)), alpha=alpha)
+
+        def tie_rng():
+            return None if tie_seed is None else make_rng(tie_seed)
+
+        got = fit_outcome(lambda: gte_explain(ds, index, cfg, tie_rng()))
+        assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, cfg, tie_rng()))
+
     def test_loan_zero_incidence_at_small_num_samples(self, loan_dataset):
         zero_rows = 0
         for i in range(len(loan_dataset)):
@@ -88,12 +117,18 @@ class TestBatchGte:
         assert np.array_equal(mat.coefficients[0], mat.coefficients[2])
 
     def test_single_run_equals_loop(self, loan_dataset):
-        cfg = GteConfig(num_samples=25)
-        mat = batch_gte(loan_dataset, np.arange(10), cfg, runs=1, base_seed=0)
-        for k in range(10):
-            coef, inter = gte_explain(loan_dataset, k, cfg)
-            assert np.array_equal(mat.coefficients[0, k], coef)
-            assert mat.intercepts[0, k] == inter
+        # cell (r, k) is gte_explain() of row ids[k], with the tie-break
+        # stream (seed, r, ids[k]) when runs resample
+        ids = np.arange(3, 13)
+        for runs, resample in ((1, False), (3, True)):
+            cfg = GteConfig(num_samples=25, resample_per_run=resample)
+            mat = batch_gte(loan_dataset, ids, cfg, runs=runs, base_seed=4)
+            for r in range(runs):
+                for k, i in enumerate(ids):
+                    tie_rng = make_rng(4, r, int(i)) if resample else None
+                    coef, inter = gte_explain(loan_dataset, int(i), cfg, tie_rng)
+                    assert np.array_equal(mat.coefficients[r, k], coef)
+                    assert mat.intercepts[r, k] == inter
 
     def test_resample_per_run_deterministic(self, loan_dataset):
         cfg = GteConfig(num_samples=25, resample_per_run=True)
