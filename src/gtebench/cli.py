@@ -140,6 +140,10 @@ def cmd_align(args) -> int:
     if args.instances_from:
         ref = CoefficientMatrix.load_csv(_resolve(args.instances_from))
         idx = ref.instance_ids
+        bad = idx[(idx < 0) | (idx >= len(ds))]
+        if bad.size:
+            raise ConfigError(f"instance id {bad[0]} from {args.instances_from} is outside "
+                              f"the dataset's rows [0, {len(ds)})")
     else:
         idx = np.arange(len(ds))
     outputs = []
@@ -151,7 +155,8 @@ def cmd_align(args) -> int:
         outputs += mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     record_stage(_manifest_path(), "align",
-                 config_hash({"num_samples": args.num_samples, "alpha": args.alpha}),
+                 config_hash({"num_samples": args.num_samples, "alpha": args.alpha,
+                              "resample_per_run": args.resample_per_run, "runs": args.runs}),
                  args.seed, [args.dataset], outputs)
     return 0
 

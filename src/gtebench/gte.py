@@ -41,11 +41,14 @@ def gte_explain(
     index: int,
     cfg: GteConfig,
     tie_rng: np.random.Generator | None = None,
+    norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Ground-truth coefficients for the instance at row ``index``.
 
     Deterministic for fixed (dataset, index, cfg); ties in similarity are
     broken by ascending row id unless ``tie_rng`` supplies a permutation.
+    ``norms`` are the row norms of ``dataset.X``, computed here when not
+    given.
     """
     n = len(dataset)
     if cfg.num_samples >= n:
@@ -53,14 +56,16 @@ def gte_explain(
             f"num_samples ({cfg.num_samples}) must be below dataset size ({n})"
         )
     target = dataset.X[index]
-    sims = cosine_similarity_rows(dataset.X, target)
+    sims = cosine_similarity_rows(dataset.X, target, norms)
     # zero-vector rows cannot be ranked: they go to the end, the target after them
     sims[np.isnan(sims)] = -2.0
     sims[index] = -np.inf
     tie_key = None if tie_rng is None else np.insert(tie_rng.permutation(n - 1), index, 0)
-    same_class = (dataset.labels == dataset.labels[index]).astype(float)
-    X, y, w = neighbourhood(target, 1.0, dataset.X, same_class, sims, cfg.num_samples, tie_key)
-    fit = weighted_ridge(X, y, w, cfg.alpha)
+    label = dataset.labels[index]
+    X, labels, w = neighbourhood(target, label, dataset.X, dataset.labels, sims,
+                                 cfg.num_samples, tie_key)
+    # same-class indicator, built for the selected rows only (the target is first)
+    fit = weighted_ridge(X, (labels == label).astype(float), w, cfg.alpha)
     return fit.coefficients, fit.intercept
 
 
@@ -77,11 +82,12 @@ def batch_gte(
     unless ``resample_per_run`` injects per-run tie-breaking.
     """
     indices = np.asarray(indices, dtype=int)
+    norms = np.linalg.norm(dataset.X, axis=1)
 
     def fit(r, k):
         i = int(indices[k])
         return gte_explain(dataset, i, cfg,
-                           make_rng(base_seed, r, i) if cfg.resample_per_run else None)
+                           make_rng(base_seed, r, i) if cfg.resample_per_run else None, norms)
 
     return CoefficientMatrix.fill(
         fit, runs, runs if cfg.resample_per_run else 1, dataset.n_features,

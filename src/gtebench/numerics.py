@@ -77,18 +77,21 @@ def cosine_similarity(a, b) -> float:
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
-def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.ndarray:
     """Cosine similarity of each row of ``rows`` against ``v``.
 
     Rows with zero norm get similarity NaN; callers decide whether that is an
-    error or a point to skip.
+    error or a point to skip. ``norms`` are the rows' Euclidean norms
+    (``np.linalg.norm(rows, axis=1)``), computed here when not given, so a
+    caller ranking many targets against the same rows computes them once.
     """
     rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
     nv = np.linalg.norm(v)
     if nv == 0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    norms = np.linalg.norm(rows, axis=1)
+    if norms is None:
+        norms = np.linalg.norm(rows, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = rows @ v / (norms * nv)
     sims = np.where(norms == 0, np.nan, sims)
@@ -102,10 +105,19 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, we
     similarity: a stable descending sort of ``sims``, ties broken by ascending
     ``tie_key`` (default: pool order). Each selected row is weighted by its
     entry of ``weights`` (default: its similarity).
+
+    Only the rows at or above the k-th score are sorted: every row strictly
+    above it is selected, and rows tied with it are ranked by ``tie_key`` and
+    position, so the result equals the first k of a full sort.
     """
-    if tie_key is None:
-        tie_key = np.arange(len(sims))
-    order = np.lexsort((tie_key, -sims))[:k]
+    s = -sims
+    cand = np.arange(len(s))
+    if k < len(s):
+        kth = np.partition(s, k - 1)[k - 1]
+        # ``not >`` rather than ``<=`` keeps NaN scores (sorted last) when kth is NaN
+        cand = np.flatnonzero(~(s > kth))
+    keys = cand if tie_key is None else tie_key[cand]
+    order = cand[np.lexsort((keys, s[cand]))[:k]]
     X = np.vstack([target[None, :], pool[order]])
     y = np.concatenate([[y_target], y_pool[order]])
     w = (sims if weights is None else weights)[order]

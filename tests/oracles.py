@@ -106,6 +106,17 @@ def summary_csv_oracle(first_column: str, rows) -> str:
 # gte.gte_explain, which share gtebench.numerics.neighbourhood.
 
 
+def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k, tie_key=None, weights=None):
+    """The neighbourhood design from a full stable sort of every pool row."""
+    if tie_key is None:
+        tie_key = np.arange(len(sims))
+    order = np.lexsort((tie_key, -sims))[:k]
+    X = np.vstack([target[None, :], pool[order]])
+    y = np.concatenate([[y_target], y_pool[order]])
+    w = (sims if weights is None else weights)[order]
+    return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
+
+
 def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
     from gtebench.numerics import weighted_ridge
 

@@ -127,6 +127,30 @@ class TestTrainExplainAlignEvaluate:
         assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
         assert not (workdir / "g_ns60.csv").exists()
 
+    @pytest.mark.parametrize("bad_id", [99, -1])
+    def test_align_instance_id_out_of_range_exit_2(self, workdir, capsys, bad_id):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        run("align", "loan.csv", "--num-samples", "5", "--runs", 1, "--out-prefix", "g")
+        lines = (workdir / "g_ns5.csv").read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace("0,2,", f"0,{bad_id},", 1)
+        (workdir / "ids.csv").write_text("".join(lines))
+        shutil.copy(workdir / "g_ns5.csv.meta.json", workdir / "ids.csv.meta.json")
+        assert run("align", "loan.csv", "--num-samples", "5", "--runs", 1,
+                   "--instances-from", "ids.csv", "--out-prefix", "h") == 2
+        assert f"instance id {bad_id} " in capsys.readouterr().err
+        assert not (workdir / "h_ns5.csv").exists()
+
+    def test_align_hash_covers_resampling_and_runs(self, workdir):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        variants = [("--runs", 3), ("--runs", 3, "--resample-per-run"), ("--runs", 2)]
+        for k, extra in enumerate(variants):
+            assert run("align", "loan.csv", "--num-samples", "5", *extra,
+                       "--out-prefix", f"g{k}") == 0
+        hashes = [json.loads(line)["config_hash"] for line in
+                  (workdir / "manifest.jsonl").read_text().splitlines()
+                  if json.loads(line)["stage"] == "align"]
+        assert len(hashes) == len(set(hashes)) == 3
+
     def test_no_threads_option(self, workdir):
         with pytest.raises(SystemExit):
             run("generate", "loan", "--out", "loan.csv", "--threads", 2)

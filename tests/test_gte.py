@@ -118,17 +118,26 @@ class TestBatchGte:
 
     def test_single_run_equals_loop(self, loan_dataset):
         # cell (r, k) is gte_explain() of row ids[k], with the tie-break
-        # stream (seed, r, ids[k]) when runs resample
-        ids = np.arange(3, 13)
-        for runs, resample in ((1, False), (3, True)):
-            cfg = GteConfig(num_samples=25, resample_per_run=resample)
-            mat = batch_gte(loan_dataset, ids, cfg, runs=runs, base_seed=4)
-            for r in range(runs):
-                for k, i in enumerate(ids):
-                    tie_rng = make_rng(4, r, int(i)) if resample else None
-                    coef, inter = gte_explain(loan_dataset, int(i), cfg, tie_rng)
-                    assert np.array_equal(mat.coefficients[r, k], coef)
-                    assert mat.intercepts[r, k] == inter
+        # stream (seed, r, ids[k]) when runs resample; batch_gte passes the
+        # dataset's row norms once, gte_explain alone computes them per call
+        tied = _linear_threshold_dataset(n=40)
+        tied.X[5] = 0.0
+        tied.X[7] = tied.X[6]
+        tied.X[9] = 2.5 * tied.X[8]
+        tied.X[11] = 3.0 * tied.X[6]
+        for ds in (loan_dataset, tied):
+            ids = np.arange(3, 13)
+            ids = ids[np.linalg.norm(ds.X[ids], axis=1) > 0]
+            for runs, resample in ((1, False), (3, True)):
+                cfg = GteConfig(num_samples=25, resample_per_run=resample)
+                mat = batch_gte(ds, ids, cfg, runs=runs, base_seed=4)
+                assert mat.failures == []
+                for r in range(runs):
+                    for k, i in enumerate(ids):
+                        tie_rng = make_rng(4, r, int(i)) if resample else None
+                        coef, inter = gte_explain(ds, int(i), cfg, tie_rng)
+                        assert mat.coefficients[r, k].tobytes() == coef.tobytes()
+                        assert mat.intercepts[r, k] == inter
 
     def test_resample_per_run_deterministic(self, loan_dataset):
         cfg = GteConfig(num_samples=25, resample_per_run=True)

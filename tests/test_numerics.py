@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError, ZeroVectorError
 from gtebench.numerics import (
     cosine_similarity,
+    cosine_similarity_rows,
     make_rng,
     minmax_normalize,
+    neighbourhood,
     paired_t_test,
     student_t_cdf,
     truncated_normal,
     weighted_ridge,
 )
-from oracles import ridge_oracle, t_cdf_quadrature
+from oracles import neighbourhood_oracle, ridge_oracle, t_cdf_quadrature
 
 
 class TestRng:
@@ -91,6 +93,54 @@ class TestCosineSimilarity:
         y = x + 1.0
         if np.linalg.norm(y) > 0:
             assert cosine_similarity(x, y) == pytest.approx(cosine_similarity(y, x))
+
+
+    def test_given_norms_same_bytes(self):
+        rows = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 4.0], [-3.0, 0.5], [0.0, 0.0], [1e-3, 7.0]])
+        v = np.array([0.5, -1.5])
+        sims = cosine_similarity_rows(rows, v)
+        given_norms = cosine_similarity_rows(rows, v, np.linalg.norm(rows, axis=1))
+        assert np.isnan(sims[[1, 4]]).all()
+        assert sims.tobytes() == given_norms.tobytes()
+
+
+# similarity grid with heavy ties, both zeros, the GTE zero-row (-2) and
+# target (-inf) markers, and the NaN of an unranked zero row
+SIM_GRID = [1.0, 0.5, 0.25, 0.0, -0.0, -0.5, -2.0, -np.inf, np.nan]
+
+
+class TestNeighbourhood:
+    @given(
+        sims=st.lists(st.sampled_from(SIM_GRID), min_size=1, max_size=40),
+        extra_k=st.integers(0, 3),
+        k_frac=st.floats(0, 1),
+        tie=st.sampled_from(["none", "permutation"]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, tie, weighted, seed):
+        sims = np.array(sims)
+        n = len(sims)
+        # k from 1 to n, or past n (every row selected)
+        k = extra_k + n if extra_k else 1 + int(k_frac * (n - 1))
+        rng = make_rng(seed)
+        pool = rng.integers(-3, 4, size=(n, 3)).astype(float)
+        y_pool = rng.random(n)
+        target = rng.normal(size=3)
+        tie_key = rng.permutation(n) if tie == "permutation" else None
+        weights = rng.choice([0.0, 0.5, -1.0, 2.0], size=n) if weighted else None
+        got = neighbourhood(target, 0.75, pool, y_pool, sims, k, tie_key, weights)
+        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k, tie_key, weights)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_all_tied(self):
+        pool = np.arange(20.0).reshape(10, 2)
+        X, y, w = neighbourhood(np.ones(2), 1.0, pool, np.arange(10.0), np.full(10, 0.5), 3,
+                                tie_key=np.arange(10)[::-1])
+        assert y.tolist() == [1.0, 9.0, 8.0, 7.0]
+        assert w.tolist() == [1.0, 0.5, 0.5, 0.5]
 
 
 class TestWeightedRidge:
