@@ -14,7 +14,7 @@ import numpy as np
 from . import evalmetrics, svgplot
 from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
 from .errors import ConfigError, IncompatibilityError, NumericFailure
-from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain, training_stats
+from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain
 from .gte import GteConfig, batch_gte
 from .manifest import record_stage
 from .model import (ModelConfig, TrainConfig, TrainedModel, jointly_correct, select_correct,
@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
     trained.save(out)
     record_stage(_manifest_path(), "train", config_hash({"layers": list(mcfg.layers),
                  "activation": mcfg.activation, "epochs": tcfg.epochs, "lr": tcfg.learning_rate,
-                 "batch": tcfg.batch_size}), args.seed, [args.dataset], [out])
+                 "batch": tcfg.batch_size, "split": args.split}), args.seed, [args.dataset], [out])
     print(f"train_accuracy={trained.train_accuracy:.3f}")
     if trained.test_accuracy is not None:
         print(f"test_accuracy={trained.test_accuracy:.3f}")
@@ -123,7 +123,7 @@ def cmd_explain(args) -> int:
         selection=args.selection,
     )
     mat = batch_explain(
-        m, ds.X[idx], training_stats(ds.X), cfg, args.runs, args.seed,
+        m, ds.X[idx], ds.X.std(axis=0), cfg, args.runs, args.seed,
         schema=ds.schema, dataset_hash=ds.config_hash, instance_ids=idx,
     )
     out = _resolve(args.out)
@@ -169,8 +169,11 @@ def cmd_evaluate(args) -> int:
         exp, gte_mat, second, rank_by=args.rank_by, zero_tolerance=args.zero_tolerance
     )
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
-    record_stage(_manifest_path(), "evaluate", exp.config_hash, None,
-                 [args.exp, args.gte], written)
+    cfg = {"exp": exp.config_hash, "gte": gte_mat.config_hash,
+           "second": second.config_hash if second else None, "rank_by": args.rank_by,
+           "zero_tolerance": args.zero_tolerance, "dataset_name": args.dataset_name}
+    record_stage(_manifest_path(), "evaluate", config_hash(cfg), None,
+                 [args.exp, args.gte] + ([args.second] if args.second else []), written)
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
           f"ave_all={report.ave_all:.4f}")
     if report.invariance is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
@@ -23,8 +23,6 @@ import numpy as np
 from . import artifacts
 from .errors import ConfigError, NumericFailure
 from .numerics import make_rng, truncated_normal
-
-LOAN_CLASSES = ("Rejected", "Accepted")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2,
-IncompatibilityError -> 3, NumericFailure -> 4.
+IncompatibilityError -> 3, NumericFailure -> 4. A fit that raises a
+NumericFailure inside ``explain`` or ``align`` is recorded as a failed cell
+instead; ``evaluate`` leaves failed cells out and exits 4 only when no cell
+is left.
 """
 
 
@@ -29,5 +32,5 @@ class DivergenceError(NumericFailure):
     """Training produced a non-finite loss."""
 
 
-class ZeroVectorError(ValueError):
+class ZeroVectorError(NumericFailure):
     """Cosine similarity requested for an all-zero vector."""

@@ -3,31 +3,25 @@
 Distance accuracy (normalized Euclidean distance and its complement),
 order accuracy (Second Correct / All Correct), implementation invariance
 (paired t-test on per-instance distances), and a zero-coefficient census.
+Cells whose fit failed (non-finite coefficients) are left out and counted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import artifacts
-from .errors import IncompatibilityError
+from .errors import IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix
 from .numerics import TTestResult, minmax_normalize, paired_t_test
 
 INVARIANCE_P_THRESHOLD = 0.1
 SUMMARY = ("ave_c_of_ed", "ave_second", "ave_all")
-
-
-def euclidean(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def c_of_ed(distances: np.ndarray) -> np.ndarray:
@@ -70,12 +64,11 @@ def implementation_invariance(ed_a, ed_b) -> tuple[TTestResult, bool]:
 
 
 def zero_census(matrix: CoefficientMatrix, tolerance: float = 0.0):
-    """Per-feature counts and rates of |coefficient| <= tolerance over all
-    runs x instances."""
+    """Per-feature counts of |coefficient| <= tolerance over all runs x
+    instances, and their rates among the cells that did not fail."""
     coef = matrix.coefficients
-    runs, n, d = coef.shape
     counts = (np.abs(coef) <= tolerance).sum(axis=(0, 1))
-    return counts.astype(int), counts / float(runs * n)
+    return counts.astype(int), counts / float(_finite(coef).sum())
 
 
 @dataclass
@@ -106,6 +99,8 @@ class EvalReport:
     dataset_hash: str
     runs: int
     n_features: int
+    failed_cells: int = 0  # (run, instance) cells left out: exp or gte failed there
+    failure_kinds: dict[str, int] = field(default_factory=dict)  # exception -> recorded failures
 
     def to_dict(self) -> dict:
         """report.json: every field but the scores in declaration order, the
@@ -162,6 +157,17 @@ def _check_compatible(a: CoefficientMatrix, b: CoefficientMatrix) -> None:
         raise IncompatibilityError("the matrices explain different instances or orders")
 
 
+def _finite(coefficients: np.ndarray) -> np.ndarray:
+    """runs x instances mask of the cells whose fit did not fail."""
+    return np.isfinite(coefficients).all(axis=2)
+
+
+def _run_means(ed: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Per-instance mean of ``ed`` over the runs in ``ok``; NaN where none is."""
+    with np.errstate(invalid="ignore"):
+        return np.where(ok, ed, 0.0).sum(axis=0) / ok.sum(axis=0)
+
+
 def build_report(
     exp: CoefficientMatrix,
     gte: CoefficientMatrix,
@@ -169,40 +175,52 @@ def build_report(
     rank_by: str = "absolute",
     zero_tolerance: float = 0.0,
 ) -> EvalReport:
+    """Score ``exp`` against ``gte`` cell by cell. A cell where either fit
+    failed is left out of ED, C-of-ED and the order measures; an instance's
+    scores average its surviving runs, and an instance with none has no
+    score. Raises NumericFailure when no cell survives."""
     _check_compatible(exp, gte)
     if second_exp is not None:
         _check_compatible(second_exp, gte)
     runs, n, d = exp.shape
+    ok = _finite(exp.coefficients) & _finite(gte.coefficients)
+    if not ok.any():
+        raise NumericFailure(f"all {runs * n} cells failed in the explainer or GTE matrix")
 
     ed = np.linalg.norm(exp.coefficients - gte.coefficients, axis=2)  # runs x n
-    comp = c_of_ed(ed)
-    second = np.zeros((runs, n))
-    allc = np.zeros((runs, n))
-    for r in range(runs):
-        for i in range(n):
-            g_rank = rank_features(gte.coefficients[r, i], rank_by)
-            e_rank = rank_features(exp.coefficients[r, i], rank_by)
-            second[r, i], allc[r, i] = order_correct(g_rank, e_rank)
+    comp = np.full((runs, n), np.nan)
+    comp[ok] = c_of_ed(ed[ok])
+    second = np.full((runs, n), np.nan)
+    allc = np.full((runs, n), np.nan)
+    for r, i in np.argwhere(ok):
+        g_rank = rank_features(gte.coefficients[r, i], rank_by)
+        e_rank = rank_features(exp.coefficients[r, i], rank_by)
+        second[r, i], allc[r, i] = order_correct(g_rank, e_rank)
 
-    scores = [
-        InstanceScore(
+    scores = []
+    for i in np.flatnonzero(ok.any(axis=0)):
+        live = ok[:, i]
+        scores.append(InstanceScore(
             instance_id=int(exp.instance_ids[i]),
-            mean_ed=float(ed[:, i].mean()),
-            std_ed=float(ed[:, i].std()),
-            mean_c_of_ed=float(comp[:, i].mean()),
-            std_c_of_ed=float(comp[:, i].std()),
-            second_correct=float(second[:, i].mean()),
-            all_correct=float(allc[:, i].mean()),
-        )
-        for i in range(n)
-    ]
+            mean_ed=float(ed[live, i].mean()),
+            std_ed=float(ed[live, i].std()),
+            mean_c_of_ed=float(comp[live, i].mean()),
+            std_c_of_ed=float(comp[live, i].std()),
+            second_correct=float(second[live, i].mean()),
+            all_correct=float(allc[live, i].mean()),
+        ))
 
     invariance = None
     not_rejected = None
     if second_exp is not None:
         ed_b = np.linalg.norm(second_exp.coefficients - gte.coefficients, axis=2)
-        invariance, not_rejected = implementation_invariance(ed.mean(axis=0), ed_b.mean(axis=0))
+        mean_a = _run_means(ed, ok)
+        mean_b = _run_means(ed_b, _finite(second_exp.coefficients) & _finite(gte.coefficients))
+        both = ~np.isnan(mean_a) & ~np.isnan(mean_b)
+        invariance, not_rejected = implementation_invariance(mean_a[both], mean_b[both])
 
+    kinds = Counter(msg.split(":", 1)[0] for m in (exp, gte, second_exp) if m is not None
+                    for *_, msg in m.failures)
     zc_e, zr_e = zero_census(exp, zero_tolerance)
     zc_g, zr_g = zero_census(gte, zero_tolerance)
     return EvalReport(
@@ -221,4 +239,6 @@ def build_report(
         dataset_hash=exp.dataset_hash,
         runs=runs,
         n_features=d,
+        failed_cells=int((~ok).sum()),
+        failure_kinds=dict(sorted(kinds.items())),
     )

@@ -5,14 +5,14 @@ similarity-weighted ridge regression against the model's class probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import artifacts
 from .datagen import FeatureSchema, config_hash
-from .errors import ConfigError, DegenerateSampleError, NumericFailure, ZeroVectorError
+from .errors import ConfigError, DegenerateSampleError, NumericFailure
 from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
 
 MAX_PERTURBATION_POOL = 100_000
@@ -23,7 +23,7 @@ class ExplainerConfig:
     num_samples: int
     n_perturb: int | None = None  # pool size; default 20 * num_samples, capped
     alpha: float = 1.0
-    scale: float = 1.0  # per-feature std multiplier (scalar or vector)
+    scale: float = 1.0  # std multiplier: a float, or a list with one per feature
     # Off by default: the explainer is meant to perturb without knowing the
     # schema's range/precision; enabling the clamp snaps perturbations onto
     # the allowed grid, which collapses most neighborhoods onto duplicates
@@ -47,17 +47,6 @@ class ExplainerConfig:
         if self.n_perturb is not None:
             return self.n_perturb
         return min(20 * self.num_samples, MAX_PERTURBATION_POOL)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "n_perturb": self.n_perturb,
-            "alpha": self.alpha,
-            "scale": self.scale if np.isscalar(self.scale) else list(self.scale),
-            "clamp_to_schema": self.clamp_to_schema,
-            "selection": self.selection,
-            "kernel_width": self.kernel_width,
-        }
 
 
 @dataclass
@@ -101,7 +90,7 @@ class CoefficientMatrix:
             for i in range(n):
                 try:
                     coef[r, i], inter[r, i] = fit(r, i)
-                except (NumericFailure, ZeroVectorError) as exc:  # record, keep going
+                except NumericFailure as exc:  # record, keep going
                     failures.append((r, i, f"{type(exc).__name__}: {exc}"))
         return cls(coefficients=coef, intercepts=inter, failures=failures, **fields)
 
@@ -135,13 +124,11 @@ class CoefficientMatrix:
 
 def perturb_instance(
     instance: np.ndarray,
-    means: np.ndarray,
     stds: np.ndarray,
     n: int,
     rng: np.random.Generator,
     scale=1.0,
     schema: FeatureSchema | None = None,
-    clamp: bool = True,
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
     per-feature std ``scale * stds``; clamp/round to the schema if given."""
@@ -152,7 +139,7 @@ def perturb_instance(
     if np.all(eff == 0):
         raise DegenerateSampleError("all perturbation scales are zero")
     pts = instance + rng.standard_normal((n, instance.size)) * eff
-    if schema is not None and clamp:
+    if schema is not None:
         pts = schema.round_clamp(pts)
     return pts
 
@@ -160,31 +147,27 @@ def perturb_instance(
 def explain(
     model,
     instance: np.ndarray,
-    stats: tuple[np.ndarray, np.ndarray],
+    stds: np.ndarray,
     cfg: ExplainerConfig,
     rng: np.random.Generator,
     schema: FeatureSchema | None = None,
 ) -> tuple[np.ndarray, float]:
     """Explain one prediction; returns (coefficients, intercept).
 
-    ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stats``
-    are per-feature (means, stds) of the training data.
+    ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stds``
+    are the per-feature standard deviations of the training data. ``schema``
+    clamps the perturbations only when ``cfg.clamp_to_schema`` is set.
     """
     instance = np.asarray(instance, dtype=float)
-    means, stds = stats
-    n_pool = cfg.pool_size
-    points = perturb_instance(
-        instance, means, stds, n_pool, rng, cfg.scale, schema, cfg.clamp_to_schema
-    )
+    schema = schema if cfg.clamp_to_schema else None
+    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale, schema)
     sims = cosine_similarity_rows(points, instance)
     # zero-norm perturbations have undefined similarity: replace them
     for _ in range(10):
         bad = np.isnan(sims)
         if not bad.any():
             break
-        redraw = perturb_instance(
-            instance, means, stds, int(bad.sum()), rng, cfg.scale, schema, cfg.clamp_to_schema
-        )
+        redraw = perturb_instance(instance, stds, int(bad.sum()), rng, cfg.scale, schema)
         points[bad] = redraw
         sims[bad] = cosine_similarity_rows(redraw, instance)
     else:
@@ -199,14 +182,13 @@ def explain(
     # ties in similarity are broken by draw order
     X, y, w = neighbourhood(instance, p_self[pred_class], points, probs[:, pred_class], sims,
                             cfg.num_samples, weights=weights)
-    fit = weighted_ridge(X, y, w, cfg.alpha)
-    return fit.coefficients, fit.intercept
+    return weighted_ridge(X, y, w, cfg.alpha)
 
 
 def batch_explain(
     model,
     instances: np.ndarray,
-    stats: tuple[np.ndarray, np.ndarray],
+    stds: np.ndarray,
     cfg: ExplainerConfig,
     runs: int,
     base_seed: int,
@@ -219,17 +201,11 @@ def batch_explain(
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     n, d = instances.shape
     return CoefficientMatrix.fill(
-        lambda r, i: explain(model, instances[i], stats, cfg, make_rng(base_seed, r, i), schema),
+        lambda r, i: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i), schema),
         runs, runs, d,
         source="explainer",
-        config_hash=config_hash(cfg.to_dict()),
+        config_hash=config_hash(asdict(cfg)),
         dataset_hash=dataset_hash,
         seed=base_seed,
         instance_ids=np.arange(n) if instance_ids is None else np.asarray(instance_ids, dtype=int),
     )
-
-
-def training_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (mean, std) used to scale perturbations."""
-    X = np.asarray(X, dtype=float)
-    return X.mean(axis=0), X.std(axis=0)

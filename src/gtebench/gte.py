@@ -8,7 +8,7 @@ same-class indicator as the regression target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,13 +27,6 @@ class GteConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "alpha": self.alpha,
-            "resample_per_run": self.resample_per_run,
-        }
 
 
 def gte_explain(
@@ -65,8 +58,7 @@ def gte_explain(
     X, labels, w = neighbourhood(target, label, dataset.X, dataset.labels, sims,
                                  cfg.num_samples, tie_key)
     # same-class indicator, built for the selected rows only (the target is first)
-    fit = weighted_ridge(X, (labels == label).astype(float), w, cfg.alpha)
-    return fit.coefficients, fit.intercept
+    return weighted_ridge(X, (labels == label).astype(float), w, cfg.alpha)
 
 
 def batch_gte(
@@ -92,7 +84,7 @@ def batch_gte(
     return CoefficientMatrix.fill(
         fit, runs, runs if cfg.resample_per_run else 1, dataset.n_features,
         source="gte",
-        config_hash=config_hash(cfg.to_dict()),
+        config_hash=config_hash(asdict(cfg)),
         dataset_hash=dataset.config_hash,
         seed=base_seed,
         instance_ids=indices,

@@ -8,7 +8,7 @@ are stored as IEEE hex strings).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 32
     seed: int = 0
-    normalize: bool = True  # min-max per feature from the training split
 
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
@@ -50,7 +49,7 @@ class TrainedModel:
     config: ModelConfig
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    norm_lo: np.ndarray  # per-feature min (zeros when normalize=False)
+    norm_lo: np.ndarray  # per-feature min of the training split
     norm_span: np.ndarray  # per-feature max-min, zeros replaced by 1
     train_accuracy: float
     test_accuracy: float | None
@@ -68,9 +67,6 @@ class TrainedModel:
                 f"expected {self.config.layers[0]} features, got {X.shape[1]}"
             )
         return _forward(self.weights, self.biases, self.config.activation, self._normalize(X))[-1]
-
-    def predict(self, features) -> np.ndarray:
-        return self.predict_batch(features)[0]
 
     # -- persistence -------------------------------------------------------
 
@@ -207,13 +203,10 @@ def train(
     X_train_raw = dataset.X[train_idx]
     y_train = dataset.labels[train_idx]
 
-    if tcfg.normalize:
-        lo = X_train_raw.min(axis=0)
-        span = X_train_raw.max(axis=0) - lo
-        span = np.where(span == 0, 1.0, span)
-    else:
-        lo = np.zeros(dataset.n_features)
-        span = np.ones(dataset.n_features)
+    # min-max per feature from the training split
+    lo = X_train_raw.min(axis=0)
+    span = X_train_raw.max(axis=0) - lo
+    span = np.where(span == 0, 1.0, span)
     X_train = (X_train_raw - lo) / span
     onehot = np.eye(dataset.n_classes)[y_train]
 

@@ -65,25 +65,12 @@ def truncated_normal(
     return float(x) if size is None else x
 
 
-def cosine_similarity(a, b) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ZeroVectorError("cosine similarity undefined for a zero vector")
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-
-
 def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.ndarray:
     """Cosine similarity of each row of ``rows`` against ``v``.
 
-    Rows with zero norm get similarity NaN; callers decide whether that is an
-    error or a point to skip. ``norms`` are the rows' Euclidean norms
-    (``np.linalg.norm(rows, axis=1)``), computed here when not given, so a
-    caller ranking many targets against the same rows computes them once.
+    Rows with zero norm get similarity NaN. ``norms`` are the rows' Euclidean
+    norms, computed here when not given, so that a caller ranking many
+    targets against the same rows computes them once.
     """
     rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -92,10 +79,11 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
     if norms is None:
         norms = np.linalg.norm(rows, axis=1)
+    sims = rows @ v
     with np.errstate(invalid="ignore", divide="ignore"):
-        sims = rows @ v / (norms * nv)
-    sims = np.where(norms == 0, np.nan, sims)
-    return np.clip(sims, -1.0, 1.0)
+        sims /= norms * nv
+    sims[norms == 0] = np.nan
+    return np.clip(sims, -1.0, 1.0, out=sims)
 
 
 def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, weights=None):
@@ -125,19 +113,9 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, we
     return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
 
 
-@dataclass(frozen=True)
-class RidgeFit:
-    coefficients: np.ndarray
-    intercept: float
-    alpha: float
-
-    def predict(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.coefficients + self.intercept
-
-
-def weighted_ridge(X, y, w, alpha: float) -> RidgeFit:
-    """Minimize sum_i w_i (y_i - beta.x_i - b)^2 + alpha * ||beta||^2 with an
-    unpenalized intercept, via the weighted-centered normal equations.
+def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
+    """``(beta, b)`` minimizing sum_i w_i (y_i - beta.x_i - b)^2 + alpha *
+    ||beta||^2 (b unpenalized), via the weighted-centered normal equations.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -164,7 +142,7 @@ def weighted_ridge(X, y, w, alpha: float) -> RidgeFit:
         raise SingularSystemError(f"singular penalized normal matrix (alpha={alpha})") from exc
     if alpha == 0 and np.linalg.matrix_rank(A) < d:
         raise SingularSystemError("singular normal matrix at alpha=0")
-    return RidgeFit(coefficients=coef, intercept=ym - float(coef @ xm), alpha=float(alpha))
+    return coef, ym - float(coef @ xm)
 
 
 def student_t_cdf(t: float, df: float) -> float:

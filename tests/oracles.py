@@ -131,26 +131,23 @@ def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
     else:
         w = np.concatenate([[1.0], sims[order]])
     w = np.maximum(w, 0.0)
-    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
-    return fit.coefficients, fit.intercept
+    return weighted_ridge(X_fit, y_fit, w, cfg.alpha)
 
 
-def explain_oracle(model, instance, stats, cfg, rng, schema=None):
+def explain_oracle(model, instance, stds, cfg, rng, schema=None):
     from gtebench.errors import DegenerateSampleError
     from gtebench.explainer import perturb_instance
     from gtebench.numerics import cosine_similarity_rows
 
     instance = np.asarray(instance, dtype=float)
-    means, stds = stats
-    points = perturb_instance(instance, means, stds, cfg.pool_size, rng, cfg.scale, schema,
-                              cfg.clamp_to_schema)
+    schema = schema if cfg.clamp_to_schema else None
+    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale, schema)
     sims = cosine_similarity_rows(points, instance)
     for _ in range(10):
         bad = np.isnan(sims)
         if not bad.any():
             break
-        redraw = perturb_instance(instance, means, stds, int(bad.sum()), rng, cfg.scale, schema,
-                                  cfg.clamp_to_schema)
+        redraw = perturb_instance(instance, stds, int(bad.sum()), rng, cfg.scale, schema)
         points[bad] = redraw
         sims[bad] = cosine_similarity_rows(redraw, instance)
     else:
@@ -177,17 +174,16 @@ def gte_explain_oracle(dataset, index, cfg, tie_rng=None):
     X_fit = np.vstack([target[None, :], dataset.X[sel]])
     y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])
     w = np.concatenate([[1.0], np.maximum(sims[order], 0.0)])
-    fit = weighted_ridge(X_fit, y_fit, w, cfg.alpha)
-    return fit.coefficients, fit.intercept
+    return weighted_ridge(X_fit, y_fit, w, cfg.alpha)
 
 
 def fit_outcome(fn):
     """The bytes of a fit's (coefficients, intercept), or the type of the
     recorded failure it raised."""
-    from gtebench.errors import NumericFailure, ZeroVectorError
+    from gtebench.errors import NumericFailure
 
     try:
         coef, intercept = fn()
-    except (NumericFailure, ZeroVectorError) as exc:
+    except NumericFailure as exc:
         return type(exc)
     return np.append(coef, intercept).tobytes()

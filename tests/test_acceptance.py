@@ -15,7 +15,7 @@ from gtebench.datagen import (
     generate_loan,
 )
 from gtebench.evalmetrics import build_report, zero_census
-from gtebench.explainer import ExplainerConfig, batch_explain, training_stats
+from gtebench.explainer import ExplainerConfig, batch_explain
 from gtebench.gte import GteConfig, batch_gte
 from gtebench.model import ModelConfig, TrainConfig, forward_backward, init_params, train
 from gtebench.numerics import make_rng, student_t_cdf, weighted_ridge
@@ -40,14 +40,14 @@ def loan_pipeline():
     ds = generate_loan()
     nn1 = train(ds, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
     nn2 = train(ds, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
-    stats = training_stats(ds.X)
+    stds = ds.X.std(axis=0)
     cfg25 = ExplainerConfig(num_samples=25)
-    exp1 = batch_explain(nn1, ds.X, stats, cfg25, 100, SEED, ds.schema, ds.config_hash)
-    exp2 = batch_explain(nn2, ds.X, stats, cfg25, 100, SEED, ds.schema, ds.config_hash)
+    exp1 = batch_explain(nn1, ds.X, stds, cfg25, 100, SEED, ds.schema, ds.config_hash)
+    exp2 = batch_explain(nn2, ds.X, stds, cfg25, 100, SEED, ds.schema, ds.config_hash)
     gte25 = batch_gte(ds, np.arange(len(ds)), GteConfig(num_samples=25), 100, SEED)
     report = build_report(exp1, gte25, exp2)
     elapsed = time.time() - t0
-    return dict(ds=ds, nn1=nn1, nn2=nn2, stats=stats, exp1=exp1, exp2=exp2,
+    return dict(ds=ds, nn1=nn1, nn2=nn2, stds=stds, exp1=exp1, exp2=exp2,
                 gte25=gte25, report=report, elapsed=elapsed)
 
 
@@ -85,11 +85,11 @@ def test_criterion_1_loan_end_to_end(loan_pipeline):
 
 def test_criterion_2_zero_coefficient_phenomenon(loan_pipeline):
     p = loan_pipeline
-    ds, stats = p["ds"], p["stats"]
+    ds, stds = p["ds"], p["stds"]
     idx = np.arange(len(ds))
     gte5 = batch_gte(ds, idx, GteConfig(num_samples=5), 1, SEED)
     gte50 = batch_gte(ds, idx, GteConfig(num_samples=50), 1, SEED)
-    exp5 = batch_explain(p["nn1"], ds.X, stats, ExplainerConfig(num_samples=5),
+    exp5 = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=5),
                          50, SEED, ds.schema, ds.config_hash)
     _, r5 = zero_census(gte5)
     _, r50 = zero_census(gte50)
@@ -103,10 +103,10 @@ def test_criterion_2_zero_coefficient_phenomenon(loan_pipeline):
 
 def test_criterion_3_metric_consistency(loan_pipeline):
     p = loan_pipeline
-    ds, stats = p["ds"], p["stats"]
+    ds, stds = p["ds"], p["stds"]
     reports = [p["report"]]
     for ns in (5, 50):
-        exp = batch_explain(p["nn1"], ds.X, stats, ExplainerConfig(num_samples=ns),
+        exp = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=ns),
                             25, SEED, ds.schema, ds.config_hash)
         gte_m = batch_gte(ds, np.arange(len(ds)), GteConfig(num_samples=ns), 25, SEED)
         reports.append(build_report(exp, gte_m))
@@ -141,9 +141,9 @@ def test_criterion_5_oracle_suites():
         y = rng.normal(size=n)
         w = rng.random(n) + 0.05
         alpha = float(rng.random() * 2)
-        fit = weighted_ridge(X, y, w, alpha)
+        coef, intercept = weighted_ridge(X, y, w, alpha)
         oc, ob = ridge_oracle(X, y, w, alpha)
-        ridge_ok &= np.max(np.abs(fit.coefficients - oc)) < 1e-8 and abs(fit.intercept - ob) < 1e-8
+        ridge_ok &= np.max(np.abs(coef - oc)) < 1e-8 and abs(intercept - ob) < 1e-8
 
     # analytic vs central-difference gradients
     grad_ok = True
@@ -201,10 +201,10 @@ def test_criterion_7_determinism(tmp_path, loan_pipeline):
     generate_loan().save_csv(p2)
     csv_ok = p1.read_bytes() == p2.read_bytes()
 
-    stats = loan_pipeline["stats"]
+    stds = loan_pipeline["stds"]
     e1, e2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
     for p in (e1, e2):
-        batch_explain(loan_pipeline["nn1"], ds.X[:10], stats, ExplainerConfig(num_samples=10),
+        batch_explain(loan_pipeline["nn1"], ds.X[:10], stds, ExplainerConfig(num_samples=10),
                       2, 5, ds.schema, ds.config_hash).save_csv(p)
     exp_ok = e1.read_bytes() == e2.read_bytes()
 

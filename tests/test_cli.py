@@ -7,6 +7,7 @@ import pytest
 
 from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
+from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import verify_manifest
 from oracles import summary_csv_oracle
 
@@ -21,6 +22,11 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _stage_entries(workdir, stage):
+    return [json.loads(line) for line in (workdir / "manifest.jsonl").read_text().splitlines()
+            if json.loads(line)["stage"] == stage]
 
 
 class TestGenerate:
@@ -184,3 +190,70 @@ class TestTrainExplainAlignEvaluate:
         run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 1,
             "--seed", 0, "--out", "e.csv")
         assert verify_manifest(workdir / "manifest.jsonl") == []
+
+
+class TestFailedCells:
+    @staticmethod
+    def _write(workdir, name, source, failed):
+        """A 2 x 3 x 2 matrix file with the (run, instance) ``failed`` cells
+        recorded as failures."""
+        coef = np.arange(12.0).reshape(2, 3, 2) * (1 if source == "gte" else -0.5)
+        mat = CoefficientMatrix(coefficients=coef, intercepts=np.zeros((2, 3)), source=source,
+                                config_hash="c", dataset_hash="d", seed=0,
+                                instance_ids=np.array([3, 5, 9]))
+        for r, i in failed:
+            mat.coefficients[r, i] = mat.intercepts[r, i] = np.nan
+            mat.failures.append((r, i, "SingularSystemError: singular"))
+        mat.save_csv(workdir / name)
+
+    def test_evaluate_leaves_out_a_recorded_failure(self, workdir):
+        self._write(workdir, "e.csv", "explainer", [(1, 2)])
+        self._write(workdir, "g.csv", "gte", [])
+        assert run("evaluate", "e.csv", "g.csv", "--out-dir", "ev") == 0
+        doc = json.loads((workdir / "ev" / "report.json").read_text())
+        assert doc["failed_cells"] == 1
+        assert doc["failure_kinds"] == {"SingularSystemError": 1}
+        assert [s["instance_id"] for s in doc["instances"]] == [3, 5, 9]
+        assert np.isfinite([list(s.values()) for s in doc["instances"]]).all()
+
+    def test_evaluate_with_no_surviving_cell_exit_4(self, workdir, capsys):
+        self._write(workdir, "e.csv", "explainer", [(0, 0), (0, 1), (1, 0), (1, 1)])
+        self._write(workdir, "g.csv", "gte", [(0, 2), (1, 2)])
+        assert run("evaluate", "e.csv", "g.csv", "--out-dir", "ev") == 4
+        assert "all 6 cells failed" in capsys.readouterr().err
+        assert not (workdir / "ev").exists()
+
+
+class TestManifestHashes:
+    def test_train_and_evaluate_hash_their_whole_configuration(self, workdir):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        for split in (1.0, 0.8):
+            assert run("train", "loan.csv", "--out", f"m{split}.json", "--epochs", 2,
+                       "--split", split) == 0
+        train = [e["config_hash"] for e in _stage_entries(workdir, "train")]
+        assert train[0] != train[1]
+
+        assert run("explain", "m1.0.json", "loan.csv", "--num-samples", 5, "--out", "e.csv") == 0
+        assert run("explain", "m0.8.json", "loan.csv", "--num-samples", 5, "--out", "e2.csv") == 0
+        assert run("align", "loan.csv", "--num-samples", "5,10", "--out-prefix", "g") == 0
+        variants = [(), ("--rank-by", "signed"), ("--zero-tolerance", 1e-9),
+                    ("--second", "e2.csv")]
+        for k, extra in enumerate(variants):
+            assert run("evaluate", "e.csv", "g_ns5.csv", *extra, "--out-dir", f"ev{k}") == 0
+        assert run("evaluate", "e.csv", "g_ns10.csv", "--out-dir", "ev_g10") == 0
+        entries = _stage_entries(workdir, "evaluate")
+        hashes = [e["config_hash"] for e in entries]
+        assert len(hashes) == len(set(hashes)) == 5
+        assert entries[3]["inputs"] == ["e.csv", "g_ns5.csv", "e2.csv"]
+
+    def test_default_explain_and_align_config_hashes(self, workdir):
+        # the configs' hashes are part of every matrix sidecar: changing how a
+        # config is serialised would orphan every matrix written before
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        run("train", "loan.csv", "--out", "m.json", "--epochs", 2)
+        assert run("explain", "m.json", "loan.csv", "--num-samples", 25, "--out", "e.csv") == 0
+        assert run("align", "loan.csv", "--num-samples", "5,25", "--out-prefix", "g") == 0
+        sidecar = {name: json.loads((workdir / f"{name}.csv.meta.json").read_text())
+                   for name in ("e", "g_ns5", "g_ns25")}
+        assert {k: v["config_hash"] for k, v in sidecar.items()} == {
+            "e": "1a75aff604ef20c6", "g_ns5": "839295c669448f7f", "g_ns25": "9d16459ae5eb0c29"}

@@ -91,7 +91,7 @@ class TestPredict:
 
     def test_known_instance(self, loan_nn1):
         # (5, 3, 0) scores 157 -> Accepted (class 1)
-        assert int(np.argmax(loan_nn1.predict([5, 3, 0]))) == 1
+        assert int(np.argmax(loan_nn1.predict_batch([5, 3, 0])[0])) == 1
 
     def test_functionally_equivalent_argmax(self, loan_nn1, loan_nn2, loan_dataset):
         a = loan_nn1.predict_batch(loan_dataset.X).argmax(axis=1)
@@ -100,7 +100,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self, loan_nn1):
         with pytest.raises(ValueError):
-            loan_nn1.predict([1.0, 2.0])
+            loan_nn1.predict_batch([1.0, 2.0])[0]
 
 
 class TestAccuracy:
