@@ -110,6 +110,10 @@ def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarr
 
 
 def cmd_explain(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise ConfigError(f"--sample must be positive, got {args.sample}")
+    if args.second_model and not args.only_correct:
+        raise ConfigError("--second-model is only used with --only-correct")
     ds = Dataset.load_csv(_resolve(args.dataset))
     m = TrainedModel.load(_resolve(args.model))
     second = TrainedModel.load(_resolve(args.second_model)) if args.second_model else None
@@ -148,7 +152,7 @@ def cmd_align(args) -> int:
         idx = np.arange(len(ds))
     outputs = []
     for ns in args.num_samples:
-        cfg = GteConfig(num_samples=ns, alpha=args.alpha, resample_per_run=args.resample_per_run)
+        cfg = GteConfig(num_samples=ns, alpha=args.alpha)
         mat = batch_gte(ds, idx, cfg, args.runs, args.seed)
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -156,7 +160,7 @@ def cmd_align(args) -> int:
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     record_stage(_manifest_path(), "align",
                  config_hash({"num_samples": args.num_samples, "alpha": args.alpha,
-                              "resample_per_run": args.resample_per_run, "runs": args.runs}),
+                              "runs": args.runs}),
                  args.seed, [args.dataset], outputs)
     return 0
 
@@ -191,8 +195,6 @@ _MEASURES = (
 
 def cmd_report(args) -> int:
     dirs = [_resolve(d) for d in args.eval_dirs]
-    if not dirs:
-        raise ConfigError("at least one evaluation directory required")
     reports = [(d.name, evalmetrics.EvalReport.load(d)) for d in dirs]
     out_dir = _resolve(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -270,10 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one value or a comma list, e.g. 5,25,50")
     a.add_argument("--runs", type=int, default=1)
     a.add_argument("--alpha", type=float, default=1.0)
-    a.add_argument("--resample-per-run", action="store_true")
     a.add_argument("--instances-from", help="coefficient CSV whose instance ids to reuse")
     a.add_argument("--out-prefix", required=True)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=int, default=0, help="labels the sidecar; GTE draws no random numbers")
     a.set_defaults(fn=cmd_align)
 
     v = sub.add_parser("evaluate", help="compare explainer vs ground-truth matrices")

@@ -136,7 +136,13 @@ class Dataset:
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
         meta = artifacts.read_meta(path)
-        schema = FeatureSchema.from_dict(meta["schema"])
+        try:
+            schema = FeatureSchema.from_dict(meta["schema"])
+            fields = dict(n_classes=int(meta["n_classes"]), seed=int(meta["seed"]),
+                          config_hash=meta["config_hash"], equation=meta["equation"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid dataset sidecar {artifacts.sidecar_path(path)}: "
+                              f"{type(exc).__name__}: {exc}") from exc
         data = artifacts.read_csv(path, schema.names + ["label", "variation_id"])
         d = len(schema.features)
         return Dataset(
@@ -144,10 +150,7 @@ class Dataset:
             X=data[:, :d],
             labels=data[:, d].astype(int),
             variation_ids=data[:, d + 1].astype(int),
-            n_classes=int(meta["n_classes"]),
-            seed=int(meta["seed"]),
-            config_hash=meta["config_hash"],
-            equation=meta["equation"],
+            **fields,
         )
 
 

@@ -15,14 +15,13 @@ import numpy as np
 from .datagen import Dataset, config_hash
 from .errors import ConfigError
 from .explainer import CoefficientMatrix
-from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
+from .numerics import cosine_similarity_rows, neighbourhood, weighted_ridge
 
 
 @dataclass(frozen=True)
 class GteConfig:
     num_samples: int
     alpha: float = 1.0  # must match the paired explainer's value
-    resample_per_run: bool = False  # randomize tie-breaks per run
 
     def __post_init__(self):
         if self.num_samples < 1:
@@ -33,15 +32,13 @@ def gte_explain(
     dataset: Dataset,
     index: int,
     cfg: GteConfig,
-    tie_rng: np.random.Generator | None = None,
     norms: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Ground-truth coefficients for the instance at row ``index``.
 
     Deterministic for fixed (dataset, index, cfg); ties in similarity are
-    broken by ascending row id unless ``tie_rng`` supplies a permutation.
-    ``norms`` are the row norms of ``dataset.X``, computed here when not
-    given.
+    broken by ascending row id. ``norms`` are the row norms of ``dataset.X``,
+    computed here when not given.
     """
     n = len(dataset)
     if cfg.num_samples >= n:
@@ -53,10 +50,9 @@ def gte_explain(
     # zero-vector rows cannot be ranked: they go to the end, the target after them
     sims[np.isnan(sims)] = -2.0
     sims[index] = -np.inf
-    tie_key = None if tie_rng is None else np.insert(tie_rng.permutation(n - 1), index, 0)
     label = dataset.labels[index]
     X, labels, w = neighbourhood(target, label, dataset.X, dataset.labels, sims,
-                                 cfg.num_samples, tie_key)
+                                 cfg.num_samples)
     # same-class indicator, built for the selected rows only (the target is first)
     return weighted_ridge(X, (labels == label).astype(float), w, cfg.alpha)
 
@@ -70,21 +66,17 @@ def batch_gte(
 ) -> CoefficientMatrix:
     """runs x len(indices) x d tensor, source tag "gte".
 
-    The procedure is deterministic on fixed data, so runs are identical
-    unless ``resample_per_run`` injects per-run tie-breaking.
+    The procedure is deterministic on fixed data, so run 0 is computed and
+    every other run is a copy of it; ``base_seed`` only labels the sidecar.
     """
     indices = np.asarray(indices, dtype=int)
     norms = np.linalg.norm(dataset.X, axis=1)
-
-    def fit(r, k):
-        i = int(indices[k])
-        return gte_explain(dataset, i, cfg,
-                           make_rng(base_seed, r, i) if cfg.resample_per_run else None, norms)
-
     return CoefficientMatrix.fill(
-        fit, runs, runs if cfg.resample_per_run else 1, dataset.n_features,
+        lambda r, k: gte_explain(dataset, int(indices[k]), cfg, norms),
+        runs, 1, dataset.n_features,
         source="gte",
-        config_hash=config_hash(asdict(cfg)),
+        # every GTE matrix written so far was hashed with this key
+        config_hash=config_hash({**asdict(cfg), "resample_per_run": False}),
         dataset_hash=dataset.config_hash,
         seed=base_seed,
         instance_ids=indices,

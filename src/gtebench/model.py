@@ -92,16 +92,19 @@ class TrainedModel:
             raise ConfigError(f"corrupt model file {path}: {exc}") from exc
         if doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ConfigError(f"unsupported model format version in {path}")
-        return TrainedModel(
-            config=ModelConfig(tuple(doc["config"]["layers"]), doc["config"]["activation"]),
-            weights=[_unhex_matrix(W) for W in doc["weights"]],
-            biases=[_unhex_vector(b) for b in doc["biases"]],
-            norm_lo=_unhex_vector(doc["norm_lo"]),
-            norm_span=_unhex_vector(doc["norm_span"]),
-            train_accuracy=doc["train_accuracy"],
-            test_accuracy=doc["test_accuracy"],
-            seed=doc["seed"],
-        )
+        try:
+            return TrainedModel(
+                config=ModelConfig(tuple(doc["config"]["layers"]), doc["config"]["activation"]),
+                weights=[_unhex_matrix(W) for W in doc["weights"]],
+                biases=[_unhex_vector(b) for b in doc["biases"]],
+                norm_lo=_unhex_vector(doc["norm_lo"]),
+                norm_span=_unhex_vector(doc["norm_span"]),
+                train_accuracy=doc["train_accuracy"],
+                test_accuracy=doc["test_accuracy"],
+                seed=doc["seed"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid model file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _forward(weights, biases, activation, X) -> list[np.ndarray]:

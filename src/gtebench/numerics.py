@@ -86,17 +86,17 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, weights=None):
+def neighbourhood(target, y_target, pool, y_pool, sims, k: int, weights=None):
     """Design ``(X, y, w)`` of a local surrogate fit around ``target``.
 
     The target comes first with weight 1, then the ``k`` pool rows of highest
-    similarity: a stable descending sort of ``sims``, ties broken by ascending
-    ``tie_key`` (default: pool order). Each selected row is weighted by its
-    entry of ``weights`` (default: its similarity).
+    similarity: a stable descending sort of ``sims``, ties broken by pool
+    order. Each selected row is weighted by its entry of ``weights``
+    (default: its similarity).
 
     Only the rows at or above the k-th score are sorted: every row strictly
-    above it is selected, and rows tied with it are ranked by ``tie_key`` and
-    position, so the result equals the first k of a full sort.
+    above it is selected, and rows tied with it keep their pool order, so the
+    result equals the first k of a full sort.
     """
     s = -sims
     cand = np.arange(len(s))
@@ -104,8 +104,7 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int, tie_key=None, we
         kth = np.partition(s, k - 1)[k - 1]
         # ``not >`` rather than ``<=`` keeps NaN scores (sorted last) when kth is NaN
         cand = np.flatnonzero(~(s > kth))
-    keys = cand if tie_key is None else tie_key[cand]
-    order = cand[np.lexsort((keys, s[cand]))[:k]]
+    order = cand[np.argsort(s[cand], kind="stable")[:k]]
     X = np.vstack([target[None, :], pool[order]])
     y = np.concatenate([[y_target], y_pool[order]])
     w = (sims if weights is None else weights)[order]
@@ -165,14 +164,17 @@ class TTestResult:
 
 
 def paired_t_test(a, b) -> TTestResult:
-    """Two-sided paired Student's t-test on equal-length samples."""
+    """Two-sided paired Student's t-test on equal-length samples.
+
+    Raises DegenerateSampleError when the statistic is undefined: fewer than
+    two pairs, or differences of zero variance with a nonzero mean."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     n = a.size
     if n < 2:
-        raise ValueError("need at least two pairs")
+        raise DegenerateSampleError(f"paired t-test needs at least two pairs, got {n}")
     d = a - b
     mean = float(d.mean())
     sd = float(d.std(ddof=1))

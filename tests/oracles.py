@@ -106,11 +106,9 @@ def summary_csv_oracle(first_column: str, rows) -> str:
 # gte.gte_explain, which share gtebench.numerics.neighbourhood.
 
 
-def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k, tie_key=None, weights=None):
+def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k, weights=None):
     """The neighbourhood design from a full stable sort of every pool row."""
-    if tie_key is None:
-        tie_key = np.arange(len(sims))
-    order = np.lexsort((tie_key, -sims))[:k]
+    order = np.lexsort((np.arange(len(sims)), -sims))[:k]
     X = np.vstack([target[None, :], pool[order]])
     y = np.concatenate([[y_target], y_pool[order]])
     w = (sims if weights is None else weights)[order]
@@ -159,7 +157,7 @@ def explain_oracle(model, instance, stds, cfg, rng, schema=None):
                                  p_self[pred_class], cfg)
 
 
-def gte_explain_oracle(dataset, index, cfg, tie_rng=None):
+def gte_explain_oracle(dataset, index, cfg):
     """Ranks a copy of the dataset without the target row."""
     from gtebench.numerics import cosine_similarity_rows, weighted_ridge
 
@@ -168,8 +166,7 @@ def gte_explain_oracle(dataset, index, cfg, tie_rng=None):
     sims = cosine_similarity_rows(dataset.X[others], target)
     if np.isnan(sims).any():
         sims = np.nan_to_num(sims, nan=-2.0)
-    tie_key = np.arange(len(others)) if tie_rng is None else tie_rng.permutation(len(others))
-    order = np.lexsort((tie_key, -sims))[: cfg.num_samples]
+    order = np.lexsort((np.arange(len(others)), -sims))[: cfg.num_samples]
     sel = others[order]
     X_fit = np.vstack([target[None, :], dataset.X[sel]])
     y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])

@@ -146,20 +146,22 @@ class TestTrainExplainAlignEvaluate:
         assert f"instance id {bad_id} " in capsys.readouterr().err
         assert not (workdir / "h_ns5.csv").exists()
 
-    def test_align_hash_covers_resampling_and_runs(self, workdir):
+    def test_align_hash_covers_runs(self, workdir):
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
-        variants = [("--runs", 3), ("--runs", 3, "--resample-per-run"), ("--runs", 2)]
-        for k, extra in enumerate(variants):
-            assert run("align", "loan.csv", "--num-samples", "5", *extra,
+        for k, runs in enumerate((3, 2)):
+            assert run("align", "loan.csv", "--num-samples", "5", "--runs", runs,
                        "--out-prefix", f"g{k}") == 0
-        hashes = [json.loads(line)["config_hash"] for line in
-                  (workdir / "manifest.jsonl").read_text().splitlines()
-                  if json.loads(line)["stage"] == "align"]
-        assert len(hashes) == len(set(hashes)) == 3
+        hashes = [e["config_hash"] for e in _stage_entries(workdir, "align")]
+        assert len(hashes) == len(set(hashes)) == 2
 
-    def test_no_threads_option(self, workdir):
-        with pytest.raises(SystemExit):
-            run("generate", "loan", "--out", "loan.csv", "--threads", 2)
+    @pytest.mark.parametrize("argv", [
+        ("generate", "loan", "--out", "loan.csv", "--threads", 2),
+        ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g", "--resample-per-run"),
+    ], ids=["threads", "resample-per-run"])
+    def test_removed_option_rejected(self, workdir, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
 
     def test_only_correct_filter(self, loan_artifacts, workdir):
         assert run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 1,
@@ -216,12 +218,69 @@ class TestFailedCells:
         assert [s["instance_id"] for s in doc["instances"]] == [3, 5, 9]
         assert np.isfinite([list(s.values()) for s in doc["instances"]]).all()
 
+    def test_invariance_with_one_pair_exit_4(self, workdir, capsys):
+        # only instance 9 survives in the explainer matrix: one pair cannot be t-tested
+        self._write(workdir, "e.csv", "explainer", [(0, 0), (0, 1), (1, 0), (1, 1)])
+        self._write(workdir, "e2.csv", "explainer", [])
+        self._write(workdir, "g.csv", "gte", [])
+        assert run("evaluate", "e.csv", "g.csv", "--second", "e2.csv", "--out-dir", "ev") == 4
+        assert capsys.readouterr().err == (
+            "error: paired t-test needs at least two pairs, got 1\n")
+        assert not (workdir / "ev").exists()
+
     def test_evaluate_with_no_surviving_cell_exit_4(self, workdir, capsys):
         self._write(workdir, "e.csv", "explainer", [(0, 0), (0, 1), (1, 0), (1, 1)])
         self._write(workdir, "g.csv", "gte", [(0, 2), (1, 2)])
         assert run("evaluate", "e.csv", "g.csv", "--out-dir", "ev") == 4
         assert "all 6 cells failed" in capsys.readouterr().err
         assert not (workdir / "ev").exists()
+
+
+class TestRejectedInputs:
+    """Arguments and artifacts that cannot be used stop the subcommand with
+    exit 2 and one ``error:`` line, not a traceback or a silent default."""
+
+    @pytest.fixture
+    def quick(self, workdir):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        for name in ("m1", "m2"):
+            assert run("train", "loan.csv", "--out", f"{name}.json", "--epochs", 2) == 0
+        return workdir
+
+    @staticmethod
+    def _one_error_line(capsys, *words):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and all(w in err for w in words)
+
+    @pytest.mark.parametrize("extra, option", [
+        (("--sample", 0), "--sample"),
+        (("--sample", -3), "--sample"),
+        (("--second-model", "m2.json"), "--second-model"),
+    ], ids=["sample-0", "sample-negative", "second-model-alone"])
+    def test_explain_argument_exit_2(self, quick, capsys, extra, option):
+        assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, *extra,
+                   "--out", "e.csv") == 2
+        self._one_error_line(capsys, option)
+        assert not (quick / "e.csv").exists()
+
+    @pytest.mark.parametrize("key", ["norm_span", "weights", "config", "seed"])
+    def test_model_without_key_exit_2(self, quick, capsys, key):
+        doc = json.loads((quick / "m1.json").read_text())
+        del doc[key]
+        (quick / "m1.json").write_text(json.dumps(doc))
+        assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv") == 2
+        self._one_error_line(capsys, "m1.json", key)
+
+    @pytest.mark.parametrize("key", ["n_classes", "schema", "seed", "equation"])
+    def test_dataset_sidecar_without_key_exit_2(self, quick, capsys, key):
+        meta_path = quick / "loan.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        assert run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g") == 2
+        self._one_error_line(capsys, "loan.csv.meta.json", key)
+        assert not (quick / "g_ns5.csv").exists()
 
 
 class TestManifestHashes:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtebench.datagen import Dataset, FeatureSchema
+from gtebench import gte
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import GteConfig, batch_gte, gte_explain
@@ -69,9 +70,8 @@ class TestGteExplain:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
-           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]),
-           tie_seed=st.none() | st.integers(0, 2**32 - 1))
-    def test_equals_np_delete_oracle(self, data, d, n, scale, alpha, tie_seed):
+           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]))
+    def test_equals_np_delete_oracle(self, data, d, n, scale, alpha):
         # a small integer grid, plus a duplicated row, a positively scaled
         # row and a zero row: tied, negative and undefined similarities
         rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
@@ -87,12 +87,8 @@ class TestGteExplain:
         ds = Dataset(schema, X, labels, np.zeros(len(X), int), 3, 0, "h", "time")
         index = data.draw(st.integers(0, len(X) - 1))
         cfg = GteConfig(num_samples=data.draw(st.integers(1, len(X) - 1)), alpha=alpha)
-
-        def tie_rng():
-            return None if tie_seed is None else make_rng(tie_seed)
-
-        got = fit_outcome(lambda: gte_explain(ds, index, cfg, tie_rng()))
-        assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, cfg, tie_rng()))
+        got = fit_outcome(lambda: gte_explain(ds, index, cfg))
+        assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, cfg))
 
     def test_loan_zero_incidence_at_small_num_samples(self, loan_dataset):
         zero_rows = 0
@@ -110,16 +106,22 @@ class TestBatchGte:
         assert mat.shape == (4, 54, 3)
         assert mat.source == "gte"
 
-    def test_runs_identical_without_resampling(self, loan_dataset):
+    def test_runs_identical_without_resampling(self, loan_dataset, monkeypatch):
+        # run 0 is fitted once per target; later runs are copies of it
+        targets = []
+        fit = gte.gte_explain
+        monkeypatch.setattr(gte, "gte_explain",
+                            lambda ds, i, *a: targets.append(i) or fit(ds, i, *a))
         mat = batch_gte(loan_dataset, np.arange(10), GteConfig(num_samples=25),
                         runs=3, base_seed=0)
+        assert targets == list(range(10))
         assert np.array_equal(mat.coefficients[0], mat.coefficients[1])
         assert np.array_equal(mat.coefficients[0], mat.coefficients[2])
 
     def test_single_run_equals_loop(self, loan_dataset):
-        # cell (r, k) is gte_explain() of row ids[k], with the tie-break
-        # stream (seed, r, ids[k]) when runs resample; batch_gte passes the
-        # dataset's row norms once, gte_explain alone computes them per call
+        # cell (r, k) is gte_explain() of row ids[k] in every run; batch_gte
+        # passes the dataset's row norms once, gte_explain alone computes
+        # them per call
         tied = _linear_threshold_dataset(n=40)
         tied.X[5] = 0.0
         tied.X[7] = tied.X[6]
@@ -128,22 +130,15 @@ class TestBatchGte:
         for ds in (loan_dataset, tied):
             ids = np.arange(3, 13)
             ids = ids[np.linalg.norm(ds.X[ids], axis=1) > 0]
-            for runs, resample in ((1, False), (3, True)):
-                cfg = GteConfig(num_samples=25, resample_per_run=resample)
+            cfg = GteConfig(num_samples=25)
+            for runs in (1, 3):
                 mat = batch_gte(ds, ids, cfg, runs=runs, base_seed=4)
                 assert mat.failures == []
                 for r in range(runs):
                     for k, i in enumerate(ids):
-                        tie_rng = make_rng(4, r, int(i)) if resample else None
-                        coef, inter = gte_explain(ds, int(i), cfg, tie_rng)
+                        coef, inter = gte_explain(ds, int(i), cfg)
                         assert mat.coefficients[r, k].tobytes() == coef.tobytes()
                         assert mat.intercepts[r, k] == inter
-
-    def test_resample_per_run_deterministic(self, loan_dataset):
-        cfg = GteConfig(num_samples=25, resample_per_run=True)
-        a = batch_gte(loan_dataset, np.arange(10), cfg, runs=3, base_seed=0)
-        b = batch_gte(loan_dataset, np.arange(10), cfg, runs=3, base_seed=0)
-        assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_dimensions_match_features(self, loan_dataset):
         mat = batch_gte(loan_dataset, np.arange(5), GteConfig(num_samples=10),

@@ -119,12 +119,11 @@ class TestNeighbourhood:
         sims=st.lists(st.sampled_from(SIM_GRID), min_size=1, max_size=40),
         extra_k=st.integers(0, 3),
         k_frac=st.floats(0, 1),
-        tie=st.sampled_from(["none", "permutation"]),
         weighted=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, tie, weighted, seed):
+    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, weighted, seed):
         sims = np.array(sims)
         n = len(sims)
         # k from 1 to n, or past n (every row selected)
@@ -133,18 +132,18 @@ class TestNeighbourhood:
         pool = rng.integers(-3, 4, size=(n, 3)).astype(float)
         y_pool = rng.random(n)
         target = rng.normal(size=3)
-        tie_key = rng.permutation(n) if tie == "permutation" else None
         weights = rng.choice([0.0, 0.5, -1.0, 2.0], size=n) if weighted else None
-        got = neighbourhood(target, 0.75, pool, y_pool, sims, k, tie_key, weights)
-        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k, tie_key, weights)
+        got = neighbourhood(target, 0.75, pool, y_pool, sims, k, weights)
+        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k, weights)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_all_tied(self):
         pool = np.arange(20.0).reshape(10, 2)
-        X, y, w = neighbourhood(np.ones(2), 1.0, pool, np.arange(10.0), np.full(10, 0.5), 3,
-                                tie_key=np.arange(10)[::-1])
-        assert y.tolist() == [1.0, 9.0, 8.0, 7.0]
+        X, y, w = neighbourhood(np.ones(2), 1.0, pool, np.arange(10.0), np.full(10, 0.5), 3)
+        # ties keep pool order
+        assert y.tolist() == [1.0, 0.0, 1.0, 2.0]
+        assert X[1:].tolist() == pool[:3].tolist()
         assert w.tolist() == [1.0, 0.5, 0.5, 0.5]
 
 
@@ -248,6 +247,11 @@ class TestPairedTTest:
         b = np.arange(10.0)
         with pytest.raises(DegenerateSampleError):
             paired_t_test(b + 1.0, b)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_pairs_degenerate(self, n):
+        with pytest.raises(DegenerateSampleError, match="at least two pairs"):
+            paired_t_test(np.ones(n), np.zeros(n))
 
     def test_swap_antisymmetry(self):
         rng = make_rng(5)
