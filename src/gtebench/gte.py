@@ -15,7 +15,7 @@ import numpy as np
 from .datagen import Dataset, config_hash
 from .errors import ConfigError
 from .explainer import CoefficientMatrix
-from .numerics import cosine_similarity_rows, neighbourhood, weighted_ridge
+from .numerics import cosine_similarity_rows, neighbourhood, row_norms, weighted_ridge
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def batch_gte(
     every other run is a copy of it; ``base_seed`` only labels the sidecar.
     """
     indices = np.asarray(indices, dtype=int)
-    norms = np.linalg.norm(dataset.X, axis=1)
+    norms = row_norms(dataset.X)
     return CoefficientMatrix.fill(
         lambda r, k: gte_explain(dataset, int(indices[k]), cfg, norms),
         runs, 1, dataset.n_features,

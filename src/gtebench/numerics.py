@@ -65,20 +65,53 @@ def truncated_normal(
     return float(x) if size is None else x
 
 
+# Row norms in this range are computed directly: their squares neither underflow
+# nor overflow, so np.linalg.norm is exact to rounding there.
+_NORM_SAFE = (2.0**-500, 2.0**500)
+
+
+def _power_of_two_exponent(a: np.ndarray) -> np.ndarray:
+    """Exponent e with max|a| in [2**(e-1), 2**e), along the last axis (0 for zero rows)."""
+    return np.frexp(np.max(np.abs(a), axis=-1, initial=0.0))[1]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``rows``.
+
+    Equals ``np.linalg.norm(rows, axis=1)`` wherever that is exact to rounding;
+    rows so small or large that squaring their entries would underflow or
+    overflow are scaled by a power of two (which is exact) before squaring.
+    """
+    rows = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~((norms >= _NORM_SAFE[0]) & (norms <= _NORM_SAFE[1])))
+    if bad.size:
+        e = _power_of_two_exponent(rows[bad])
+        norms[bad] = np.ldexp(np.linalg.norm(np.ldexp(rows[bad], -e[:, None]), axis=1), e)
+    return norms
+
+
 def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.ndarray:
     """Cosine similarity of each row of ``rows`` against ``v``.
 
-    Rows with zero norm get similarity NaN. ``norms`` are the rows' Euclidean
-    norms, computed here when not given, so that a caller ranking many
-    targets against the same rows computes them once.
+    Rows with zero norm get similarity NaN. ``norms`` are the rows'
+    :func:`row_norms`, computed here when not given, so that a caller ranking
+    many targets against the same rows computes them once.
+
+    ``v`` is first scaled by a power of two to a largest entry in [0.5, 1):
+    cosine similarity is scale-invariant and the scaling is exact, so results
+    are unchanged for ordinary inputs, while tiny or huge ``v`` no longer
+    underflow or overflow in the dot products.
     """
     rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
+    v = np.ldexp(v, -_power_of_two_exponent(v))
     nv = np.linalg.norm(v)
     if nv == 0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
     if norms is None:
-        norms = np.linalg.norm(rows, axis=1)
+        norms = row_norms(rows)
     sims = rows @ v
     with np.errstate(invalid="ignore", divide="ignore"):
         sims /= norms * nv

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError, ZeroVectorError
@@ -10,6 +10,7 @@ from gtebench.numerics import (
     minmax_normalize,
     neighbourhood,
     paired_t_test,
+    row_norms,
     student_t_cdf,
     truncated_normal,
     weighted_ridge,
@@ -89,6 +90,8 @@ class TestCosineSimilarity:
             cos((1, 2, 3), (1, 2))
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=6))
+    # x . 3.5x is subnormal here: the dot products must not underflow
+    @example([1.8355866398010627e-160, 1.8355866398010627e-160])
     @settings(max_examples=100, deadline=None)
     def test_self_similarity_and_scaling(self, v):
         x = np.array(v)
@@ -99,6 +102,18 @@ class TestCosineSimilarity:
         y = x + 1.0
         if np.linalg.norm(y) > 0:
             assert cos(x, y) == pytest.approx(cos(y, x))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e150, 1e200])
+    def test_tiny_and_huge_scales(self, scale):
+        rows = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 0.0]]) * scale
+        assert row_norms(rows).tolist() == pytest.approx([5.0 * scale, scale, 0.0], rel=1e-15)
+        sims = cosine_similarity_rows(rows, np.array([3.0, 4.0]) * scale)
+        assert sims[:2] == pytest.approx([1.0, 0.6], rel=1e-15)
+        assert np.isnan(sims[2])
+
+    def test_row_norms_equal_linalg_norm_in_range(self):
+        rows = make_rng(3).normal(size=(50, 4)) * np.logspace(-100, 100, 50)[:, None]
+        assert row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
     def test_given_norms_same_bytes(self):
         rows = np.array([[1.0, 2.0], [0.0, 0.0], [2.0, 4.0], [-3.0, 0.5], [0.0, 0.0], [1e-3, 7.0]])
