@@ -71,11 +71,15 @@ def cmd_generate(args) -> int:
 
 
 def _train_configs(args, ds: Dataset) -> tuple[ModelConfig, TrainConfig]:
-    doc = json.loads(Path(args.model_config).read_text()) if args.model_config else _default_config("nn1.json")
-    if "hidden" not in doc or "activation" not in doc:
-        raise ConfigError(f"model config must declare 'hidden' and 'activation', got {sorted(doc)}")
-    layers = (ds.n_features, *[int(h) for h in doc["hidden"]], ds.n_classes)
-    mcfg = ModelConfig(layers, doc["activation"])
+    source = args.model_config or "nn1.json"
+    try:
+        doc = json.loads(Path(args.model_config).read_text()) if args.model_config else _default_config("nn1.json")
+        hidden = doc["hidden"]
+        if not isinstance(hidden, list) or not all(type(h) is int for h in hidden):
+            raise TypeError(f"'hidden' must be a list of integers, got {hidden!r}")
+        mcfg = ModelConfig((ds.n_features, *hidden, ds.n_classes), doc["activation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid model config {source}: {type(exc).__name__}: {exc}") from exc
     tcfg = TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed
     )
@@ -100,6 +104,8 @@ def cmd_train(args) -> int:
 
 def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarray:
     rng = make_rng(args.seed, 9999)
+    if args.sample and args.sample > len(ds):
+        raise ConfigError(f"--sample {args.sample} exceeds the dataset's {len(ds)} rows")
     if args.only_correct:
         if args.sample:
             return select_correct(models, ds.X, ds.labels, args.sample, rng)

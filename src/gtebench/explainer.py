@@ -35,6 +35,10 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
+        scale = np.asarray(self.scale, dtype=float)
+        if not np.isfinite(scale).all() or (scale < 0).any() or not (scale > 0).any():
+            raise ConfigError(f"scale must be finite and non-negative, with a positive entry; "
+                              f"got {self.scale!r}")
         if self.selection not in ("top_k", "kernel"):
             raise ConfigError(f"selection must be top_k or kernel, got {self.selection!r}")
         if self.pool_size < self.num_samples:

@@ -275,7 +275,7 @@ def select_correct(
     instances every supplied model predicts correctly."""
     correct = np.flatnonzero(jointly_correct(models, X, labels))
     if n > len(correct):
-        raise ValueError(
+        raise ConfigError(
             f"requested {n} jointly-correct instances but only {len(correct)} available"
         )
     return np.sort(rng.choice(correct, size=n, replace=False))

@@ -53,6 +53,14 @@ def numeric_gradients(loss_fn, params, eps=1e-4):
 # Per-row CSV writers and reader: the byte reference for gtebench.artifacts.
 
 
+def csv_oracle(header, fmts, columns) -> str:
+    """Each row %-formatted on its own, from Python scalars."""
+    line = ",".join(fmts)
+    rows = [line % tuple(c[i].item() if isinstance(c, np.ndarray) else c[i] for c in columns)
+            for i in range(len(columns[0]))]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
 def dataset_csv_oracle(ds) -> str:
     lines = [",".join(ds.schema.names + ["label", "variation_id"])]
     for i in range(len(ds)):

@@ -257,12 +257,38 @@ class TestRejectedInputs:
         (("--sample", 0), "--sample"),
         (("--sample", -3), "--sample"),
         (("--second-model", "m2.json"), "--second-model"),
-    ], ids=["sample-0", "sample-negative", "second-model-alone"])
+        (("--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
+        (("--only-correct", "--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
+        (("--scale", 0), "scale"),
+        (("--scale", -1), "scale"),
+        (("--scale", "nan"), "scale"),
+    ], ids=["sample-0", "sample-negative", "second-model-alone", "sample-past-rows",
+            "only-correct-sample-past-rows", "scale-0", "scale-negative", "scale-nan"])
     def test_explain_argument_exit_2(self, quick, capsys, extra, option):
         assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, *extra,
                    "--out", "e.csv") == 2
         self._one_error_line(capsys, option)
         assert not (quick / "e.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        '{"hidden": 5, "activation": "relu"}',
+        '{"hidden": ["16"], "activation": "relu"}',
+        '{"hidden": [2.5], "activation": "relu"}',
+        '{"hidden": [true], "activation": "relu"}',
+        '{"hidden": [0], "activation": "relu"}',
+        '{"hidden": [4], "activation": "sigmoid"}',
+        '{"activation": "relu"}',
+        '[16, 16]',
+        '{"hidden": [4',
+    ], ids=["hidden-int", "hidden-str", "hidden-float", "hidden-bool", "hidden-zero",
+            "activation", "no-hidden", "not-object", "truncated"])
+    def test_train_model_config_exit_2(self, workdir, capsys, doc):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        (workdir / "bad.json").write_text(doc)
+        assert run("train", "loan.csv", "--model-config", workdir / "bad.json",
+                   "--out", "m.json", "--epochs", 2) == 2
+        self._one_error_line(capsys, "bad.json")
+        assert not (workdir / "m.json").exists()
 
     @pytest.mark.parametrize("key", ["norm_span", "weights", "config", "seed"])
     def test_model_without_key_exit_2(self, quick, capsys, key):

@@ -83,6 +83,14 @@ class TestExplain:
         with pytest.raises(ConfigError):
             ExplainerConfig(num_samples=100, n_perturb=50)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan, [0.0, 0.0], [1.0, -0.5]])
+    def test_unusable_scale(self, scale):
+        with pytest.raises(ConfigError, match="scale"):
+            ExplainerConfig(num_samples=5, scale=scale)
+
+    def test_per_feature_zero_scale_allowed(self):
+        assert ExplainerConfig(num_samples=5, scale=[1.0, 0.0]).scale == [1.0, 0.0]
+
     def test_default_pool_size(self):
         assert ExplainerConfig(num_samples=25).pool_size == 500
         assert ExplainerConfig(num_samples=10_000).pool_size == 100_000

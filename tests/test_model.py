@@ -128,7 +128,7 @@ class TestSelectCorrect:
         assert len(np.unique(idx)) == 10
 
     def test_shortfall_error(self, loan_nn1, loan_dataset):
-        with pytest.raises(ValueError, match="54"):
+        with pytest.raises(ConfigError, match="54"):
             select_correct([loan_nn1], loan_dataset.X, loan_dataset.labels, 60, make_rng(0))
 
 
