@@ -8,12 +8,14 @@ import io
 import json
 import re
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError
 
 CHUNK_ROWS = 65_536
+T = TypeVar("T")
 
 
 def sidecar_path(path: str | Path) -> Path:
@@ -97,11 +99,28 @@ def _fixed_point(chunk: list[np.ndarray], specs: list[re.Match]) -> bytes | None
     return np.hstack(blocks)[np.hstack(keeps)].tobytes()
 
 
-def read_meta(path: str | Path) -> dict:
+def read_json(path: str | Path, build: Callable[[Any], T]) -> T:
+    """``build(doc)`` of the JSON document in ``path``; ``build`` only parses.
+    Bad JSON, and a Key-, Index-, Type-, Value- (so also a Config-) or
+    OverflowError from ``build``, become one ConfigError naming the file."""
     try:
-        return json.loads(sidecar_path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{sidecar_path(path)}: {exc}") from exc
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        detail = exc if isinstance(exc, ConfigError) else f"{type(exc).__name__}: {exc}"
+        raise ConfigError(f"{path}: {detail}") from exc
+
+
+def typed(doc: dict, **kinds) -> dict:
+    """``{key: doc[key]}`` for each keyword, each value of the JSON type given
+    for it: a type or a tuple of types, where float takes an int too and no
+    type but bool takes a bool. KeyError or TypeError otherwise."""
+    for key, kind in kinds.items():
+        kind = kind if isinstance(kind, tuple) else (kind,)
+        ok = isinstance(doc[key], kind + (int,) * (float in kind))
+        if not ok or isinstance(doc[key], bool) != (bool in kind):
+            raise TypeError(f"{key!r} must be {' or '.join(k.__name__ for k in kind)}, "
+                            f"not {type(doc[key]).__name__}")
+    return {key: doc[key] for key in kinds}
 
 
 def read_csv(path: str | Path, header: list[str]) -> np.ndarray:
@@ -144,20 +163,19 @@ def write_matrix(path: str | Path, coefficients: np.ndarray, intercepts: np.ndar
     return write_csv(path, _matrix_header(d), ["%d", "%d"] + ["%r"] * (d + 1), columns, meta)
 
 
-def read_matrix(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(coefficients, intercepts, instance ids, sidecar) of a matrix file,
-    checked against the sidecar's ``shape`` and ``failures``."""
-    meta = read_meta(path)
-    try:
-        runs, n, d = (int(v) for v in meta["shape"])
-        failed = {(int(f[0]), int(f[1])) for f in meta.get("failures", [])}
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"{sidecar_path(path)}: bad shape or failures ({exc!r})") from exc
+def read_matrix(path: str | Path, build: Callable[[Any], dict]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(coefficients, intercepts, instance ids, fields) of a matrix file:
+    ``build`` parses the sidecar into fields that include ``shape`` (runs,
+    instances, features) and ``failures`` [(run, instance, message)], which
+    the rows are checked against; ``shape`` is popped."""
+    fields = read_json(sidecar_path(path), build)
+    runs, n, d = fields.pop("shape")
     data = read_csv(path, _matrix_header(d))
-    _check_matrix(path, data, runs, n, failed)
+    _check_matrix(path, data, runs, n, {(r, i) for r, i, _ in fields["failures"]})
     coef = np.ascontiguousarray(data[:, 3:]).reshape(runs, n, d)
     inter = np.ascontiguousarray(data[:, 2]).reshape(runs, n)
-    return coef, inter, data[:n, 1].astype(int), meta
+    return coef, inter, data[:n, 1].astype(int), fields
 
 
 def _check_matrix(path, data: np.ndarray, runs: int, n: int, failed: set) -> None:

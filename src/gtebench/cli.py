@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from importlib import resources
@@ -12,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalmetrics, svgplot
+from .artifacts import read_json, typed
 from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
 from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain
@@ -39,9 +39,7 @@ def _manifest_path() -> Path:
     return _data_dir() / "manifest.jsonl"
 
 
-def _default_config(name: str) -> dict:
-    with resources.files("gtebench.configs").joinpath(name).open("r") as fh:
-        return json.load(fh)
+CONFIGS = resources.files("gtebench.configs")  # the shipped default configs
 
 
 # ---------------------------------------------------------------------------
@@ -52,14 +50,14 @@ def cmd_generate(args) -> int:
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.dataset == "loan":
-        doc = json.loads(Path(args.config).read_text()) if args.config else _default_config("loan_default.json")
-        removals = tuple(tuple(int(v) for v in r) for r in doc["removals"])
+        removals = read_json(args.config or CONFIGS / "loan_default.json", lambda doc: tuple(
+            tuple(int(v) for v in r) for r in typed(doc, removals=list)["removals"]))
         ds = generate_loan(removals, seed=args.seed)
     else:
-        cfg_path = args.config or str(resources.files("gtebench.configs") / f"{args.dataset}_desk.json")
+        cfg_path = args.config or CONFIGS / f"{args.dataset}_desk.json"
         cfg = EquationConfig.load(cfg_path)
         if cfg.equation != args.dataset:
-            raise ConfigError(f"config is for {cfg.equation!r}, requested {args.dataset!r}")
+            raise ConfigError(f"{cfg_path}: config is for {cfg.equation!r}, not {args.dataset!r}")
         ds = generate_equation_dataset(cfg, seed=args.seed)
     written = ds.save_csv(out)
     record_stage(_manifest_path(), f"generate:{args.dataset}", ds.config_hash, args.seed,
@@ -70,25 +68,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _train_configs(args, ds: Dataset) -> tuple[ModelConfig, TrainConfig]:
-    source = args.model_config or "nn1.json"
-    try:
-        doc = json.loads(Path(args.model_config).read_text()) if args.model_config else _default_config("nn1.json")
-        hidden = doc["hidden"]
-        if not isinstance(hidden, list) or not all(type(h) is int for h in hidden):
-            raise TypeError(f"'hidden' must be a list of integers, got {hidden!r}")
-        mcfg = ModelConfig((ds.n_features, *hidden, ds.n_classes), doc["activation"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model config {source}: {type(exc).__name__}: {exc}") from exc
-    tcfg = TrainConfig(
-        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed
-    )
-    return mcfg, tcfg
+def _model_config(doc, ds: Dataset) -> ModelConfig:
+    """A ``--model-config`` document: the hidden layer sizes and the activation."""
+    hidden, activation = typed(doc, hidden=list, activation=str).values()
+    if not all(type(h) is int for h in hidden):
+        raise TypeError(f"'hidden' must be a list of integers, got {hidden!r}")
+    return ModelConfig((ds.n_features, *hidden, ds.n_classes), activation)
 
 
 def cmd_train(args) -> int:
     ds = Dataset.load_csv(_resolve(args.dataset))
-    mcfg, tcfg = _train_configs(args, ds)
+    mcfg = read_json(args.model_config or CONFIGS / "nn1.json", lambda doc: _model_config(doc, ds))
+    tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
+                       seed=args.seed)
     trained = train(ds, args.split, mcfg, tcfg)
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -304,15 +296,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except IncompatibilityError as exc:
+    except (ConfigError, OSError, IncompatibilityError, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except NumericFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return (EXIT_INCOMPATIBLE if isinstance(exc, IncompatibilityError)
+                else EXIT_NUMERIC if isinstance(exc, NumericFailure) else EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -135,23 +135,22 @@ class Dataset:
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
-        meta = artifacts.read_meta(path)
-        try:
-            schema = FeatureSchema.from_dict(meta["schema"])
-            fields = dict(n_classes=int(meta["n_classes"]), seed=int(meta["seed"]),
-                          config_hash=meta["config_hash"], equation=meta["equation"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid dataset sidecar {artifacts.sidecar_path(path)}: "
-                              f"{type(exc).__name__}: {exc}") from exc
-        data = artifacts.read_csv(path, schema.names + ["label", "variation_id"])
-        d = len(schema.features)
-        return Dataset(
-            schema=schema,
-            X=data[:, :d],
-            labels=data[:, d].astype(int),
-            variation_ids=data[:, d + 1].astype(int),
-            **fields,
-        )
+        """The rows and the sidecar; every label must be a class id below n_classes."""
+        def build(doc):
+            fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
+                                     schema=list)
+            return {**fields, "schema": FeatureSchema.from_dict(fields["schema"])}
+
+        fields = artifacts.read_json(artifacts.sidecar_path(path), build)
+        d = len(fields["schema"].features)
+        data = artifacts.read_csv(path, fields["schema"].names + ["label", "variation_id"])
+        labels, n = data[:, d], fields["n_classes"]
+        bad = np.flatnonzero(~((labels >= 0) & (labels < n) & (np.floor(labels) == labels)))
+        if bad.size:
+            raise ConfigError(f"{path}: label {labels[bad[0]]:g} of data row {bad[0] + 1} is "
+                              f"not an integer in [0, {n})")
+        return Dataset(X=data[:, :d], labels=labels.astype(int),
+                       variation_ids=data[:, d + 1].astype(int), **fields)
 
 
 def config_hash(obj) -> str:
@@ -314,33 +313,39 @@ class EquationConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EquationConfig":
-        if d.get("equation") not in _ENERGY_FNS:
-            raise ConfigError(f"equation must be one of {sorted(_ENERGY_FNS)}, got {d.get('equation')!r}")
-        variations = tuple(
+        """Checks that every feature but the mode has a numeric ``mu``,
+        ``sigma >= 0``, ``trunc_lo <= trunc_hi`` and, if it has a
+        ``mode_table``, one entry in it per value of the mode feature."""
+        f = artifacts.typed({"grid_mode": False, "grid_points": 8, **d}, equation=str,
+                            schema=list, variations=list, rows_per_class=int, grid_mode=bool,
+                            grid_points=int)
+        if f["equation"] not in _ENERGY_FNS:
+            raise ConfigError(f"equation must be one of {sorted(_ENERGY_FNS)}: {f['equation']!r}")
+        f["variations"] = tuple(
             VariationSpec(int(v["class_id"]), tuple((str(a), str(b), float(c)) for a, b, c in v["ops"]))
-            for v in d["variations"]
+            for v in f["variations"]
         )
-        ids = sorted(v.class_id for v in variations)
+        ids = sorted(v.class_id for v in f["variations"])
         if ids != list(range(len(ids))):
             raise ConfigError(f"variation class ids must be contiguous from 0, got {ids}")
-        rows = int(d["rows_per_class"])
-        if rows < 1:
+        if f["rows_per_class"] < 1:
             raise ConfigError("rows_per_class must be >= 1")
-        return EquationConfig(
-            equation=d["equation"],
-            schema=FeatureSchema.from_dict(d["schema"]),
-            variations=variations,
-            rows_per_class=rows,
-            grid_mode=bool(d.get("grid_mode", False)),
-            grid_points=int(d.get("grid_points", 8)),
-        )
+        f["schema"] = FeatureSchema.from_dict(f["schema"])
+        n_modes = next((len(m.mode_values) for m in f["schema"].features if m.kind == "mode"), 0)
+        for feat in f["schema"].features:
+            if feat.kind != "mode":
+                artifacts.typed(vars(feat), mu=float, sigma=float, trunc_lo=float, trunc_hi=float)
+                if not (feat.sigma >= 0 and feat.trunc_lo <= feat.trunc_hi):
+                    raise ConfigError(f"feature {feat.name!r} needs sigma >= 0 and trunc_lo <= "
+                                      f"trunc_hi: {feat.sigma}, {feat.trunc_lo}, {feat.trunc_hi}")
+                if feat.mode_table and len(feat.mode_table) != n_modes:
+                    raise ConfigError(f"feature {feat.name!r}: mode_table needs {n_modes} entries, "
+                                      f"one per mode value")
+        return EquationConfig(**f)
 
     @staticmethod
     def load(path: str | Path) -> "EquationConfig":
-        try:
-            return EquationConfig.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"invalid equation config {path}: {exc}") from exc
+        return artifacts.read_json(path, EquationConfig.from_dict)
 
 
 def _draw_base_rows(cfg: EquationConfig, rng: np.random.Generator) -> np.ndarray:
@@ -351,7 +356,8 @@ def _draw_base_rows(cfg: EquationConfig, rng: np.random.Generator) -> np.ndarray
     mode_col = None
     for f in cfg.schema.features:
         if f.kind == "mode":
-            mode_col = rng.choice(np.asarray(f.mode_values, dtype=float), size=n)
+            mode_values = np.asarray(f.mode_values, dtype=float)
+            mode_col = rng.choice(mode_values, size=n)
             cols.append(mode_col)
         else:
             cols.append(
@@ -359,15 +365,9 @@ def _draw_base_rows(cfg: EquationConfig, rng: np.random.Generator) -> np.ndarray
             )
     X = np.column_stack(cols)
     if mode_col is not None:
-        mode_values = [float(m) for m in _mode_feature(cfg.schema).mode_values]
         mode_idx = np.searchsorted(mode_values, mode_col)
         for j, f in enumerate(cfg.schema.features):
             if f.mode_table and f.kind != "mode":
-                if len(f.mode_table) != len(mode_values):
-                    raise ConfigError(
-                        f"mode_table for {f.name} has {len(f.mode_table)} entries, "
-                        f"expected {len(mode_values)}"
-                    )
                 X[:, j] = X[:, j] * np.asarray(f.mode_table)[mode_idx]
     return X
 
@@ -381,13 +381,6 @@ def _grid_base_rows(cfg: EquationConfig) -> np.ndarray:
             axes.append(np.linspace(f.trunc_lo, f.trunc_hi, cfg.grid_points))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
-
-
-def _mode_feature(schema: FeatureSchema) -> Feature:
-    for f in schema.features:
-        if f.kind == "mode":
-            return f
-    raise ConfigError("schema has no mode feature")
 
 
 def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:

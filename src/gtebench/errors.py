@@ -1,10 +1,11 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2,
-IncompatibilityError -> 3, NumericFailure -> 4. A fit that raises a
-NumericFailure inside ``explain`` or ``align`` is recorded as a failed cell
-instead; ``evaluate`` leaves failed cells out and exits 4 only when no cell
-is left.
+The CLI maps these onto exit codes, and nothing else but OSError (exit 2):
+ConfigError -> 2, IncompatibilityError -> 3, NumericFailure -> 4. Any
+other exception, a bare ValueError included, is a bug and shows its
+traceback (exit 1). A fit that raises a NumericFailure inside ``explain``
+or ``align`` is recorded as a failed cell instead; ``evaluate`` leaves
+failed cells out and exits 4 only when no cell is left.
 """
 
 

@@ -129,12 +129,25 @@ class EvalReport:
 
     @staticmethod
     def load(out_dir: str | Path) -> "EvalReport":
-        doc = json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))
-        inv = doc.pop("invariance") or {}
-        doc["invariance_not_rejected"] = inv.pop("not_rejected", None)
-        doc["invariance"] = TTestResult(**inv) if inv else None
-        scores = [InstanceScore(**s) for s in doc.pop("instances")]
-        return EvalReport(scores, **doc)
+        return artifacts.read_json(Path(out_dir) / "report.json", EvalReport.from_dict)
+
+    @staticmethod
+    def from_dict(doc: dict) -> "EvalReport":
+        """Inverse of ``to_dict``; a report without instance scores is rejected.
+        Reports written before failed cells were counted have none."""
+        f = artifacts.typed(
+            {"failed_cells": 0, "failure_kinds": {}, **doc}, instances=list, ave_c_of_ed=float,
+            ave_second=float, ave_all=float, invariance=(dict, type(None)), zero_counts_exp=list,
+            zero_rates_exp=list, zero_counts_gte=list, zero_rates_gte=list, exp_config_hash=str,
+            gte_config_hash=str, dataset_hash=str, runs=int, n_features=int, failed_cells=int,
+            failure_kinds=dict)
+        scores = [InstanceScore(**s) for s in f.pop("instances")]
+        if not scores:
+            raise ValueError("no instance scores")
+        inv = dict(f["invariance"] or {"not_rejected": None})
+        f["invariance_not_rejected"] = inv.pop("not_rejected")
+        f["invariance"] = None if f["invariance"] is None else TTestResult(**inv)
+        return EvalReport(scores, **f)
 
 
 def write_summary(path: str | Path, first_column: str,

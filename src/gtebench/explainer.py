@@ -13,7 +13,8 @@ import numpy as np
 from . import artifacts
 from .datagen import FeatureSchema, config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure
-from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
+from .numerics import (check_alpha, cosine_similarity_rows, make_rng, neighbourhood,
+                       weighted_ridge)
 
 MAX_PERTURBATION_POOL = 100_000
 
@@ -35,6 +36,7 @@ class ExplainerConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
+        check_alpha(self.alpha)
         scale = np.asarray(self.scale, dtype=float)
         if not np.isfinite(scale).all() or (scale < 0).any() or not (scale > 0).any():
             raise ConfigError(f"scale must be finite and non-negative, with a positive entry; "
@@ -113,17 +115,18 @@ class CoefficientMatrix:
 
     @staticmethod
     def load_csv(path: str | Path) -> "CoefficientMatrix":
-        coef, inter, ids, meta = artifacts.read_matrix(path)
-        return CoefficientMatrix(
-            coefficients=coef,
-            intercepts=inter,
-            source=meta["source"],
-            config_hash=meta["config_hash"],
-            dataset_hash=meta["dataset_hash"],
-            seed=meta["seed"],
-            instance_ids=ids,
-            failures=[tuple(f) for f in meta.get("failures", [])],
-        )
+        coef, inter, ids, fields = artifacts.read_matrix(path, _sidecar_fields)
+        return CoefficientMatrix(coefficients=coef, intercepts=inter, instance_ids=ids, **fields)
+
+
+def _sidecar_fields(doc: dict) -> dict:
+    """The fields a matrix sidecar holds, its ``shape`` among them."""
+    fields = artifacts.typed(doc, source=str, config_hash=str, dataset_hash=str, seed=int,
+                             shape=list, failures=list)
+    if len(fields["shape"]) != 3 or not all(type(v) is int and v >= 0 for v in fields["shape"]):
+        raise ValueError(f"shape must be three non-negative integers, got {fields['shape']}")
+    fields["failures"] = [(int(r), int(i), str(msg)) for r, i, msg in fields["failures"]]
+    return fields
 
 
 def perturb_instance(

@@ -15,7 +15,8 @@ import numpy as np
 from .datagen import Dataset, config_hash
 from .errors import ConfigError
 from .explainer import CoefficientMatrix
-from .numerics import cosine_similarity_rows, neighbourhood, row_norms, weighted_ridge
+from .numerics import (check_alpha, cosine_similarity_rows, neighbourhood, row_norms,
+                       weighted_ridge)
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,7 @@ class GteConfig:
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
+        check_alpha(self.alpha)
 
 
 def gte_explain(

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .datagen import Dataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, IncompatibilityError
 from .numerics import make_rng
 
 MODEL_FORMAT_VERSION = 1
@@ -40,7 +41,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
+        if self.epochs < 1 or self.learning_rate <= 0 or self.batch_size < 1:
             raise ConfigError(f"invalid training config: {self}")
 
 
@@ -63,8 +64,8 @@ class TrainedModel:
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.config.layers[0]:
-            raise ValueError(
-                f"expected {self.config.layers[0]} features, got {X.shape[1]}"
+            raise IncompatibilityError(
+                f"model expects {self.config.layers[0]} features, got {X.shape[1]}"
             )
         return _forward(self.weights, self.biases, self.config.activation, self._normalize(X))[-1]
 
@@ -74,10 +75,10 @@ class TrainedModel:
         doc = {
             "format_version": MODEL_FORMAT_VERSION,
             "config": {"layers": list(self.config.layers), "activation": self.config.activation},
-            "weights": [_hex_matrix(W) for W in self.weights],
-            "biases": [_hex_vector(b) for b in self.biases],
-            "norm_lo": _hex_vector(self.norm_lo),
-            "norm_span": _hex_vector(self.norm_span),
+            "weights": [_hex(W).tolist() for W in self.weights],
+            "biases": [_hex(b).tolist() for b in self.biases],
+            "norm_lo": _hex(self.norm_lo).tolist(),
+            "norm_span": _hex(self.norm_span).tolist(),
             "train_accuracy": self.train_accuracy,
             "test_accuracy": self.test_accuracy,
             "seed": self.seed,
@@ -86,25 +87,25 @@ class TrainedModel:
 
     @staticmethod
     def load(path: str | Path) -> "TrainedModel":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"corrupt model file {path}: {exc}") from exc
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ConfigError(f"unsupported model format version in {path}")
-        try:
-            return TrainedModel(
-                config=ModelConfig(tuple(doc["config"]["layers"]), doc["config"]["activation"]),
-                weights=[_unhex_matrix(W) for W in doc["weights"]],
-                biases=[_unhex_vector(b) for b in doc["biases"]],
-                norm_lo=_unhex_vector(doc["norm_lo"]),
-                norm_span=_unhex_vector(doc["norm_span"]),
-                train_accuracy=doc["train_accuracy"],
-                test_accuracy=doc["test_accuracy"],
-                seed=doc["seed"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid model file {path}: {type(exc).__name__}: {exc}") from exc
+        return artifacts.read_json(path, TrainedModel.from_dict)
+
+    @staticmethod
+    def from_dict(doc: dict) -> "TrainedModel":
+        """Inverse of ``save``; every array must have the shape ``layers`` gives it."""
+        if artifacts.typed(doc, format_version=int)["format_version"] != MODEL_FORMAT_VERSION:
+            raise ConfigError(f"unsupported model format version, expected {MODEL_FORMAT_VERSION}")
+        f = artifacts.typed(doc, config=dict, weights=list, biases=list, norm_lo=list,
+                            norm_span=list, train_accuracy=float,
+                            test_accuracy=(float, type(None)), seed=int)
+        c = artifacts.typed(f["config"], layers=list, activation=str)
+        f["config"] = ModelConfig(tuple(c["layers"]), c["activation"])
+        f["weights"], f["biases"] = [*map(_unhex, f["weights"])], [*map(_unhex, f["biases"])]
+        f["norm_lo"], f["norm_span"] = _unhex(f["norm_lo"]), _unhex(f["norm_span"])
+        n = f["config"].layers
+        shapes = [a.shape for a in (*f["weights"], *f["biases"], f["norm_lo"], f["norm_span"])]
+        if shapes != [*zip(n, n[1:]), *((k,) for k in n[1:]), (n[0],), (n[0],)]:
+            raise ValueError(f"array shapes {shapes} do not fit layers {n}")
+        return TrainedModel(**f)
 
 
 def _forward(weights, biases, activation, X) -> list[np.ndarray]:
@@ -125,20 +126,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _hex_vector(v: np.ndarray) -> list[str]:
-    return [float(x).hex() for x in np.asarray(v, dtype=float)]
-
-
-def _hex_matrix(M: np.ndarray) -> list[list[str]]:
-    return [_hex_vector(row) for row in np.asarray(M, dtype=float)]
-
-
-def _unhex_vector(items: list[str]) -> np.ndarray:
-    return np.array([float.fromhex(x) for x in items], dtype=float)
-
-
-def _unhex_matrix(items: list[list[str]]) -> np.ndarray:
-    return np.array([[float.fromhex(x) for x in row] for row in items], dtype=float)
+# arrays of floats to and from arrays of IEEE hex strings, which round-trip exactly
+_hex = np.vectorize(float.hex, otypes=[object])
+_unhex = np.vectorize(float.fromhex, otypes=[float])
 
 
 # ---------------------------------------------------------------------------

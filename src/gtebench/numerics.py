@@ -29,6 +29,8 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     Same (seed, path) always yields the same stream; distinct paths yield
     disjoint streams via the SeedSequence spawn-key mechanism.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -46,9 +48,9 @@ def truncated_normal(
     seeded streams aligned regardless of how narrow the interval is.
     """
     if lo > hi:
-        raise ValueError(f"invalid truncation range: lo={lo} > hi={hi}")
+        raise ConfigError(f"invalid truncation range: lo={lo} > hi={hi}")
     if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+        raise ConfigError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0:
         if not (lo <= mu <= hi):
             raise ConfigError(f"sigma=0 with mu={mu} outside [{lo}, {hi}]")
@@ -145,6 +147,12 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int, weights=None):
     return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
 
 
+def check_alpha(alpha: float) -> None:
+    """A ridge penalty is finite and non-negative."""
+    if not 0 <= alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
+
+
 def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
     """``(beta, b)`` minimizing sum_i w_i (y_i - beta.x_i - b)^2 + alpha *
     ||beta||^2 (b unpenalized), via the weighted-centered normal equations.
@@ -160,8 +168,7 @@ def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
     wsum = w.sum()
     if wsum == 0:
         raise ValueError("weights must not all be zero")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    check_alpha(alpha)
     xm = (w @ X) / wsum
     ym = float(w @ y) / wsum
     Xc = X - xm

@@ -27,6 +27,18 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "black", width: int = 1) -> str:
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x: str, y: str, size: int, body: str, anchor: str | None = "middle",
+          extra: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{extra}>'
+            f'{body}</text>')
+
+
 def line_chart(
     series: list[Series],
     title: str = "",
@@ -65,48 +77,21 @@ def line_chart(
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{_fmt(ml + pw / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
+        out.append(_text(_fmt(ml + pw / 2), "24", 16, title))
     # axes
-    out.append(
-        f'<line x1="{_fmt(ml)}" y1="{_fmt(mt + ph)}" x2="{_fmt(ml + pw)}" '
-        f'y2="{_fmt(mt + ph)}" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<line x1="{_fmt(ml)}" y1="{_fmt(mt)}" x2="{_fmt(ml)}" '
-        f'y2="{_fmt(mt + ph)}" stroke="black" stroke-width="1"/>'
-    )
+    out.append(_line(ml, mt + ph, ml + pw, mt + ph))
+    out.append(_line(ml, mt, ml, mt + ph))
     for tx in _ticks(x_lo, x_hi):
-        out.append(
-            f'<line x1="{_fmt(px(tx))}" y1="{_fmt(mt + ph)}" x2="{_fmt(px(tx))}" '
-            f'y2="{_fmt(mt + ph + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px(tx))}" y="{_fmt(mt + ph + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        out.append(_line(px(tx), mt + ph, px(tx), mt + ph + 5))
+        out.append(_text(_fmt(px(tx)), _fmt(mt + ph + 20), 11, _fmt(tx)))
     for ty in _ticks(y_lo, y_hi):
-        out.append(
-            f'<line x1="{_fmt(ml - 5)}" y1="{_fmt(py(ty))}" x2="{_fmt(ml)}" '
-            f'y2="{_fmt(py(ty))}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(ml - 8)}" y="{_fmt(py(ty) + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        out.append(_line(ml - 5, py(ty), ml, py(ty)))
+        out.append(_text(_fmt(ml - 8), _fmt(py(ty) + 4), 11, _fmt(ty), "end"))
     if xlabel:
-        out.append(
-            f'<text x="{_fmt(ml + pw / 2)}" y="{_fmt(height - 10)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-        )
+        out.append(_text(_fmt(ml + pw / 2), _fmt(height - 10), 13, xlabel))
     if ylabel:
-        out.append(
-            f'<text x="16" y="{_fmt(mt + ph / 2)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 16 {_fmt(mt + ph / 2)})">{ylabel}</text>'
-        )
+        out.append(_text("16", _fmt(mt + ph / 2), 13, ylabel,
+                         extra=f' transform="rotate(-90 16 {_fmt(mt + ph / 2)})"'))
     # series + legend
     for k, s in enumerate(series):
         xs = s.xs if s.xs is not None else tuple(range(len(s.ys)))
@@ -115,13 +100,7 @@ def line_chart(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"/>'
         )
         ly = mt + 16 + 18 * k
-        out.append(
-            f'<line x1="{_fmt(ml + pw + 12)}" y1="{_fmt(ly - 4)}" x2="{_fmt(ml + pw + 36)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{s.color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(ml + pw + 42)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{s.name}</text>'
-        )
+        out.append(_line(ml + pw + 12, ly - 4, ml + pw + 36, ly - 4, s.color, 2))
+        out.append(_text(_fmt(ml + pw + 42), _fmt(ly), 12, s.name, anchor=None))
     out.append("</svg>")
     return "\n".join(out) + "\n"

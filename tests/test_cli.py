@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from gtebench import cli
 from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
@@ -308,6 +314,96 @@ class TestRejectedInputs:
         self._one_error_line(capsys, "loan.csv.meta.json", key)
         assert not (quick / "g_ns5.csv").exists()
 
+    @pytest.mark.parametrize("argv, words", [
+        (("explain", "m1.json", "loan.csv", "--num-samples", 5, "--alpha", -1, "--out", "o.csv"),
+         "alpha"),
+        (("explain", "m1.json", "loan.csv", "--num-samples", 5, "--alpha", "nan", "--out", "o.csv"),
+         "alpha"),
+        (("align", "loan.csv", "--num-samples", "5", "--alpha", -1, "--out-prefix", "o"), "alpha"),
+        (("align", "loan.csv", "--num-samples", "5", "--alpha", "nan", "--out-prefix", "o"),
+         "alpha"),
+        (("train", "loan.csv", "--epochs", 0, "--out", "o.json"), "epochs=0"),
+    ], ids=["explain-alpha-negative", "explain-alpha-nan", "align-alpha-negative",
+            "align-alpha-nan", "epochs-0"])
+    def test_option_exit_2(self, quick, capsys, argv, words):
+        assert run(*argv) == 2
+        self._one_error_line(capsys, words)
+        assert not list(quick.glob("o*"))
+
+    @pytest.mark.parametrize("dataset, edit", [
+        ("loan", lambda doc: doc.clear()),
+        ("loan", lambda doc: doc.update(removals=[[1, "a"]])),
+        ("time", lambda doc: doc.update(rows_per_class="x")),
+        ("time", lambda doc: doc["schema"][0].pop("mu")),
+        ("time", lambda doc: doc["schema"][0].update(trunc_lo=3.0, trunc_hi=0.5)),
+        ("time", lambda doc: doc["schema"][0].update(sigma=-0.8)),
+        ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0])),
+    ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
+            "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short"])
+    def test_generate_config_exit_2(self, workdir, capsys, dataset, edit):
+        doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
+                         .read_text())
+        edit(doc)
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        assert run("generate", dataset, "--config", workdir / "cfg.json", "--out", "o.csv") == 2
+        self._one_error_line(capsys, "cfg.json")
+        assert not (workdir / "o.csv").exists()
+
+    def test_matrix_sidecar_without_source_exit_2(self, quick, capsys):
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        meta = json.loads((quick / "e.csv.meta.json").read_text())
+        del meta["source"]
+        (quick / "e.csv.meta.json").write_text(json.dumps(meta))
+        assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 2
+        self._one_error_line(capsys, "e.csv.meta.json", "source")
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}),
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({**json.loads(text), "instances": []}),
+    ], ids=["without-runs", "truncated", "no-instances"])
+    def test_report_json_exit_2(self, quick, capsys, edit):
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 0
+        report = quick / "ev" / "report.json"
+        report.write_text(edit(report.read_text()))
+        capsys.readouterr()
+        assert run("report", "ev", "--out-dir", "plots") == 2
+        self._one_error_line(capsys, "report.json")
+        assert not (quick / "plots").exists()
+
+    @pytest.mark.parametrize("label", ["7", "nan"])
+    def test_dataset_label_exit_2(self, quick, capsys, label):
+        lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
+        lines[5] = lines[5][: lines[5].rindex(",", 0, lines[5].rindex(","))] + f",{label},0\n"
+        (quick / "loan.csv").write_text("".join(lines))
+        assert run("train", "loan.csv", "--out", "o.json", "--epochs", 2) == 2
+        self._one_error_line(capsys, "loan.csv", f"label {label} of data row 5")
+        assert not (quick / "o.json").exists()
+
+    def test_model_for_another_dataset_exit_3(self, quick, capsys):
+        doc = json.loads((CFG / "distance_desk.json").read_text())
+        doc["rows_per_class"] = 5
+        (quick / "d.json").write_text(json.dumps(doc))
+        assert run("generate", "distance", "--config", quick / "d.json", "--out", "d.csv") == 0
+        capsys.readouterr()
+        assert run("explain", "m1.json", "d.csv", "--num-samples", 5, "--out", "o.csv") == 3
+        self._one_error_line(capsys, "model expects 3 features, got 5")
+        assert not (quick / "o.csv").exists()
+
+
+def test_stray_value_error_propagates(workdir, monkeypatch):
+    """Only the typed errors become exit codes: a bare ValueError is a bug
+    and shows its traceback."""
+    def broken(args):
+        raise ValueError("a bug, not a config error")
+
+    monkeypatch.setattr(cli, "cmd_generate", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run("generate", "loan", "--out", "loan.csv")
+
 
 class TestManifestHashes:
     def test_train_and_evaluate_hash_their_whole_configuration(self, workdir):
@@ -342,3 +438,94 @@ class TestManifestHashes:
                    for name in ("e", "g_ns5", "g_ns25")}
         assert {k: v["config_hash"] for k, v in sidecar.items()} == {
             "e": "1a75aff604ef20c6", "g_ns5": "839295c669448f7f", "g_ns25": "9d16459ae5eb0c29"}
+
+
+# The fuzz below mutates each artifact the CLI reads and runs the one
+# subcommand that reads it: (file, argv, keys a valid file may leave out).
+# Config paths are absolute, as they are not resolved in GTEBENCH_DATA_DIR.
+READERS = {
+    "model": ("m1.json",
+              ("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "o.csv"), ()),
+    "dataset": ("loan.csv", ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "o"), ()),
+    "dataset-sidecar": ("loan.csv.meta.json",
+                        ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "o"), ()),
+    "matrix": ("e.csv", ("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "o"), ()),
+    "matrix-sidecar": ("e.csv.meta.json", ("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "o"), ()),
+    "report": ("ev/report.json", ("report", "ev", "--out-dir", "o"),
+               ("failed_cells", "failure_kinds")),
+    "model-config": ("mc.json", ("train", "loan.csv", "--model-config", "{dir}/mc.json",
+                                 "--epochs", 1, "--out", "o.json"), ()),
+    "loan-config": ("lc.json", ("generate", "loan", "--config", "{dir}/lc.json", "--out", "o.csv"),
+                    ()),
+    "equation-config": ("ec.json", ("generate", "time", "--config", "{dir}/ec.json",
+                                    "--out", "o.csv"), ("grid_mode", "grid_points")),
+}
+# one value of each JSON type; int and float are one type, the number
+RETYPES = (None, True, 0.5, "x", [], {})
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@pytest.fixture(scope="module")
+def artifacts_dir(tmp_path_factory):
+    """One small loan pipeline's artifacts and a copy of each shipped config."""
+    root = tmp_path_factory.mktemp("artifacts")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GTEBENCH_DATA_DIR", str(root))
+        for argv in [("generate", "loan", "--out", "loan.csv", "--seed", 7),
+                     ("train", "loan.csv", "--out", "m1.json", "--epochs", 2),
+                     ("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv"),
+                     ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g"),
+                     ("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev")]:
+            assert run(*argv) == 0
+    shutil.copy(CFG / "nn1.json", root / "mc.json")
+    shutil.copy(CFG / "loan_default.json", root / "lc.json")
+    doc = json.loads((CFG / "time_desk.json").read_text())
+    doc["rows_per_class"] = 5
+    (root / "ec.json").write_text(json.dumps(doc, indent=2))
+    (root / "manifest.jsonl").unlink()
+    return root
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_artifact_is_one_error_line(artifacts_dir, tmp_path, data, reader):
+    """Dropping or retyping one top-level key of a JSON artifact, or
+    truncating any artifact, stops its reader with exit 2 or 3 and one
+    ``error:`` line; an uncaught exception would fail this test."""
+    name, argv, optional = READERS[reader]
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    shutil.copytree(artifacts_dir, work, dirs_exist_ok=True)
+    text = (work / name).read_text()
+    ops = ["truncate"] if name.endswith(".csv") else ["drop", "retype", "truncate"]
+    op = data.draw(st.sampled_from(ops), label="op")
+    if op == "truncate":
+        cut = data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut")
+        # a cut at a row boundary leaves a shorter well-formed CSV
+        assume(not text[:cut].endswith("\n"))
+        text = text[:cut]
+    else:
+        doc = json.loads(text)
+        keys = [k for k in doc if op == "retype" or k not in optional]
+        key = data.draw(st.sampled_from(keys), label="key")
+        if op == "drop":
+            del doc[key]
+        else:
+            # a null may stand for a number (the model's test_accuracy): never retype it to one
+            taken = {_json_type(doc[key])} | ({"number"} if doc[key] is None else set())
+            doc[key] = data.draw(st.sampled_from(
+                [v for v in RETYPES if _json_type(v) not in taken]), label="value")
+        text = json.dumps(doc)
+    (work / name).write_text(text)
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setenv("GTEBENCH_DATA_DIR", str(work))
+        rc = main([str(a).format(dir=work) for a in argv])
+    assert rc in (2, 3)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not list(work.glob("o*"))
+    shutil.rmtree(work)

@@ -157,6 +157,18 @@ class TestGenerateEquationDataset:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels, b.labels)
 
+    def test_mode_table_scales_by_mode(self):
+        doc = TIME_CFG.to_dict()
+        doc["rows_per_class"] = 50
+        plain = generate_equation_dataset(EquationConfig.from_dict(doc), seed=4)
+        doc["schema"][0]["mode_table"] = [1.0, 2.0, 1.0, 1.0, 1.0]
+        scaled = generate_equation_dataset(EquationConfig.from_dict(doc), seed=4)
+        mode = TIME_CFG.schema.index("m")
+        doubled = plain.base_raw[:, mode] == 2
+        assert doubled.any() and not doubled.all()
+        assert np.array_equal(scaled.base_raw[doubled, 0], 2 * plain.base_raw[doubled, 0])
+        assert np.array_equal(scaled.base_raw[~doubled], plain.base_raw[~doubled])
+
     def test_base_rows_satisfy_equation(self):
         for cfg_src, fn, names in [
             (TIME_CFG, base_energy_time, ("TT", "Speed", "FE")),

@@ -12,6 +12,7 @@ from gtebench.explainer import (
     explain,
     perturb_instance,
 )
+from gtebench.gte import GteConfig
 from gtebench.numerics import make_rng
 from oracles import explain_oracle, fit_outcome
 
@@ -87,6 +88,12 @@ class TestExplain:
     def test_unusable_scale(self, scale):
         with pytest.raises(ConfigError, match="scale"):
             ExplainerConfig(num_samples=5, scale=scale)
+
+    @pytest.mark.parametrize("config", [ExplainerConfig, GteConfig])
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_unusable_alpha(self, config, alpha):
+        with pytest.raises(ConfigError, match="alpha"):
+            config(num_samples=5, alpha=alpha)
 
     def test_per_feature_zero_scale_allowed(self):
         assert ExplainerConfig(num_samples=5, scale=[1.0, 0.0]).scale == [1.0, 0.0]

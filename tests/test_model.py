@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -42,9 +44,10 @@ class TestTrain:
                   TrainConfig(epochs=2000, learning_rate=0.5, batch_size=4, seed=3))
         assert m.train_accuracy == 1.0
 
-    def test_zero_epochs_random_model(self):
-        m = train(XOR, 1.0, ModelConfig((2, 4, 2), "relu"), TrainConfig(epochs=0, seed=0))
-        assert 0.0 <= m.train_accuracy <= 1.0
+    def test_zero_epochs_rejected(self):
+        # zero epochs would save the untrained initial weights as a model
+        with pytest.raises(ConfigError, match="epochs=0"):
+            TrainConfig(epochs=0, seed=0)
 
     def test_bad_split(self):
         with pytest.raises(ConfigError):
@@ -150,4 +153,19 @@ class TestPersistence:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError):
+            TrainedModel.load(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["weights"][0].pop(),
+        lambda doc: doc["biases"].pop(),
+        lambda doc: doc["norm_span"].append(doc["norm_span"][0]),
+        lambda doc: doc.update(format_version=2, weights=None),
+    ], ids=["weights-row", "biases-layer", "norm-span-entry", "format-version"])
+    def test_file_that_does_not_fit_its_layers(self, loan_nn1, tmp_path, edit):
+        p = tmp_path / "m.json"
+        loan_nn1.save(p)
+        doc = json.loads(p.read_text())
+        edit(doc)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="m.json: .*(do not fit layers|format version)"):
             TrainedModel.load(p)
