@@ -121,13 +121,9 @@ def cmd_explain(args) -> int:
         n_perturb=args.n_perturb,
         alpha=args.alpha,
         scale=args.scale,
-        clamp_to_schema=args.clamp,
-        selection=args.selection,
     )
-    mat = batch_explain(
-        m, ds.X[idx], ds.X.std(axis=0), cfg, args.runs, args.seed,
-        schema=ds.schema, dataset_hash=ds.config_hash, instance_ids=idx,
-    )
+    mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), cfg, args.runs, args.seed,
+                        dataset_hash=ds.config_hash, instance_ids=idx)
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     written = mat.save_csv(out)
@@ -167,13 +163,12 @@ def cmd_evaluate(args) -> int:
     exp = CoefficientMatrix.load_csv(_resolve(args.exp))
     gte_mat = CoefficientMatrix.load_csv(_resolve(args.gte))
     second = CoefficientMatrix.load_csv(_resolve(args.second)) if args.second else None
-    report = evalmetrics.build_report(
-        exp, gte_mat, second, rank_by=args.rank_by, zero_tolerance=args.zero_tolerance
-    )
+    report = evalmetrics.build_report(exp, gte_mat, second)
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
+    # every evaluate entry written so far was hashed with the ranking and zero rules
     cfg = {"exp": exp.config_hash, "gte": gte_mat.config_hash,
-           "second": second.config_hash if second else None, "rank_by": args.rank_by,
-           "zero_tolerance": args.zero_tolerance, "dataset_name": args.dataset_name}
+           "second": second.config_hash if second else None, "rank_by": "absolute",
+           "zero_tolerance": 0.0, "dataset_name": args.dataset_name}
     record_stage(_manifest_path(), "evaluate", config_hash(cfg), None,
                  [args.exp, args.gte] + ([args.second] if args.second else []), written)
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
@@ -253,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--runs", type=int, default=1)
     e.add_argument("--alpha", type=float, default=1.0)
     e.add_argument("--scale", type=float, default=1.0)
-    e.add_argument("--clamp", action="store_true",
-                   help="clamp/round perturbations to the feature schema")
-    e.add_argument("--selection", choices=["top_k", "kernel"], default="top_k")
     e.add_argument("--only-correct", action="store_true",
                    help="explain only instances predicted correctly by all supplied models")
     e.add_argument("--second-model", help="additional model for --only-correct filtering")
@@ -279,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("exp")
     v.add_argument("gte")
     v.add_argument("--second", help="second model's explainer matrix (invariance t-test)")
-    v.add_argument("--rank-by", choices=["absolute", "signed"], default="absolute")
-    v.add_argument("--zero-tolerance", type=float, default=0.0)
     v.add_argument("--dataset-name", default="dataset")
     v.add_argument("--out-dir", required=True)
     v.set_defaults(fn=cmd_evaluate)

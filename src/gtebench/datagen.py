@@ -104,10 +104,6 @@ class Dataset:
     seed: int
     config_hash: str
     equation: str  # "loan" | "time" | "distance"
-    # generation diagnostics for base-class rows (pre-rounding values and the
-    # energy computed from them); not serialized to CSV
-    base_raw: np.ndarray | None = None
-    base_energy: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -135,7 +131,8 @@ class Dataset:
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
-        """The rows and the sidecar; every label must be a class id below n_classes."""
+        """The rows and the sidecar; every label must be a class id below n_classes
+        and every variation id an integer."""
         def build(doc):
             fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
                                      schema=list)
@@ -144,13 +141,16 @@ class Dataset:
         fields = artifacts.read_json(artifacts.sidecar_path(path), build)
         d = len(fields["schema"].features)
         data = artifacts.read_csv(path, fields["schema"].names + ["label", "variation_id"])
-        labels, n = data[:, d], fields["n_classes"]
-        bad = np.flatnonzero(~((labels >= 0) & (labels < n) & (np.floor(labels) == labels)))
-        if bad.size:
-            raise ConfigError(f"{path}: label {labels[bad[0]]:g} of data row {bad[0] + 1} is "
-                              f"not an integer in [0, {n})")
+        labels, variation_ids, n = data[:, d], data[:, d + 1], fields["n_classes"]
+        # a float holds every integer in [-2**53, 2**53) exactly
+        for name, col, lo, hi, span in (("label", labels, 0, n, f" in [0, {n})"),
+                                        ("variation_id", variation_ids, -2**53, 2**53, "")):
+            bad = np.flatnonzero(~((col >= lo) & (col < hi) & (np.floor(col) == col)))
+            if bad.size:
+                raise ConfigError(f"{path}: {name} {col[bad[0]]:g} of data row {bad[0] + 1} is "
+                                  f"not an integer{span}")
         return Dataset(X=data[:, :d], labels=labels.astype(int),
-                       variation_ids=data[:, d + 1].astype(int), **fields)
+                       variation_ids=variation_ids.astype(int), **fields)
 
 
 def config_hash(obj) -> str:
@@ -389,9 +389,9 @@ def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
         base_raw = _grid_base_rows(cfg)
     else:
         base_raw = _draw_base_rows(cfg, rng)
+    # the base equation must be defined on every base row (distance rejects TO == 0)
     energy_fn, var_names = _ENERGY_FNS[cfg.equation]
-    idx = [cfg.schema.index(v) for v in var_names]
-    base_energy = energy_fn(*(base_raw[:, j] for j in idx))
+    energy_fn(*(base_raw[:, cfg.schema.index(v)] for v in var_names))
 
     blocks, labels, variation_ids = [], [], []
     for spec in sorted(cfg.variations, key=lambda v: v.class_id):
@@ -408,39 +408,4 @@ def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
         seed=seed,
         config_hash=config_hash(cfg.to_dict()),
         equation=cfg.equation,
-        base_raw=base_raw,
-        base_energy=base_energy,
     )
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics
-
-
-def class_overlap_report(dataset: Dataset) -> np.ndarray:
-    """Symmetric matrix of per-class-pair overlap fractions.
-
-    For classes (a, b): the fraction of their pooled instances that lie inside
-    the intersection of both classes' empirical bounding boxes.
-    """
-    if len(dataset) == 0 or dataset.n_classes < 2:
-        raise ConfigError("overlap report needs a non-empty dataset with >= 2 classes")
-    C = dataset.n_classes
-    boxes = []
-    members = []
-    for c in range(C):
-        Xc = dataset.X[dataset.labels == c]
-        members.append(Xc)
-        boxes.append((Xc.min(axis=0), Xc.max(axis=0)) if len(Xc) else None)
-    out = np.zeros((C, C))
-    np.fill_diagonal(out, 1.0)
-    for a in range(C):
-        for b in range(a + 1, C):
-            if boxes[a] is None or boxes[b] is None:
-                continue
-            lo = np.maximum(boxes[a][0], boxes[b][0])
-            hi = np.minimum(boxes[a][1], boxes[b][1])
-            pooled = np.vstack([members[a], members[b]])
-            inside = np.all((pooled >= lo) & (pooled <= hi), axis=1)
-            out[a, b] = out[b, a] = inside.mean()
-    return out

@@ -35,15 +35,14 @@ def c_of_ed(distances: np.ndarray) -> np.ndarray:
     return (1.0 - minmax_normalize(distances.ravel())).reshape(distances.shape)
 
 
-def rank_features(coeffs, rank_by: str = "absolute") -> np.ndarray:
-    """Feature indices by descending importance; ties by ascending index."""
+def rank_features(coeffs) -> np.ndarray:
+    """Feature indices by descending absolute value; ties by ascending index."""
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0:
         raise ValueError("empty coefficient vector")
     if not np.all(np.isfinite(c)):
         raise ValueError(f"non-finite coefficient in {c}")
-    key = np.abs(c) if rank_by == "absolute" else c
-    return np.lexsort((np.arange(c.size), -key))
+    return np.lexsort((np.arange(c.size), -np.abs(c)))
 
 
 def order_correct(gte_rank, exp_rank) -> tuple[int, int]:
@@ -63,11 +62,11 @@ def implementation_invariance(ed_a, ed_b) -> tuple[TTestResult, bool]:
     return res, res.p_value > INVARIANCE_P_THRESHOLD
 
 
-def zero_census(matrix: CoefficientMatrix, tolerance: float = 0.0):
-    """Per-feature counts of |coefficient| <= tolerance over all runs x
+def zero_census(matrix: CoefficientMatrix):
+    """Per-feature counts of exactly-zero coefficients over all runs x
     instances, and their rates among the cells that did not fail."""
     coef = matrix.coefficients
-    counts = (np.abs(coef) <= tolerance).sum(axis=(0, 1))
+    counts = (coef == 0).sum(axis=(0, 1))
     return counts.astype(int), counts / float(_finite(coef).sum())
 
 
@@ -185,8 +184,6 @@ def build_report(
     exp: CoefficientMatrix,
     gte: CoefficientMatrix,
     second_exp: CoefficientMatrix | None = None,
-    rank_by: str = "absolute",
-    zero_tolerance: float = 0.0,
 ) -> EvalReport:
     """Score ``exp`` against ``gte`` cell by cell. A cell where either fit
     failed is left out of ED, C-of-ED and the order measures; an instance's
@@ -206,8 +203,8 @@ def build_report(
     second = np.full((runs, n), np.nan)
     allc = np.full((runs, n), np.nan)
     for r, i in np.argwhere(ok):
-        g_rank = rank_features(gte.coefficients[r, i], rank_by)
-        e_rank = rank_features(exp.coefficients[r, i], rank_by)
+        g_rank = rank_features(gte.coefficients[r, i])
+        e_rank = rank_features(exp.coefficients[r, i])
         second[r, i], allc[r, i] = order_correct(g_rank, e_rank)
 
     scores = []
@@ -234,8 +231,8 @@ def build_report(
 
     kinds = Counter(msg.split(":", 1)[0] for m in (exp, gte, second_exp) if m is not None
                     for *_, msg in m.failures)
-    zc_e, zr_e = zero_census(exp, zero_tolerance)
-    zc_g, zr_g = zero_census(gte, zero_tolerance)
+    zc_e, zr_e = zero_census(exp)
+    zc_g, zr_g = zero_census(gte)
     return EvalReport(
         instance_scores=scores,
         ave_c_of_ed=float(np.mean([s.mean_c_of_ed for s in scores])),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .datagen import FeatureSchema, config_hash
+from .datagen import config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure
 from .numerics import (check_alpha, cosine_similarity_rows, make_rng, neighbourhood,
                        weighted_ridge)
@@ -25,13 +25,6 @@ class ExplainerConfig:
     n_perturb: int | None = None  # pool size; default 20 * num_samples, capped
     alpha: float = 1.0
     scale: float = 1.0  # std multiplier: a float, or a list with one per feature
-    # Off by default: the explainer is meant to perturb without knowing the
-    # schema's range/precision; enabling the clamp snaps perturbations onto
-    # the allowed grid, which collapses most neighborhoods onto duplicates
-    # of the instance and zeroes the fitted coefficients.
-    clamp_to_schema: bool = False
-    selection: str = "top_k"  # "top_k" | "kernel"
-    kernel_width: float = 0.25  # only for selection="kernel"
 
     def __post_init__(self):
         if self.num_samples < 1:
@@ -41,8 +34,6 @@ class ExplainerConfig:
         if not np.isfinite(scale).all() or (scale < 0).any() or not (scale > 0).any():
             raise ConfigError(f"scale must be finite and non-negative, with a positive entry; "
                               f"got {self.scale!r}")
-        if self.selection not in ("top_k", "kernel"):
-            raise ConfigError(f"selection must be top_k or kernel, got {self.selection!r}")
         if self.pool_size < self.num_samples:
             raise ConfigError(
                 f"perturbation pool ({self.pool_size}) smaller than num_samples ({self.num_samples})"
@@ -135,20 +126,16 @@ def perturb_instance(
     n: int,
     rng: np.random.Generator,
     scale=1.0,
-    schema: FeatureSchema | None = None,
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
-    per-feature std ``scale * stds``; clamp/round to the schema if given."""
+    per-feature std ``scale * stds``."""
     instance = np.asarray(instance, dtype=float)
     if n < 1:
         raise ConfigError(f"perturbation count must be positive, got {n}")
     eff = np.broadcast_to(np.asarray(scale, dtype=float) * np.asarray(stds, dtype=float), instance.shape)
     if np.all(eff == 0):
         raise DegenerateSampleError("all perturbation scales are zero")
-    pts = instance + rng.standard_normal((n, instance.size)) * eff
-    if schema is not None:
-        pts = schema.round_clamp(pts)
-    return pts
+    return instance + rng.standard_normal((n, instance.size)) * eff
 
 
 def explain(
@@ -157,38 +144,25 @@ def explain(
     stds: np.ndarray,
     cfg: ExplainerConfig,
     rng: np.random.Generator,
-    schema: FeatureSchema | None = None,
 ) -> tuple[np.ndarray, float]:
     """Explain one prediction; returns (coefficients, intercept).
 
     ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stds``
-    are the per-feature standard deviations of the training data. ``schema``
-    clamps the perturbations only when ``cfg.clamp_to_schema`` is set.
+    are the per-feature standard deviations of the training data.
     """
     instance = np.asarray(instance, dtype=float)
-    schema = schema if cfg.clamp_to_schema else None
-    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale, schema)
+    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale)
     sims = cosine_similarity_rows(points, instance)
-    # zero-norm perturbations have undefined similarity: replace them
-    for _ in range(10):
-        bad = np.isnan(sims)
-        if not bad.any():
-            break
-        redraw = perturb_instance(instance, stds, int(bad.sum()), rng, cfg.scale, schema)
-        points[bad] = redraw
-        sims[bad] = cosine_similarity_rows(redraw, instance)
-    else:
-        raise DegenerateSampleError("could not draw enough nonzero perturbations")
+    # a zero-norm (or non-finite) perturbation has no similarity to rank by
+    if np.isnan(sims).any():
+        raise DegenerateSampleError("a perturbation has undefined cosine similarity")
 
     probs = model.predict_batch(points)
     p_self = model.predict_batch(instance[None, :])[0]
     pred_class = int(np.argmax(p_self))
-    weights = None
-    if cfg.selection == "kernel":
-        weights = np.exp(-((1.0 - sims) ** 2) / cfg.kernel_width**2)
     # ties in similarity are broken by draw order
     X, y, w = neighbourhood(instance, p_self[pred_class], points, probs[:, pred_class], sims,
-                            cfg.num_samples, weights=weights)
+                            cfg.num_samples)
     return weighted_ridge(X, y, w, cfg.alpha)
 
 
@@ -199,7 +173,6 @@ def batch_explain(
     cfg: ExplainerConfig,
     runs: int,
     base_seed: int,
-    schema: FeatureSchema | None = None,
     dataset_hash: str = "",
     instance_ids: np.ndarray | None = None,
 ) -> CoefficientMatrix:
@@ -208,10 +181,12 @@ def batch_explain(
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     n, d = instances.shape
     return CoefficientMatrix.fill(
-        lambda r, i: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i), schema),
+        lambda r, i: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i)),
         runs, runs, d,
         source="explainer",
-        config_hash=config_hash(asdict(cfg)),
+        # every explainer matrix written so far was hashed with these keys
+        config_hash=config_hash({**asdict(cfg), "clamp_to_schema": False, "selection": "top_k",
+                                 "kernel_width": 0.25}),
         dataset_hash=dataset_hash,
         seed=base_seed,
         instance_ids=np.arange(n) if instance_ids is None else np.asarray(instance_ids, dtype=int),

@@ -41,7 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.learning_rate <= 0 or self.batch_size < 1:
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
+        if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"invalid training config: {self}")
 
 

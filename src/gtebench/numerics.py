@@ -121,13 +121,12 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def neighbourhood(target, y_target, pool, y_pool, sims, k: int, weights=None):
+def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
     """Design ``(X, y, w)`` of a local surrogate fit around ``target``.
 
     The target comes first with weight 1, then the ``k`` pool rows of highest
     similarity: a stable descending sort of ``sims``, ties broken by pool
-    order. Each selected row is weighted by its entry of ``weights``
-    (default: its similarity).
+    order. Each selected row is weighted by its similarity.
 
     Only the rows at or above the k-th score are sorted: every row strictly
     above it is selected, and rows tied with it keep their pool order, so the
@@ -142,9 +141,8 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int, weights=None):
     order = cand[np.argsort(s[cand], kind="stable")[:k]]
     X = np.vstack([target[None, :], pool[order]])
     y = np.concatenate([[y_target], y_pool[order]])
-    w = (sims if weights is None else weights)[order]
     # ridge weights must be non-negative; anti-aligned rows carry no weight
-    return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
+    return X, y, np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
 
 
 def check_alpha(alpha: float) -> None:

@@ -14,7 +14,6 @@ class Series:
     name: str
     ys: tuple[float, ...]
     color: str
-    xs: tuple[float, ...] | None = None
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -52,13 +51,9 @@ def line_chart(
     ml, mr, mt, mb = 60, 160, 40, 50  # margins: left/right/top/bottom
     pw, ph = width - ml - mr, height - mt - mb
 
-    all_x: list[float] = []
-    all_y: list[float] = []
-    for s in series:
-        xs = s.xs if s.xs is not None else tuple(range(len(s.ys)))
-        all_x.extend(xs)
-        all_y.extend(s.ys)
-    x_lo, x_hi = min(all_x), max(all_x)
+    # point k of every series is drawn at x = k
+    all_y = [y for s in series for y in s.ys]
+    x_lo, x_hi = 0, max(len(s.ys) for s in series) - 1
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -94,8 +89,7 @@ def line_chart(
                          extra=f' transform="rotate(-90 16 {_fmt(mt + ph / 2)})"'))
     # series + legend
     for k, s in enumerate(series):
-        xs = s.xs if s.xs is not None else tuple(range(len(s.ys)))
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, s.ys))
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in enumerate(s.ys))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{s.color}" stroke-width="1.5"/>'
         )

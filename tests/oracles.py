@@ -114,13 +114,12 @@ def summary_csv_oracle(first_column: str, rows) -> str:
 # gte.gte_explain, which share gtebench.numerics.neighbourhood.
 
 
-def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k, weights=None):
+def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k):
     """The neighbourhood design from a full stable sort of every pool row."""
     order = np.lexsort((np.arange(len(sims)), -sims))[:k]
     X = np.vstack([target[None, :], pool[order]])
     y = np.concatenate([[y_target], y_pool[order]])
-    w = (sims if weights is None else weights)[order]
-    return X, y, np.maximum(np.concatenate([[1.0], w]), 0.0)
+    return X, y, np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
 
 
 def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
@@ -131,33 +130,20 @@ def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
     order = np.lexsort((np.arange(len(sims)), -sims))[:k]
     X_fit = np.vstack([instance[None, :], points[order]])
     y_fit = np.concatenate([[p_instance], probs[order]])
-    if cfg.selection == "kernel":
-        w_sel = np.exp(-((1.0 - sims[order]) ** 2) / cfg.kernel_width**2)
-        w = np.concatenate([[1.0], w_sel])
-    else:
-        w = np.concatenate([[1.0], sims[order]])
-    w = np.maximum(w, 0.0)
+    w = np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
     return weighted_ridge(X_fit, y_fit, w, cfg.alpha)
 
 
-def explain_oracle(model, instance, stds, cfg, rng, schema=None):
+def explain_oracle(model, instance, stds, cfg, rng):
     from gtebench.errors import DegenerateSampleError
     from gtebench.explainer import perturb_instance
     from gtebench.numerics import cosine_similarity_rows
 
     instance = np.asarray(instance, dtype=float)
-    schema = schema if cfg.clamp_to_schema else None
-    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale, schema)
+    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale)
     sims = cosine_similarity_rows(points, instance)
-    for _ in range(10):
-        bad = np.isnan(sims)
-        if not bad.any():
-            break
-        redraw = perturb_instance(instance, stds, int(bad.sum()), rng, cfg.scale, schema)
-        points[bad] = redraw
-        sims[bad] = cosine_similarity_rows(redraw, instance)
-    else:
-        raise DegenerateSampleError("could not draw enough nonzero perturbations")
+    if np.isnan(sims).any():
+        raise DegenerateSampleError("a perturbation has undefined cosine similarity")
     probs = model.predict_batch(points)
     p_self = model.predict_batch(instance[None, :])[0]
     pred_class = int(np.argmax(p_self))

@@ -163,7 +163,12 @@ class TestTrainExplainAlignEvaluate:
     @pytest.mark.parametrize("argv", [
         ("generate", "loan", "--out", "loan.csv", "--threads", 2),
         ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g", "--resample-per-run"),
-    ], ids=["threads", "resample-per-run"])
+        ("explain", "m.json", "loan.csv", "--num-samples", 5, "--out", "e.csv", "--clamp"),
+        ("explain", "m.json", "loan.csv", "--num-samples", 5, "--out", "e.csv",
+         "--selection", "kernel"),
+        ("evaluate", "e.csv", "g.csv", "--out-dir", "ev", "--rank-by", "signed"),
+        ("evaluate", "e.csv", "g.csv", "--out-dir", "ev", "--zero-tolerance", 1e-9),
+    ], ids=["threads", "resample-per-run", "clamp", "selection", "rank-by", "zero-tolerance"])
     def test_removed_option_rejected(self, workdir, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
@@ -323,8 +328,11 @@ class TestRejectedInputs:
         (("align", "loan.csv", "--num-samples", "5", "--alpha", "nan", "--out-prefix", "o"),
          "alpha"),
         (("train", "loan.csv", "--epochs", 0, "--out", "o.json"), "epochs=0"),
+        (("train", "loan.csv", "--lr", "nan", "--out", "o.json"), "learning_rate"),
+        (("train", "loan.csv", "--lr", "inf", "--out", "o.json"), "learning_rate"),
+        (("train", "loan.csv", "--lr", 0, "--out", "o.json"), "learning_rate"),
     ], ids=["explain-alpha-negative", "explain-alpha-nan", "align-alpha-negative",
-            "align-alpha-nan", "epochs-0"])
+            "align-alpha-nan", "epochs-0", "lr-nan", "lr-inf", "lr-0"])
     def test_option_exit_2(self, quick, capsys, argv, words):
         assert run(*argv) == 2
         self._one_error_line(capsys, words)
@@ -374,13 +382,17 @@ class TestRejectedInputs:
         self._one_error_line(capsys, "report.json")
         assert not (quick / "plots").exists()
 
-    @pytest.mark.parametrize("label", ["7", "nan"])
-    def test_dataset_label_exit_2(self, quick, capsys, label):
+    @pytest.mark.parametrize("fields, words", [
+        ("7,0", "label 7 of data row 5"),
+        ("nan,0", "label nan of data row 5"),
+        ("0,nan", "variation_id nan of data row 5"),
+    ], ids=["7", "nan", "variation_id-nan"])
+    def test_dataset_label_exit_2(self, quick, capsys, fields, words):
         lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
-        lines[5] = lines[5][: lines[5].rindex(",", 0, lines[5].rindex(","))] + f",{label},0\n"
+        lines[5] = lines[5][: lines[5].rindex(",", 0, lines[5].rindex(","))] + f",{fields}\n"
         (quick / "loan.csv").write_text("".join(lines))
         assert run("train", "loan.csv", "--out", "o.json", "--epochs", 2) == 2
-        self._one_error_line(capsys, "loan.csv", f"label {label} of data row 5")
+        self._one_error_line(capsys, "loan.csv", words)
         assert not (quick / "o.json").exists()
 
     def test_model_for_another_dataset_exit_3(self, quick, capsys):
@@ -417,15 +429,13 @@ class TestManifestHashes:
         assert run("explain", "m1.0.json", "loan.csv", "--num-samples", 5, "--out", "e.csv") == 0
         assert run("explain", "m0.8.json", "loan.csv", "--num-samples", 5, "--out", "e2.csv") == 0
         assert run("align", "loan.csv", "--num-samples", "5,10", "--out-prefix", "g") == 0
-        variants = [(), ("--rank-by", "signed"), ("--zero-tolerance", 1e-9),
-                    ("--second", "e2.csv")]
-        for k, extra in enumerate(variants):
+        for k, extra in enumerate([(), ("--second", "e2.csv"), ("--dataset-name", "loan")]):
             assert run("evaluate", "e.csv", "g_ns5.csv", *extra, "--out-dir", f"ev{k}") == 0
         assert run("evaluate", "e.csv", "g_ns10.csv", "--out-dir", "ev_g10") == 0
         entries = _stage_entries(workdir, "evaluate")
         hashes = [e["config_hash"] for e in entries]
-        assert len(hashes) == len(set(hashes)) == 5
-        assert entries[3]["inputs"] == ["e.csv", "g_ns5.csv", "e2.csv"]
+        assert len(hashes) == len(set(hashes)) == 4
+        assert entries[1]["inputs"] == ["e.csv", "g_ns5.csv", "e2.csv"]
 
     def test_default_explain_and_align_config_hashes(self, workdir):
         # the configs' hashes are part of every matrix sidecar: changing how a
@@ -438,6 +448,9 @@ class TestManifestHashes:
                    for name in ("e", "g_ns5", "g_ns25")}
         assert {k: v["config_hash"] for k, v in sidecar.items()} == {
             "e": "1a75aff604ef20c6", "g_ns5": "839295c669448f7f", "g_ns25": "9d16459ae5eb0c29"}
+        # evaluate hashes the matrices' hashes and its own defaults
+        assert run("evaluate", "e.csv", "g_ns25.csv", "--out-dir", "ev") == 0
+        assert _stage_entries(workdir, "evaluate")[0]["config_hash"] == "b39db534ca15ffb6"
 
 
 # The fuzz below mutates each artifact the CLI reads and runs the one

@@ -8,18 +8,18 @@ from gtebench.datagen import (
     DEFAULT_LOAN_REMOVALS,
     Dataset,
     EquationConfig,
-    FeatureSchema,
     VariationSpec,
+    _draw_base_rows,
     apply_variation_raw,
     base_energy_distance,
     base_energy_time,
-    class_overlap_report,
     generate_equation_dataset,
     generate_loan,
     loan_label,
     loan_score,
 )
 from gtebench.errors import ConfigError, NumericFailure
+from gtebench.numerics import make_rng
 
 from importlib import resources
 
@@ -160,25 +160,24 @@ class TestGenerateEquationDataset:
     def test_mode_table_scales_by_mode(self):
         doc = TIME_CFG.to_dict()
         doc["rows_per_class"] = 50
-        plain = generate_equation_dataset(EquationConfig.from_dict(doc), seed=4)
+        plain = _draw_base_rows(EquationConfig.from_dict(doc), make_rng(4, 0))
         doc["schema"][0]["mode_table"] = [1.0, 2.0, 1.0, 1.0, 1.0]
-        scaled = generate_equation_dataset(EquationConfig.from_dict(doc), seed=4)
+        scaled = _draw_base_rows(EquationConfig.from_dict(doc), make_rng(4, 0))
         mode = TIME_CFG.schema.index("m")
-        doubled = plain.base_raw[:, mode] == 2
+        doubled = plain[:, mode] == 2
         assert doubled.any() and not doubled.all()
-        assert np.array_equal(scaled.base_raw[doubled, 0], 2 * plain.base_raw[doubled, 0])
-        assert np.array_equal(scaled.base_raw[~doubled], plain.base_raw[~doubled])
+        assert np.array_equal(scaled[doubled, 0], 2 * plain[doubled, 0])
+        assert np.array_equal(scaled[~doubled], plain[~doubled])
 
-    def test_base_rows_satisfy_equation(self):
-        for cfg_src, fn, names in [
-            (TIME_CFG, base_energy_time, ("TT", "Speed", "FE")),
-            (DIST_CFG, base_energy_distance, ("TF", "TD", "TO", "EI")),
-        ]:
-            cfg = EquationConfig(cfg_src.equation, cfg_src.schema, cfg_src.variations, 200)
-            ds = generate_equation_dataset(cfg, seed=4)
-            cols = [ds.base_raw[:, cfg.schema.index(n)] for n in names]
-            residual = np.abs(fn(*cols) - ds.base_energy)
-            assert residual.max() < 1e-9
+    def test_zero_occupancy_rejected(self):
+        # generate evaluates the base equation on every base row, and the
+        # distance equation is undefined where TO is 0
+        doc = DIST_CFG.to_dict()
+        doc["rows_per_class"] = 20
+        occupancy = doc["schema"][DIST_CFG.schema.index("TO")]
+        occupancy.update(mu=0.0, sigma=0.0, trunc_lo=0.0, trunc_hi=0.0)
+        with pytest.raises(NumericFailure, match="occupancy"):
+            generate_equation_dataset(EquationConfig.from_dict(doc), seed=4)
 
     def test_schema_interval_and_precision(self):
         cfg = EquationConfig(TIME_CFG.equation, TIME_CFG.schema, TIME_CFG.variations, 100)
@@ -232,36 +231,3 @@ class TestCsvRoundTrip:
         back = Dataset.load_csv(p)
         assert len(back) == 0 and back.X.shape == (0, 3) and back.labels.shape == (0,)
 
-
-class TestClassOverlap:
-    def _toy(self, X, labels, n_classes):
-        schema = FeatureSchema.from_dict(
-            [{"name": "a", "kind": "continuous", "lo": -1e9, "hi": 1e9}]
-        )
-        return Dataset(schema, np.asarray(X, float), np.asarray(labels), np.asarray(labels),
-                       n_classes, 0, "h", "time")
-
-    def test_disjoint(self):
-        ds = self._toy([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], 2)
-        assert class_overlap_report(ds)[0, 1] == 0.0
-
-    def test_identical(self):
-        ds = self._toy([[0.0], [1.0], [0.0], [1.0]], [0, 0, 1, 1], 2)
-        m = class_overlap_report(ds)
-        assert m[0, 1] == 1.0
-        assert np.array_equal(m, m.T)
-
-    def test_single_class_error(self):
-        ds = self._toy([[0.0]], [0], 1)
-        with pytest.raises(ConfigError):
-            class_overlap_report(ds)
-
-    def test_loan_brute_force(self, loan_dataset):
-        m = class_overlap_report(loan_dataset)
-        # brute-force bounding-box intersection over the 54 instances
-        X, y = loan_dataset.X, loan_dataset.labels
-        boxes = [(X[y == c].min(axis=0), X[y == c].max(axis=0)) for c in (0, 1)]
-        lo = np.maximum(boxes[0][0], boxes[1][0])
-        hi = np.minimum(boxes[0][1], boxes[1][1])
-        expected = np.all((X >= lo) & (X <= hi), axis=1).mean()
-        assert m[0, 1] == pytest.approx(expected)

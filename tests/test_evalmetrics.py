@@ -88,9 +88,6 @@ class TestRankFeatures:
     def test_all_tie(self):
         assert list(rank_features([0.0, 0.0, 0.0])) == [0, 1, 2]
 
-    def test_signed_mode(self):
-        assert list(rank_features([0.2, -0.9, 0.5], rank_by="signed")) == [2, 0, 1]
-
     def test_non_finite(self):
         with pytest.raises(ValueError):
             rank_features([np.nan, 1.0])
@@ -149,10 +146,6 @@ class TestZeroCensus:
 
     def test_row_pattern(self):
         counts, _ = zero_census(_matrix([[[0.0, 0.3, 0.0]]]))
-        assert list(counts) == [1, 0, 1]
-
-    def test_tolerance(self):
-        counts, _ = zero_census(_matrix([[[1e-9, 0.3, 0.0]]]), tolerance=1e-6)
         assert list(counts) == [1, 0, 1]
 
     def test_rates_over_surviving_cells(self):

@@ -134,11 +134,10 @@ class TestNeighbourhood:
         sims=st.lists(st.sampled_from(SIM_GRID), min_size=1, max_size=40),
         extra_k=st.integers(0, 3),
         k_frac=st.floats(0, 1),
-        weighted=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, weighted, seed):
+    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, seed):
         sims = np.array(sims)
         n = len(sims)
         # k from 1 to n, or past n (every row selected)
@@ -147,9 +146,8 @@ class TestNeighbourhood:
         pool = rng.integers(-3, 4, size=(n, 3)).astype(float)
         y_pool = rng.random(n)
         target = rng.normal(size=3)
-        weights = rng.choice([0.0, 0.5, -1.0, 2.0], size=n) if weighted else None
-        got = neighbourhood(target, 0.75, pool, y_pool, sims, k, weights)
-        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k, weights)
+        got = neighbourhood(target, 0.75, pool, y_pool, sims, k)
+        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
