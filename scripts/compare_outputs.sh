@@ -6,7 +6,7 @@
 # Checks REV out into a temporary git worktree and runs the same CLI
 # sequence in both trees: the steps of scripts/run_loan_pipeline.sh, then a
 # desk-scale distance run (generate, train, explain --sample, align
-# --instances-from, evaluate, report). Every file written, manifest.jsonl
+# --instances-from at ns 5,25,50, evaluate, report). Every file written, manifest.jsonl
 # aside (it records paths), must be byte-identical; exits 1 on any difference.
 set -euo pipefail
 
@@ -48,7 +48,7 @@ run_sequence() {
     cli generate distance --out dist/distance.csv --seed 7
     cli train dist/distance.csv --model-config "$cfg/nn1.json" --out dist/nn1.json --split 0.8 --epochs 3 --lr 0.3 --batch-size 16 --seed 11
     cli explain dist/nn1.json dist/distance.csv --num-samples 25 --runs 5 --sample 40 --seed 100 --out dist/exp.csv
-    cli align dist/distance.csv --num-samples 25 --runs 5 --seed 100 --instances-from dist/exp.csv --out-prefix dist/gte
+    cli align dist/distance.csv --num-samples 5,25,50 --runs 5 --seed 100 --instances-from dist/exp.csv --out-prefix dist/gte
     cli evaluate dist/exp.csv dist/gte_ns25.csv --out-dir dist/eval --dataset-name distance
     cli report dist/eval eval_ns25 --out-dir dist/plots
 }

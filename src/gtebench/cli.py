@@ -144,10 +144,12 @@ def cmd_align(args) -> int:
                               f"the dataset's rows [0, {len(ds)})")
     else:
         idx = np.arange(len(ds))
+    repeated = [ns for k, ns in enumerate(args.num_samples) if ns in args.num_samples[:k]]
+    if repeated:
+        raise ConfigError(f"--num-samples lists {repeated[0]} more than once")
+    cfgs = [GteConfig(num_samples=ns, alpha=args.alpha) for ns in args.num_samples]
     outputs = []
-    for ns in args.num_samples:
-        cfg = GteConfig(num_samples=ns, alpha=args.alpha)
-        mat = batch_gte(ds, idx, cfg, args.runs, args.seed)
+    for ns, mat in zip(args.num_samples, batch_gte(ds, idx, cfgs, args.runs, args.seed)):
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         out.parent.mkdir(parents=True, exist_ok=True)
         outputs += mat.save_csv(out)

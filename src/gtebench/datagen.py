@@ -124,6 +124,7 @@ class Dataset:
             "config_hash": self.config_hash,
             "n_classes": self.n_classes,
             "schema": self.schema.to_dict(),
+            "rows": len(self),
         }
         return artifacts.write_csv(path, self.schema.names + ["label", "variation_id"],
                                    fmts + ["%d", "%d"], cols + [self.labels, self.variation_ids],
@@ -131,16 +132,20 @@ class Dataset:
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
-        """The rows and the sidecar; every label must be a class id below n_classes
-        and every variation id an integer."""
+        """The rows and the sidecar; the CSV must hold the sidecar's number of
+        rows, every label must be a class id below n_classes and every
+        variation id an integer."""
         def build(doc):
             fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
-                                     schema=list)
+                                     schema=list, rows=int)
             return {**fields, "schema": FeatureSchema.from_dict(fields["schema"])}
 
         fields = artifacts.read_json(artifacts.sidecar_path(path), build)
+        rows = fields.pop("rows")
         d = len(fields["schema"].features)
         data = artifacts.read_csv(path, fields["schema"].names + ["label", "variation_id"])
+        if len(data) != rows:
+            raise ConfigError(f"{path}: {len(data)} rows, sidecar records {rows}")
         labels, variation_ids, n = data[:, d], data[:, d + 1], fields["n_classes"]
         # a float holds every integer in [-2**53, 2**53) exactly
         for name, col, lo, hi, span in (("label", labels, 0, n, f" in [0, {n})"),

@@ -64,32 +64,43 @@ class CoefficientMatrix:
         return self.coefficients.shape
 
     @classmethod
-    def fill(cls, fit, runs: int, distinct_runs: int, n_features: int,
-             **fields) -> "CoefficientMatrix":
-        """Matrix of ``fit(r, i) -> (coefficients, intercept)`` over every run
-        below ``distinct_runs`` and every instance in ``fields["instance_ids"]``;
-        each later run is a copy of run 0, failures included.
+    def fill(cls, cell, runs: int, distinct_runs: int, n_features: int,
+             fields: list[dict]) -> list["CoefficientMatrix"]:
+        """One matrix per entry of ``fields`` (the other dataclass fields, the
+        same ``instance_ids`` in each), filled cell by cell over every run below
+        ``distinct_runs`` and every instance: ``cell(r, i)`` does the work the
+        matrices share and returns one zero-argument fit per matrix, each giving
+        (coefficients, intercept). Each later run is a copy of run 0, failures
+        included.
 
-        A fit that fails numerically leaves a NaN cell and a (run, instance,
-        message) failure; failures are listed in run-major order.
+        A numeric failure leaves a NaN cell and a (run, instance, message)
+        failure: in every matrix when ``cell`` raises it, in its own matrix
+        when a fit does. Failures are listed in run-major order.
         """
         if runs < 1:
             raise ConfigError(f"runs must be positive, got {runs}")
-        n = len(fields["instance_ids"])
-        coef = np.full((runs, n, n_features), np.nan)
-        inter = np.full((runs, n), np.nan)
-        failures: list[tuple[int, int, str]] = []
+        n = len(fields[0]["instance_ids"])
+        mats = [cls(coefficients=np.full((runs, n, n_features), np.nan),
+                    intercepts=np.full((runs, n), np.nan), **f) for f in fields]
         for r in range(runs):
             if r >= distinct_runs:
-                coef[r], inter[r] = coef[0], inter[0]
-                failures += [(r, i, msg) for r0, i, msg in failures if r0 == 0]
+                for m in mats:
+                    m.coefficients[r], m.intercepts[r] = m.coefficients[0], m.intercepts[0]
+                    m.failures += [(r, i, msg) for r0, i, msg in m.failures if r0 == 0]
                 continue
             for i in range(n):
                 try:
-                    coef[r, i], inter[r, i] = fit(r, i)
+                    fits = cell(r, i)
                 except NumericFailure as exc:  # record, keep going
-                    failures.append((r, i, f"{type(exc).__name__}: {exc}"))
-        return cls(coefficients=coef, intercepts=inter, failures=failures, **fields)
+                    for m in mats:
+                        m.failures.append((r, i, _failure_message(exc)))
+                    continue
+                for m, fit in zip(mats, fits, strict=True):
+                    try:
+                        m.coefficients[r, i], m.intercepts[r, i] = fit()
+                    except NumericFailure as exc:
+                        m.failures.append((r, i, _failure_message(exc)))
+        return mats
 
     def save_csv(self, path: str | Path) -> list[Path]:
         """Write the rows and the sidecar; returns the paths written."""
@@ -108,6 +119,10 @@ class CoefficientMatrix:
     def load_csv(path: str | Path) -> "CoefficientMatrix":
         coef, inter, ids, fields = artifacts.read_matrix(path, _sidecar_fields)
         return CoefficientMatrix(coefficients=coef, intercepts=inter, instance_ids=ids, **fields)
+
+
+def _failure_message(exc: NumericFailure) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _sidecar_fields(doc: dict) -> dict:
@@ -180,14 +195,16 @@ def batch_explain(
     (run, instance) so results are independent of execution order."""
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     n, d = instances.shape
-    return CoefficientMatrix.fill(
-        lambda r, i: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i)),
+    [mat] = CoefficientMatrix.fill(
+        lambda r, i: [lambda: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i))],
         runs, runs, d,
-        source="explainer",
-        # every explainer matrix written so far was hashed with these keys
-        config_hash=config_hash({**asdict(cfg), "clamp_to_schema": False, "selection": "top_k",
-                                 "kernel_width": 0.25}),
-        dataset_hash=dataset_hash,
-        seed=base_seed,
-        instance_ids=np.arange(n) if instance_ids is None else np.asarray(instance_ids, dtype=int),
+        [dict(source="explainer",
+              # every explainer matrix written so far was hashed with these keys
+              config_hash=config_hash({**asdict(cfg), "clamp_to_schema": False,
+                                       "selection": "top_k", "kernel_width": 0.25}),
+              dataset_hash=dataset_hash,
+              seed=base_seed,
+              instance_ids=(np.arange(n) if instance_ids is None
+                            else np.asarray(instance_ids, dtype=int)))],
     )
+    return mat

@@ -8,6 +8,7 @@ same-class indicator as the regression target.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,56 +31,74 @@ class GteConfig:
         check_alpha(self.alpha)
 
 
-def gte_explain(
+def _check_num_samples(k: int, dataset: Dataset) -> None:
+    if k >= len(dataset):
+        raise ConfigError(f"num_samples ({k}) must be below dataset size ({len(dataset)})")
+
+
+def gte_design(
     dataset: Dataset,
     index: int,
-    cfg: GteConfig,
+    k: int,
     norms: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Ground-truth coefficients for the instance at row ``index``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Neighbourhood design ``(X, y, w)`` of the instance at row ``index``:
+    the target, then the ``k`` other rows most similar to it, with the
+    same-class indicator as ``y``.
 
-    Deterministic for fixed (dataset, index, cfg); ties in similarity are
-    broken by ascending row id. ``norms`` are the row norms of ``dataset.X``,
-    computed here when not given.
+    Deterministic for fixed (dataset, index, k); ties in similarity are broken
+    by ascending row id, so the first ``j + 1`` rows are the design at any
+    ``j`` < ``k``. ``norms`` are the row norms of ``dataset.X``, computed here
+    when not given.
     """
-    n = len(dataset)
-    if cfg.num_samples >= n:
-        raise ConfigError(
-            f"num_samples ({cfg.num_samples}) must be below dataset size ({n})"
-        )
+    _check_num_samples(k, dataset)
     target = dataset.X[index]
     sims = cosine_similarity_rows(dataset.X, target, norms)
     # zero-vector rows cannot be ranked: they go to the end, the target after them
     sims[np.isnan(sims)] = -2.0
     sims[index] = -np.inf
     label = dataset.labels[index]
-    X, labels, w = neighbourhood(target, label, dataset.X, dataset.labels, sims,
-                                 cfg.num_samples)
+    X, labels, w = neighbourhood(target, label, dataset.X, dataset.labels, sims, k)
     # same-class indicator, built for the selected rows only (the target is first)
-    return weighted_ridge(X, (labels == label).astype(float), w, cfg.alpha)
+    return X, (labels == label).astype(float), w
+
+
+def gte_explain(design: tuple[np.ndarray, np.ndarray, np.ndarray],
+                cfg: GteConfig) -> tuple[np.ndarray, float]:
+    """Ground-truth coefficients from the first ``cfg.num_samples + 1`` rows
+    of a :func:`gte_design` built at ``k`` >= ``cfg.num_samples``."""
+    m = cfg.num_samples + 1
+    X, y, w = design
+    return weighted_ridge(X[:m], y[:m], w[:m], cfg.alpha)
 
 
 def batch_gte(
     dataset: Dataset,
     indices: np.ndarray,
-    cfg: GteConfig,
+    cfgs: list[GteConfig],
     runs: int,
     base_seed: int,
-) -> CoefficientMatrix:
-    """runs x len(indices) x d tensor, source tag "gte".
+) -> list[CoefficientMatrix]:
+    """One runs x len(indices) x d tensor per entry of ``cfgs``, source tag "gte".
 
-    The procedure is deterministic on fixed data, so run 0 is computed and
-    every other run is a copy of it; ``base_seed`` only labels the sidecar.
+    Each target's design is built once, at the largest ``num_samples``, and
+    every config fits its leading rows. The procedure is deterministic on fixed
+    data, so run 0 is computed and every other run is a copy of it;
+    ``base_seed`` only labels the sidecars.
     """
     indices = np.asarray(indices, dtype=int)
     norms = row_norms(dataset.X)
+    k = max(cfg.num_samples for cfg in cfgs)
+    _check_num_samples(k, dataset)  # also when there is no target to rank
+
+    def cell(r, i):
+        design = gte_design(dataset, int(indices[i]), k, norms)
+        return [functools.partial(gte_explain, design, cfg) for cfg in cfgs]
+
     return CoefficientMatrix.fill(
-        lambda r, k: gte_explain(dataset, int(indices[k]), cfg, norms),
-        runs, 1, dataset.n_features,
-        source="gte",
+        cell, runs, 1, dataset.n_features,
         # every GTE matrix written so far was hashed with this key
-        config_hash=config_hash({**asdict(cfg), "resample_per_run": False}),
-        dataset_hash=dataset.config_hash,
-        seed=base_seed,
-        instance_ids=indices,
+        [dict(source="gte", config_hash=config_hash({**asdict(cfg), "resample_per_run": False}),
+              dataset_hash=dataset.config_hash, seed=base_seed, instance_ids=indices)
+         for cfg in cfgs],
     )

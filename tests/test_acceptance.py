@@ -42,7 +42,7 @@ def loan_pipeline():
     cfg25 = ExplainerConfig(num_samples=25)
     exp1 = batch_explain(nn1, ds.X, stds, cfg25, 100, SEED, ds.config_hash)
     exp2 = batch_explain(nn2, ds.X, stds, cfg25, 100, SEED, ds.config_hash)
-    gte25 = batch_gte(ds, np.arange(len(ds)), GteConfig(num_samples=25), 100, SEED)
+    [gte25] = batch_gte(ds, np.arange(len(ds)), [GteConfig(num_samples=25)], 100, SEED)
     report = build_report(exp1, gte25, exp2)
     elapsed = time.time() - t0
     return dict(ds=ds, nn1=nn1, nn2=nn2, stds=stds, exp1=exp1, exp2=exp2,
@@ -85,8 +85,8 @@ def test_criterion_2_zero_coefficient_phenomenon(loan_pipeline):
     p = loan_pipeline
     ds, stds = p["ds"], p["stds"]
     idx = np.arange(len(ds))
-    gte5 = batch_gte(ds, idx, GteConfig(num_samples=5), 1, SEED)
-    gte50 = batch_gte(ds, idx, GteConfig(num_samples=50), 1, SEED)
+    gte5, gte50 = batch_gte(ds, idx, [GteConfig(num_samples=5), GteConfig(num_samples=50)], 1,
+                            SEED)
     exp5 = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=5),
                          50, SEED, ds.config_hash)
     _, r5 = zero_census(gte5)
@@ -106,7 +106,7 @@ def test_criterion_3_metric_consistency(loan_pipeline):
     for ns in (5, 50):
         exp = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=ns),
                             25, SEED, ds.config_hash)
-        gte_m = batch_gte(ds, np.arange(len(ds)), GteConfig(num_samples=ns), 25, SEED)
+        [gte_m] = batch_gte(ds, np.arange(len(ds)), [GteConfig(num_samples=ns)], 25, SEED)
         reports.append(build_report(exp, gte_m))
     ok = True
     for rep in reports:

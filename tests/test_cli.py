@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gtebench import cli
@@ -133,11 +133,21 @@ class TestTrainExplainAlignEvaluate:
         assert not (workdir / "ev3").exists()
 
     def test_align_num_samples_too_large_exit_2(self, workdir, capsys):
+        # the whole list is checked before the first fit or write
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
-        assert run("align", "loan.csv", "--num-samples", "60", "--runs", 2,
-                   "--out-prefix", "g") == 2
-        assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
-        assert not (workdir / "g_ns60.csv").exists()
+        for values in ("60", "5,60"):
+            assert run("align", "loan.csv", "--num-samples", values, "--runs", 2,
+                       "--out-prefix", "g") == 2
+            assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
+            assert not list(workdir.glob("g_ns*"))
+
+    @pytest.mark.parametrize("values, words", [("25,25", "--num-samples lists 25 more than once"),
+                                               ("5,0", "num_samples must be positive, got 0")])
+    def test_align_num_samples_list_exit_2(self, workdir, capsys, values, words):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        assert run("align", "loan.csv", "--num-samples", values, "--out-prefix", "g") == 2
+        assert words in capsys.readouterr().err
+        assert not list(workdir.glob("g_ns*"))
 
     @pytest.mark.parametrize("bad_id", [99, -1])
     def test_align_instance_id_out_of_range_exit_2(self, workdir, capsys, bad_id):
@@ -309,7 +319,7 @@ class TestRejectedInputs:
         assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv") == 2
         self._one_error_line(capsys, "m1.json", key)
 
-    @pytest.mark.parametrize("key", ["n_classes", "schema", "seed", "equation"])
+    @pytest.mark.parametrize("key", ["n_classes", "schema", "seed", "equation", "rows"])
     def test_dataset_sidecar_without_key_exit_2(self, quick, capsys, key):
         meta_path = quick / "loan.csv.meta.json"
         meta = json.loads(meta_path.read_text())
@@ -318,6 +328,18 @@ class TestRejectedInputs:
         assert run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g") == 2
         self._one_error_line(capsys, "loan.csv.meta.json", key)
         assert not (quick / "g_ns5.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "loan.csv", "--out", "o.json", "--epochs", 2),
+        ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "o"),
+    ], ids=["train", "align"])
+    def test_dataset_cut_at_a_row_boundary_exit_2(self, quick, capsys, argv):
+        # a cut after a whole row leaves a well-formed CSV of fewer rows
+        lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
+        (quick / "loan.csv").write_text("".join(lines[:-3]))
+        assert run(*argv) == 2
+        self._one_error_line(capsys, "loan.csv", "51 rows, sidecar records 54")
+        assert not list(quick.glob("o*"))
 
     @pytest.mark.parametrize("argv, words", [
         (("explain", "m1.json", "loan.csv", "--num-samples", 5, "--alpha", -1, "--out", "o.csv"),
@@ -517,10 +539,9 @@ def test_mutated_artifact_is_one_error_line(artifacts_dir, tmp_path, data, reade
     ops = ["truncate"] if name.endswith(".csv") else ["drop", "retype", "truncate"]
     op = data.draw(st.sampled_from(ops), label="op")
     if op == "truncate":
-        cut = data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut")
-        # a cut at a row boundary leaves a shorter well-formed CSV
-        assume(not text[:cut].endswith("\n"))
-        text = text[:cut]
+        # a cut at a row boundary leaves a shorter well-formed CSV, which the
+        # row count in its sidecar rejects
+        text = text[:data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut")]
     else:
         doc = json.loads(text)
         keys = [k for k in doc if op == "retype" or k not in optional]

@@ -7,7 +7,7 @@ from gtebench.datagen import Dataset, FeatureSchema
 from gtebench import gte
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
-from gtebench.gte import GteConfig, batch_gte, gte_explain
+from gtebench.gte import GteConfig, batch_gte, gte_design, gte_explain
 from gtebench.numerics import make_rng
 from oracles import fit_outcome, gte_explain_oracle, ridge_oracle
 
@@ -25,12 +25,42 @@ def _linear_threshold_dataset(n=80, seed=4):
     return Dataset(schema, X, labels, np.zeros(n, int), 2, seed, "lin", "loan")
 
 
+def _explain(ds, index, cfg):
+    """The GTE fit of one (target, num_samples) pair on its own design."""
+    return gte_explain(gte_design(ds, index, cfg.num_samples), cfg)
+
+
+def _draw_dataset(data, d, n, scale):
+    """A small integer grid, plus a duplicated row, a positively scaled row
+    and a zero row: tied, negative and undefined similarities."""
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                              min_size=n, max_size=n))
+    X = np.array(rows, dtype=float)
+    j = data.draw(st.integers(0, n - 1))
+    X = np.vstack([X, X[j], scale * X[j], np.zeros(d)])
+    X = X[data.draw(st.permutations(range(len(X))))]
+    labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(X),
+                                         max_size=len(X))))
+    schema = FeatureSchema.from_dict(
+        [{"name": f"f{c}", "kind": "continuous", "lo": -9, "hi": 9} for c in range(d)])
+    return Dataset(schema, X, labels, np.zeros(len(X), int), 3, 0, "h", "time")
+
+
+def _cell_outcome(mat, r, k):
+    """The bytes of a matrix cell's coefficients and intercept, or the
+    exception type name of its recorded failure."""
+    for r0, k0, msg in mat.failures:
+        if (r0, k0) == (r, k):
+            return msg.split(":")[0]
+    return np.append(mat.coefficients[r, k], mat.intercepts[r, k]).tobytes()
+
+
 class TestGteExplain:
     def test_matches_least_squares_oracle(self):
         ds = _linear_threshold_dataset()
         cfg = GteConfig(num_samples=40, alpha=0.0)
         i = 10
-        coef, intercept = gte_explain(ds, i, cfg)
+        coef, intercept = _explain(ds, i, cfg)
         # rebuild the same regression by hand and solve with the brute-force
         # normal-equation oracle
         target = ds.X[i]
@@ -51,20 +81,20 @@ class TestGteExplain:
     def test_saturated_selection(self):
         ds = _linear_threshold_dataset(n=30)
         cfg = GteConfig(num_samples=29)
-        coef, _ = gte_explain(ds, 0, cfg)
+        coef, _ = _explain(ds, 0, cfg)
         # with every other instance selected the similarity ordering cannot
         # change the member set
         assert np.all(np.isfinite(coef))
 
     def test_num_samples_too_large(self):
         ds = _linear_threshold_dataset(n=30)
-        with pytest.raises(ConfigError):
-            gte_explain(ds, 0, GteConfig(num_samples=30))
+        with pytest.raises(ConfigError, match=r"num_samples \(30\) must be below dataset size"):
+            gte_design(ds, 0, 30)
 
     def test_deterministic(self, loan_dataset):
         cfg = GteConfig(num_samples=25)
-        a = gte_explain(loan_dataset, 7, cfg)
-        b = gte_explain(loan_dataset, 7, cfg)
+        a = _explain(loan_dataset, 7, cfg)
+        b = _explain(loan_dataset, 7, cfg)
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -72,28 +102,16 @@ class TestGteExplain:
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
            scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]))
     def test_equals_np_delete_oracle(self, data, d, n, scale, alpha):
-        # a small integer grid, plus a duplicated row, a positively scaled
-        # row and a zero row: tied, negative and undefined similarities
-        rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
-                                  min_size=n, max_size=n))
-        X = np.array(rows, dtype=float)
-        j = data.draw(st.integers(0, n - 1))
-        X = np.vstack([X, X[j], scale * X[j], np.zeros(d)])
-        X = X[data.draw(st.permutations(range(len(X))))]
-        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(X),
-                                             max_size=len(X))))
-        schema = FeatureSchema.from_dict(
-            [{"name": f"f{c}", "kind": "continuous", "lo": -9, "hi": 9} for c in range(d)])
-        ds = Dataset(schema, X, labels, np.zeros(len(X), int), 3, 0, "h", "time")
-        index = data.draw(st.integers(0, len(X) - 1))
-        cfg = GteConfig(num_samples=data.draw(st.integers(1, len(X) - 1)), alpha=alpha)
-        got = fit_outcome(lambda: gte_explain(ds, index, cfg))
+        ds = _draw_dataset(data, d, n, scale)
+        index = data.draw(st.integers(0, len(ds) - 1))
+        cfg = GteConfig(num_samples=data.draw(st.integers(1, len(ds) - 1)), alpha=alpha)
+        got = fit_outcome(lambda: _explain(ds, index, cfg))
         assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, cfg))
 
     def test_loan_zero_incidence_at_small_num_samples(self, loan_dataset):
         zero_rows = 0
         for i in range(len(loan_dataset)):
-            coef, _ = gte_explain(loan_dataset, i, GteConfig(num_samples=5))
+            coef, _ = _explain(loan_dataset, i, GteConfig(num_samples=5))
             zero_rows += int(np.any(coef == 0.0))
         # small neighborhoods are often label-pure, which zeroes the fit
         assert zero_rows >= 5
@@ -101,27 +119,33 @@ class TestGteExplain:
 
 class TestBatchGte:
     def test_tensor_shape(self, loan_dataset):
-        mat = batch_gte(loan_dataset, np.arange(54), GteConfig(num_samples=25),
-                        runs=4, base_seed=0)
+        [mat] = batch_gte(loan_dataset, np.arange(54), [GteConfig(num_samples=25)],
+                          runs=4, base_seed=0)
         assert mat.shape == (4, 54, 3)
         assert mat.source == "gte"
 
     def test_runs_identical_without_resampling(self, loan_dataset, monkeypatch):
-        # run 0 is fitted once per target; later runs are copies of it
-        targets = []
-        fit = gte.gte_explain
+        # run 0 builds one design per target and fits it once per config;
+        # later runs are copies of run 0
+        targets, fits = [], []
+        design, fit = gte.gte_design, gte.gte_explain
+        monkeypatch.setattr(gte, "gte_design",
+                            lambda ds, i, *a: targets.append(i) or design(ds, i, *a))
         monkeypatch.setattr(gte, "gte_explain",
-                            lambda ds, i, *a: targets.append(i) or fit(ds, i, *a))
-        mat = batch_gte(loan_dataset, np.arange(10), GteConfig(num_samples=25),
-                        runs=3, base_seed=0)
+                            lambda d, cfg: fits.append(cfg.num_samples) or fit(d, cfg))
+        mats = batch_gte(loan_dataset, np.arange(10), [GteConfig(25), GteConfig(5)],
+                         runs=3, base_seed=0)
         assert targets == list(range(10))
-        assert np.array_equal(mat.coefficients[0], mat.coefficients[1])
-        assert np.array_equal(mat.coefficients[0], mat.coefficients[2])
+        assert fits == [25, 5] * 10
+        for mat in mats:
+            assert np.array_equal(mat.coefficients[0], mat.coefficients[1])
+            assert np.array_equal(mat.coefficients[0], mat.coefficients[2])
 
     def test_single_run_equals_loop(self, loan_dataset):
-        # cell (r, k) is gte_explain() of row ids[k] in every run; batch_gte
-        # passes the dataset's row norms once, gte_explain alone computes
-        # them per call
+        # cell (r, k) of each config's matrix is that config's fit of row
+        # ids[k] on its own design, in every run; batch_gte passes the
+        # dataset's row norms once and slices one design at the largest
+        # num_samples, gte_design alone computes the norms per call
         tied = _linear_threshold_dataset(n=40)
         tied.X[5] = 0.0
         tied.X[7] = tied.X[6]
@@ -130,29 +154,84 @@ class TestBatchGte:
         for ds in (loan_dataset, tied):
             ids = np.arange(3, 13)
             ids = ids[np.linalg.norm(ds.X[ids], axis=1) > 0]
-            cfg = GteConfig(num_samples=25)
+            cfgs = [GteConfig(num_samples=ns) for ns in (25, 5, 13)]
             for runs in (1, 3):
-                mat = batch_gte(ds, ids, cfg, runs=runs, base_seed=4)
-                assert mat.failures == []
-                for r in range(runs):
-                    for k, i in enumerate(ids):
-                        coef, inter = gte_explain(ds, int(i), cfg)
-                        assert mat.coefficients[r, k].tobytes() == coef.tobytes()
-                        assert mat.intercepts[r, k] == inter
+                mats = batch_gte(ds, ids, cfgs, runs=runs, base_seed=4)
+                for cfg, mat in zip(cfgs, mats):
+                    assert mat.failures == []
+                    for r in range(runs):
+                        for k, i in enumerate(ids):
+                            coef, inter = _explain(ds, int(i), cfg)
+                            assert mat.coefficients[r, k].tobytes() == coef.tobytes()
+                            assert mat.intercepts[r, k] == inter
 
     def test_dimensions_match_features(self, loan_dataset):
-        mat = batch_gte(loan_dataset, np.arange(5), GteConfig(num_samples=10),
-                        runs=2, base_seed=1)
+        [mat] = batch_gte(loan_dataset, np.arange(5), [GteConfig(num_samples=10)],
+                          runs=2, base_seed=1)
         assert mat.shape[2] == loan_dataset.n_features
+
+    @pytest.mark.parametrize("targets", [3, 0])
+    def test_num_samples_too_large_before_any_fit(self, monkeypatch, targets):
+        ds = _linear_threshold_dataset(n=30)
+        monkeypatch.setattr(gte, "weighted_ridge", lambda *a: pytest.fail("fitted"))
+        with pytest.raises(ConfigError, match=r"num_samples \(30\)"):
+            batch_gte(ds, np.arange(targets), [GteConfig(5), GteConfig(30)], runs=1,
+                      base_seed=0)
 
     def test_failures_copied_with_runs(self, tmp_path):
         ds = _linear_threshold_dataset(n=30)
         ds.X[3] = 0.0  # a zero-vector target cannot be ranked
-        mat = batch_gte(ds, np.array([2, 3, 4]), GteConfig(num_samples=10), runs=3, base_seed=0)
-        assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1), (2, 1)]
-        assert mat.failures[0][2].startswith("ZeroVectorError")
-        assert np.isnan(mat.coefficients[:, 1]).all()
-        # the file validates: its non-finite cells are exactly the failures
-        mat.save_csv(tmp_path / "g.csv")
-        back = CoefficientMatrix.load_csv(tmp_path / "g.csv")
-        assert back.failures == mat.failures
+        mats = batch_gte(ds, np.array([2, 3, 4]), [GteConfig(10), GteConfig(4)], runs=3,
+                         base_seed=0)
+        for mat in mats:
+            assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1), (2, 1)]
+            assert mat.failures[0][2].startswith("ZeroVectorError")
+            assert np.isnan(mat.coefficients[:, 1]).all()
+            # the file validates: its non-finite cells are exactly the failures
+            mat.save_csv(tmp_path / "g.csv")
+            back = CoefficientMatrix.load_csv(tmp_path / "g.csv")
+            assert back.failures == mat.failures
+        assert mats[0].failures == mats[1].failures
+
+    def test_fit_failure_stays_in_its_matrix(self):
+        # at alpha 0, two rows cannot fix two coefficients; eleven can
+        ds = _linear_threshold_dataset(n=30)
+        few, many = batch_gte(ds, np.array([2, 3]), [GteConfig(1, alpha=0.0),
+                                                     GteConfig(10, alpha=0.0)],
+                              runs=2, base_seed=0)
+        assert [f[:2] for f in few.failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(f[2].startswith("SingularSystemError") for f in few.failures)
+        assert many.failures == [] and np.isfinite(many.coefficients).all()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
+           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]))
+    def test_shared_design_equals_per_pair_oracle(self, data, d, n, scale, alpha):
+        ds = _draw_dataset(data, d, n, scale)
+        ids = np.arange(len(ds))
+        sizes = data.draw(st.lists(st.integers(1, len(ds) - 1), min_size=1, max_size=4,
+                                   unique=True), label="num_samples")
+        cfgs = [GteConfig(num_samples=ns, alpha=alpha) for ns in sizes]
+        calls = {"cosine": 0, "fit": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gte, "cosine_similarity_rows", counted("cosine", gte.cosine_similarity_rows))
+            mp.setattr(gte, "gte_explain", counted("fit", gte.gte_explain))
+            mats = batch_gte(ds, ids, cfgs, runs=1, base_seed=0)
+        zero = ~ds.X.any(axis=1)
+        assert calls == {"cosine": len(ids), "fit": int((~zero).sum()) * len(cfgs)}
+        for cfg, mat in zip(cfgs, mats):
+            for k, i in enumerate(ids):
+                want = fit_outcome(lambda: gte_explain_oracle(ds, int(i), cfg))
+                want = want.__name__ if isinstance(want, type) else want
+                assert _cell_outcome(mat, 0, k) == want
+        # a zero-vector target fails with one message in every matrix
+        for k in np.flatnonzero(zero):
+            msgs = {msg for mat in mats for r, i, msg in mat.failures if i == k}
+            assert len(msgs) == 1 and msgs.pop().startswith("ZeroVectorError")
