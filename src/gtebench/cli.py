@@ -101,7 +101,11 @@ def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarr
     if args.only_correct:
         if args.sample:
             return select_correct(models, ds.X, ds.labels, args.sample, rng)
-        return np.flatnonzero(jointly_correct(models, ds.X, ds.labels))
+        idx = np.flatnonzero(jointly_correct(models, ds.X, ds.labels))
+        if not idx.size:
+            raise ConfigError(f"--only-correct selects no row of {args.dataset}: "
+                              f"no row is predicted correctly by every model")
+        return idx
     if args.sample:
         return np.sort(rng.choice(len(ds), size=args.sample, replace=False))
     return np.arange(len(ds))
@@ -133,11 +137,18 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _load_matrix(path: str) -> CoefficientMatrix:
+    """A coefficient matrix file that holds at least one cell."""
+    mat = CoefficientMatrix.load_csv(_resolve(path))
+    if not mat.instance_ids.size:
+        raise ConfigError(f"{path}: the matrix holds no cells (shape {mat.shape})")
+    return mat
+
+
 def cmd_align(args) -> int:
     ds = Dataset.load_csv(_resolve(args.dataset))
     if args.instances_from:
-        ref = CoefficientMatrix.load_csv(_resolve(args.instances_from))
-        idx = ref.instance_ids
+        idx = _load_matrix(args.instances_from).instance_ids
         bad = idx[(idx < 0) | (idx >= len(ds))]
         if bad.size:
             raise ConfigError(f"instance id {bad[0]} from {args.instances_from} is outside "
@@ -162,9 +173,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    exp = CoefficientMatrix.load_csv(_resolve(args.exp))
-    gte_mat = CoefficientMatrix.load_csv(_resolve(args.gte))
-    second = CoefficientMatrix.load_csv(_resolve(args.second)) if args.second else None
+    exp = _load_matrix(args.exp)
+    gte_mat = _load_matrix(args.gte)
+    second = _load_matrix(args.second) if args.second else None
     report = evalmetrics.build_report(exp, gte_mat, second)
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
     # every evaluate entry written so far was hashed with the ranking and zero rules

@@ -9,10 +9,10 @@ derived from (seed, index...) paths are disjoint by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     ConfigError,
@@ -41,11 +41,11 @@ def truncated_normal(
     lo: float,
     hi: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Sample normal(mu, sigma) restricted to [lo, hi] by inverse-CDF on the
-    truncated interval.  One uniform draw is consumed per sample, which keeps
-    seeded streams aligned regardless of how narrow the interval is.
+    size: int,
+) -> np.ndarray:
+    """``size`` draws of normal(mu, sigma) restricted to [lo, hi], by inverse-CDF
+    on the truncated interval.  One uniform draw is consumed per sample, which
+    keeps seeded streams aligned regardless of how narrow the interval is.
     """
     if lo > hi:
         raise ConfigError(f"invalid truncation range: lo={lo} > hi={hi}")
@@ -54,17 +54,144 @@ def truncated_normal(
     if sigma == 0:
         if not (lo <= mu <= hi):
             raise ConfigError(f"sigma=0 with mu={mu} outside [{lo}, {hi}]")
-        return mu if size is None else np.full(size, float(mu))
-    a = (lo - mu) / sigma
-    b = (hi - mu) / sigma
-    pa = special.ndtr(a)
-    pb = special.ndtr(b)
+        return np.full(size, float(mu))
+    pa = ndtr((lo - mu) / sigma)
+    pb = ndtr((hi - mu) / sigma)
     u = rng.random(size)
     # pa == pb can occur when [lo, hi] sits in an extreme tail; ndtri would
     # return +-inf, so fall back to clipping.
-    x = mu + sigma * special.ndtri(pa + u * (pb - pa))
-    x = np.clip(x, lo, hi)
-    return float(x) if size is None else x
+    x = mu + sigma * ndtri(pa + u * (pb - pa))
+    return np.clip(x, lo, hi)
+
+
+# Ports of the Cephes normal-distribution routines (S. L. Moshier) that
+# scipy.special evaluates: same coefficients, same operations in the same
+# order, and the same libm exp/log, so every result equals scipy's bit for bit
+# (tests/test_numerics.py checks this against scipy).
+
+_SQRTH = 7.07106781186547524401e-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996732e2  # log(DBL_MAX)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, R(x) / S(x) for x >= 8;
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1 (Q, S and U have an implied leading 1)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+
+# ndtri(y) for |y - 1/2| <= 3/8: y + y^3 P0(y^2) / Q0(y^2), scaled by sqrt(2 pi);
+# tails, with x = sqrt(-2 log y): x - log(x)/x - P/(x Q)(1/x), P1/Q1 for
+# 2 <= x < 8 and P2/Q2 for x >= 8 (the Q tables have an implied leading 1)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """coef[0] x^n + ... + coef[n] by Horner's rule (scalar or array ``x``)."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1]: :func:`_polevl` with a leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes erf for |x| <= 1 (odd, so either sign takes the same steps)."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc(x: float) -> float:
+    """Cephes erfc for x >= sqrt(1/2), the only arguments ndtr passes it."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0  # exp(z) underflows
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return (math.exp(z) * _polevl(x, p)) / _p1evl(x, q)
+
+
+def ndtr(a: float) -> float:
+    """Standard normal CDF at ``a``; equals ``scipy.special.ndtr(a)``."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+def _logs(v: np.ndarray) -> np.ndarray:
+    """Natural log of each element by libm's ``log``, which np.log may differ from."""
+    return np.fromiter(map(math.log, v.tolist()), dtype=float, count=v.size)
+
+
+def ndtri(y0) -> np.ndarray:
+    """Standard normal quantile of each element of ``y0``; equals
+    ``scipy.special.ndtri(y0)``. Each branch is evaluated on its own elements."""
+    shape = np.shape(y0)
+    y0 = np.asarray(y0, dtype=float).ravel()
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    x = np.full(y0.size, np.nan)
+    central = y > _EXP_M2
+    mid = np.flatnonzero(central)
+    ym = y[mid] - 0.5
+    y2 = ym * ym
+    x[mid] = (ym + ym * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))) * _S2PI
+    # y in (0, e^-2], and NaN, which keeps its payload along this path as in Cephes
+    tail = np.flatnonzero(~central & ~(y0 <= 0.0) & ~(y0 >= 1.0))
+    t = np.sqrt(-2.0 * _logs(y[tail]))
+    x0 = t - _logs(t) / t
+    z = 1.0 / t
+    for part, p, q in ((t < 8.0, _NDTRI_P1, _NDTRI_Q1), (~(t < 8.0), _NDTRI_P2, _NDTRI_Q2)):
+        k = np.flatnonzero(part)
+        zk = z[k]
+        x0[k] -= zk * _polevl(zk, p) / _p1evl(zk, q)
+    x[tail] = np.negative(x0, out=x0, where=~upper[tail])
+    x[y0 == 0.0] = -np.inf
+    x[y0 == 1.0] = np.inf
+    return x.reshape(shape)
 
 
 # Row norms in this range are computed directly: their squares neither underflow
@@ -188,8 +315,10 @@ def student_t_cdf(t: float, df: float) -> float:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     if t == 0:
         return 0.5
+    from scipy.special import betainc  # Boost's ibeta: only `evaluate --second` needs it
+
     x = df / (df + t * t)
-    tail = 0.5 * float(special.betainc(df / 2.0, 0.5, x))
+    tail = 0.5 * float(betainc(df / 2.0, 0.5, x))
     return 1.0 - tail if t > 0 else tail
 
 

@@ -20,6 +20,16 @@ def ridge_oracle(X, y, w, alpha):
     return theta[:d], theta[d]
 
 
+def truncated_normal_oracle(mu, sigma, lo, hi, rng, size):
+    """``numerics.truncated_normal`` with scipy's ndtr / ndtri (sigma > 0)."""
+    from scipy import special
+
+    pa = special.ndtr((lo - mu) / sigma)
+    pb = special.ndtr((hi - mu) / sigma)
+    u = rng.random(size)
+    return np.clip(mu + sigma * special.ndtri(pa + u * (pb - pa)), lo, hi)
+
+
 def t_cdf_quadrature(t, df, lo=-60.0, n=4_000_001):
     """CDF of Student's t by trapezoid integration of the density."""
     from math import gamma, pi, sqrt

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,6 +31,50 @@ def workdir(tmp_path, monkeypatch):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# Runs the pipeline in a fresh interpreter and prints, after each stage,
+# whether scipy has been imported.
+_SCIPY_PROBE = """
+import json, sys
+from gtebench.cli import main
+seen = {"import gtebench.cli": "scipy" in sys.modules}
+for argv in sys.argv[1:]:
+    argv = argv.split()
+    assert main(argv) == 0, argv
+    seen[" ".join(argv)] = "scipy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_only_for_evaluate_second(workdir):
+    """Only the invariance t-test of ``evaluate --second`` needs scipy
+    (betainc); every other subcommand runs without importing it."""
+    cfg = json.loads((CFG / "distance_desk.json").read_text())
+    cfg["rows_per_class"] = 50
+    (workdir / "small.json").write_text(json.dumps(cfg))
+    stages = [
+        f"generate distance --config {workdir / 'small.json'} --out d.csv",
+        "generate loan --out loan.csv --seed 7",
+        "train loan.csv --out m1.json --epochs 20 --seed 1",
+        "train loan.csv --out m2.json --epochs 20 --seed 2",
+        "explain m1.json loan.csv --num-samples 10 --out e1.csv",
+        "explain m2.json loan.csv --num-samples 10 --out e2.csv",
+        "align loan.csv --num-samples 10 --out-prefix g",
+        "evaluate e1.csv g_ns10.csv --out-dir ev1",
+        "report ev1 --out-dir plots",
+        "evaluate e1.csv g_ns10.csv --second e2.csv --out-dir ev2",
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *stages], env=env,
+                          capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert list(seen) == ["import gtebench.cli", *stages]
+    assert not any(list(seen.values())[:-1]), seen
+    assert seen[stages[-1]], "evaluate --second ran its t-test without scipy"
+    assert "p=" in proc.stdout
 
 
 def _stage_entries(workdir, stage):
@@ -290,6 +337,34 @@ class TestRejectedInputs:
                    "--out", "e.csv") == 2
         self._one_error_line(capsys, option)
         assert not (quick / "e.csv").exists()
+
+    def test_only_correct_selecting_no_row_exit_2(self, quick, capsys):
+        # m1 predicts class 0 and m2 class 1 for every row, so no row is jointly correct
+        for cls, name in enumerate(("m1", "m2")):
+            doc = json.loads((quick / f"{name}.json").read_text())
+            doc["weights"][-1] = [[(0.0).hex()] * len(row) for row in doc["weights"][-1]]
+            doc["biases"][-1] = [float(k == cls).hex() for k in range(len(doc["biases"][-1]))]
+            (quick / f"{name}.json").write_text(json.dumps(doc))
+        assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--only-correct",
+                   "--second-model", "m2.json", "--out", "e.csv") == 2
+        self._one_error_line(capsys, "--only-correct selects no row of loan.csv")
+        assert not (quick / "e.csv").exists()
+
+    def test_empty_instance_selection_exit_2(self, quick, capsys):
+        """A matrix of no instances (shape [1, 0, 3]) is refused by align
+        --instances-from and by evaluate, naming the file."""
+        CoefficientMatrix(coefficients=np.zeros((1, 0, 3)), intercepts=np.zeros((1, 0)),
+                          source="gte", config_hash="c", dataset_hash="d", seed=0,
+                          instance_ids=np.zeros(0, dtype=int)).save_csv(quick / "none.csv")
+        assert run("align", "loan.csv", "--num-samples", "5", "--instances-from", "none.csv",
+                   "--out-prefix", "g") == 2
+        self._one_error_line(capsys, "none.csv", "no cells")
+        assert not list(quick.glob("g_ns*"))
+        assert run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g") == 0
+        for argv in (("none.csv", "g_ns5.csv"), ("g_ns5.csv", "none.csv")):
+            assert run("evaluate", *argv, "--out-dir", "ev") == 2
+            self._one_error_line(capsys, "none.csv", "no cells")
+            assert not (quick / "ev").exists()
 
     @pytest.mark.parametrize("doc", [
         '{"hidden": 5, "activation": "relu"}',

@@ -1,13 +1,19 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from gtebench.datagen import EquationConfig
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError, ZeroVectorError
 from gtebench.numerics import (
     cosine_similarity_rows,
     make_rng,
     minmax_normalize,
+    ndtr,
+    ndtri,
     neighbourhood,
     paired_t_test,
     row_norms,
@@ -15,7 +21,7 @@ from gtebench.numerics import (
     truncated_normal,
     weighted_ridge,
 )
-from oracles import neighbourhood_oracle, ridge_oracle, t_cdf_quadrature
+from oracles import neighbourhood_oracle, ridge_oracle, t_cdf_quadrature, truncated_normal_oracle
 
 
 class TestRng:
@@ -32,7 +38,7 @@ class TestRng:
 
 class TestTruncatedNormal:
     def test_degenerate_interval(self):
-        assert truncated_normal(0, 1, 0.5, 0.5, make_rng(0)) == 0.5
+        assert np.array_equal(truncated_normal(0, 1, 0.5, 0.5, make_rng(0), size=3), [0.5] * 3)
 
     def test_half_normal_mean(self):
         # analytic mean of |N(0,1)| is sqrt(2/pi) ~ 0.7979; hi=8 makes the
@@ -41,15 +47,16 @@ class TestTruncatedNormal:
         assert abs(draws.mean() - np.sqrt(2 / np.pi)) < 0.02
 
     def test_vanishing_variance(self):
-        assert truncated_normal(3, 1e-12, 0, 10, make_rng(2)) == pytest.approx(3.0, abs=1e-9)
+        draws = truncated_normal(3, 1e-12, 0, 10, make_rng(2), size=5)
+        assert draws == pytest.approx([3.0] * 5, abs=1e-9)
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            truncated_normal(0, 1, 2, 1, make_rng(0))
+            truncated_normal(0, 1, 2, 1, make_rng(0), size=1)
 
     def test_zero_sigma_outside(self):
         with pytest.raises(ConfigError):
-            truncated_normal(5, 0, 0, 1, make_rng(0))
+            truncated_normal(5, 0, 0, 1, make_rng(0), size=1)
 
     @given(
         mu=st.floats(-10, 10),
@@ -62,6 +69,94 @@ class TestTruncatedNormal:
     def test_always_in_bounds(self, mu, sigma, lo, width, seed):
         x = truncated_normal(mu, sigma, lo, lo + width, make_rng(seed), size=20)
         assert np.all(x >= lo) and np.all(x <= lo + width)
+
+    @pytest.mark.parametrize("config", ["time_desk", "time_full", "distance_desk", "distance_full"])
+    def test_shipped_features_equal_scipy_reference(self, config):
+        cfg = EquationConfig.load(resources.files("gtebench.configs") / f"{config}.json")
+        features = [f for f in cfg.schema.features if f.kind == "continuous"]
+        assert features
+        for k, f in enumerate(features):
+            args = (f.mu, f.sigma, f.trunc_lo, f.trunc_hi)
+            got = truncated_normal(*args, make_rng(k), size=50_000)
+            assert_same_bits(got, truncated_normal_oracle(*args, make_rng(k), size=50_000))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} mismatches, first at {bad[0]}: {got[bad[0]]!r} != {want[bad[0]]!r}"
+
+
+def ndtr_all(xs) -> np.ndarray:
+    return np.array([ndtr(x) for x in np.asarray(xs, dtype=float).tolist()])
+
+
+def around(*values) -> list[float]:
+    """Each value with the two doubles on either side of it, enough to put an
+    argument scaled by 1/sqrt(2) on both sides of a branch point."""
+    out = []
+    for x in values:
+        lo = hi = x
+        out.append(x)
+        for _ in range(2):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return out
+
+
+_NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                  0xFFF8000000000456], dtype=np.uint64).view(float).tolist()
+_SQRT2 = np.sqrt(2.0)
+_MAXLOG = 7.09782712893383996732e2
+
+# y = 0, 1, -0, NaNs, outside [0, 1], subnormals and the ends of (0, 1), both
+# sides of e^-2 and of 1 - e^-2, and of e^-32 (tail x = 8)
+NDTRI_EDGES = [0.0, 1.0, -0.0, *_NANS, -1.0, -5e-324, 1.5, 2.0, np.inf, -np.inf, 5e-324, 1e-310,
+               2.2250738585072014e-308, np.nextafter(1.0, 0.0), 0.5,
+               *around(np.exp(-2.0), 0.13533528323661269189, 1 - 0.13533528323661269189,
+                       np.exp(-32.0))]
+# a = +-1 (|x| = SQRTH), +-sqrt(2) (|x| = 1), +-8 sqrt(2) (|x| = 8), the
+# underflow of exp(-x^2) below -MAXLOG, and the far tails
+NDTR_EDGES = [0.0, -0.0, *_NANS, np.inf, -np.inf, 5e-324, -5e-324,
+              *around(1.0, -1.0, _SQRT2, -_SQRT2, 8 * _SQRT2, -8 * _SQRT2,
+                      np.sqrt(_MAXLOG) * _SQRT2, -np.sqrt(_MAXLOG) * _SQRT2),
+              -37.5, -38.0, -40.0, -1e300, 40.0, 1e300]
+
+
+class TestCephesPorts:
+    """ndtr / ndtri equal scipy.special's bit for bit, NaN payloads included."""
+
+    def test_ndtri_seeded_draws(self):
+        rng = make_rng(20)
+        y = np.concatenate([rng.random(600_000),
+                            np.exp(-745.0 * rng.random(200_000)),  # lower tail, to subnormals
+                            1.0 - np.exp(-40.0 * rng.random(200_000))])  # upper tail
+        assert_same_bits(ndtri(y), special.ndtri(y))
+
+    def test_ndtr_seeded_draws(self):
+        rng = make_rng(21)
+        x = np.concatenate([rng.normal(0.0, 2.0, 600_000), rng.uniform(-40.0, 40.0, 400_000)])
+        assert_same_bits(ndtr_all(x), special.ndtr(x))
+
+    @given(st.lists(st.floats() | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_ndtri_sweep(self, ys):
+        assert_same_bits(ndtri(ys), special.ndtri(ys))
+
+    @given(st.floats() | st.floats(-40.0, 40.0))
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    def test_ndtr_sweep(self, x):
+        assert_same_bits(ndtr(x), special.ndtr(x))
+
+    def test_ndtri_edges(self):
+        assert_same_bits(ndtri(NDTRI_EDGES), special.ndtri(NDTRI_EDGES))
+        for y in NDTRI_EDGES:  # alone, and as a 0-d array
+            assert_same_bits(ndtri([y]), special.ndtri([y]))
+            assert_same_bits(ndtri(y), special.ndtri(y))
+
+    def test_ndtr_edges(self):
+        assert_same_bits(ndtr_all(NDTR_EDGES), special.ndtr(NDTR_EDGES))
 
 
 def cos(a, b) -> float:
