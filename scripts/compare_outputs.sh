@@ -4,10 +4,12 @@
 # Usage: scripts/compare_outputs.sh REV
 #
 # Checks REV out into a temporary git worktree and runs the same CLI
-# sequence in both trees: the steps of scripts/run_loan_pipeline.sh, then a
-# desk-scale distance run (generate, train, explain --sample, align
-# --instances-from at ns 5,25,50, evaluate, report). Every file written, manifest.jsonl
-# aside (it records paths), must be byte-identical; exits 1 on any difference.
+# sequence in both trees: the steps of scripts/run_loan_pipeline.sh plus a
+# loan explain --only-correct --second-model --sample, then a desk-scale
+# distance run (generate, train, explain --sample, align --instances-from at
+# ns 5,25,50, evaluate, report) and a desk-scale time generate. Every file
+# written, manifest.jsonl aside (it records paths), must be byte-identical;
+# exits 1 on any difference.
 set -euo pipefail
 
 rev="${1:?usage: scripts/compare_outputs.sh REV}"
@@ -44,6 +46,7 @@ run_sequence() {
     cli align loan.csv --num-samples 5,25,50 --runs 100 --seed 100 --out-prefix gte
     cli evaluate exp_nn1.csv gte_ns25.csv --second exp_nn2.csv --out-dir eval_ns25 --dataset-name loan
     cli report eval_ns25 --out-dir plots
+    cli explain nn1.json loan.csv --num-samples 25 --runs 5 --only-correct --second-model nn2.json --sample 20 --seed 100 --out exp_correct.csv
     # distance desk: 20,000 rows in 10 overlapping classes
     cli generate distance --out dist/distance.csv --seed 7
     cli train dist/distance.csv --model-config "$cfg/nn1.json" --out dist/nn1.json --split 0.8 --epochs 3 --lr 0.3 --batch-size 16 --seed 11
@@ -51,6 +54,8 @@ run_sequence() {
     cli align dist/distance.csv --num-samples 5,25,50 --runs 5 --seed 100 --instances-from dist/exp.csv --out-prefix dist/gte
     cli evaluate dist/exp.csv dist/gte_ns25.csv --out-dir dist/eval --dataset-name distance
     cli report dist/eval eval_ns25 --out-dir dist/plots
+    # time desk: 14,000 rows in 7 classes, from the shipped config
+    cli generate time --out time/time.csv --seed 7
 }
 
 run_sequence "$repo" "$tmp/out/new"

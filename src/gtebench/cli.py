@@ -17,8 +17,7 @@ from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain
 from .gte import GteConfig, batch_gte
 from .manifest import record_stage
-from .model import (ModelConfig, TrainConfig, TrainedModel, jointly_correct, select_correct,
-                    train)
+from .model import ModelConfig, TrainConfig, TrainedModel, jointly_correct, train
 from .numerics import make_rng
 
 EXIT_CONFIG = 2
@@ -50,9 +49,13 @@ def cmd_generate(args) -> int:
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.dataset == "loan":
-        removals = read_json(args.config or CONFIGS / "loan_default.json", lambda doc: tuple(
+        cfg_path = args.config or CONFIGS / "loan_default.json"
+        removals = read_json(cfg_path, lambda doc: tuple(
             tuple(int(v) for v in r) for r in typed(doc, removals=list)["removals"]))
-        ds = generate_loan(removals, seed=args.seed)
+        try:
+            ds = generate_loan(removals, seed=args.seed)
+        except ConfigError as exc:  # a removal outside the grid, or no row left
+            raise ConfigError(f"{cfg_path}: {exc}") from exc
     else:
         cfg_path = args.config or CONFIGS / f"{args.dataset}_desk.json"
         cfg = EquationConfig.load(cfg_path)
@@ -95,20 +98,22 @@ def cmd_train(args) -> int:
 
 
 def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarray:
-    rng = make_rng(args.seed, 9999)
+    """The rows to explain: all of them, or with ``--only-correct`` those that
+    every model predicts correctly; then a uniform ``--sample`` of these."""
     if args.sample and args.sample > len(ds):
         raise ConfigError(f"--sample {args.sample} exceeds the dataset's {len(ds)} rows")
+    idx = np.arange(len(ds))
     if args.only_correct:
-        if args.sample:
-            return select_correct(models, ds.X, ds.labels, args.sample, rng)
         idx = np.flatnonzero(jointly_correct(models, ds.X, ds.labels))
-        if not idx.size:
-            raise ConfigError(f"--only-correct selects no row of {args.dataset}: "
-                              f"no row is predicted correctly by every model")
-        return idx
+        if idx.size < (args.sample or 1):
+            found = {0: "no row", 1: "1 row"}.get(idx.size, f"{idx.size} rows")
+            short = f", fewer than --sample {args.sample}" if args.sample else ""
+            raise ConfigError(f"--only-correct selects {found} of {args.dataset} (the rows "
+                              f"every model predicts correctly){short}")
     if args.sample:
-        return np.sort(rng.choice(len(ds), size=args.sample, replace=False))
-    return np.arange(len(ds))
+        # choice(idx) draws as choice(len(idx)) does, then maps the positions to ids
+        return np.sort(make_rng(args.seed, 9999).choice(idx, size=args.sample, replace=False))
+    return idx
 
 
 def cmd_explain(args) -> int:

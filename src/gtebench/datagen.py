@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -27,6 +26,20 @@ from .numerics import make_rng, truncated_normal
 
 # ---------------------------------------------------------------------------
 # Schema
+
+# keys of the generator's config and sidecar files that are no longer read -> their old default
+_REMOVED = {"grid_mode": False, "grid_points": 8, "mode_table": []}
+
+
+def _drop_removed(doc: dict, *keys: str) -> dict:
+    """``doc`` without ``keys``, each of which may hold only its old default."""
+    doc = dict(doc)
+    for key in keys:
+        value = doc.pop(key, _REMOVED[key])
+        if type(value) is not type(_REMOVED[key]) or value != _REMOVED[key]:
+            raise ConfigError(f"{key!r} is no longer supported and may only be "
+                              f"{json.dumps(_REMOVED[key])}, got {json.dumps(value)}")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,6 @@ class Feature:
     trunc_lo: float | None = None
     trunc_hi: float | None = None
     mode_values: tuple[int, ...] = ()
-    mode_table: tuple[float, ...] = ()
 
     def round_clamp(self, values: np.ndarray) -> np.ndarray:
         v = np.clip(values, self.lo, self.hi)
@@ -78,20 +90,16 @@ class FeatureSchema:
         return X
 
     def to_dict(self) -> list[dict]:
-        return [
-            {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(f).items()}
-            for f in self.features
-        ]
+        # every dataset sidecar and config hash so far was written with the removed mode_table
+        return [{**{k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(f).items()},
+                 "mode_table": []} for f in self.features]
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
-        feats = []
-        for it in items:
-            it = dict(it)
-            it["mode_values"] = tuple(it.get("mode_values") or ())
-            it["mode_table"] = tuple(it.get("mode_table") or ())
-            feats.append(Feature(**it))
-        return FeatureSchema(tuple(feats))
+        return FeatureSchema(tuple(
+            Feature(**{**_drop_removed(it, "mode_table"),
+                       "mode_values": tuple(it.get("mode_values") or ())})
+            for it in items))
 
 
 @dataclass
@@ -218,7 +226,7 @@ def generate_loan(
             raise ConfigError(f"removal entry {r} outside the 4x4x4 grid")
     kept = [g for g in grid if g not in removal_set]
     if not kept:
-        warnings.warn("removal list eliminated every instance", stacklevel=2)
+        raise ConfigError("the removal list eliminates every instance of the 4x4x4 grid")
     X = np.array(kept, dtype=float).reshape(len(kept), 3)
     labels = np.array([loan_label(loan_score(*g)) for g in kept], dtype=int)
     return Dataset(
@@ -300,10 +308,9 @@ class EquationConfig:
     schema: FeatureSchema
     variations: tuple[VariationSpec, ...]
     rows_per_class: int
-    grid_mode: bool = False
-    grid_points: int = 8  # per continuous variable, when grid_mode is set
 
     def to_dict(self) -> dict:
+        # every dataset config hash so far was taken with the removed grid keys
         return {
             "equation": self.equation,
             "schema": self.schema.to_dict(),
@@ -312,18 +319,16 @@ class EquationConfig:
                 for v in self.variations
             ],
             "rows_per_class": self.rows_per_class,
-            "grid_mode": self.grid_mode,
-            "grid_points": self.grid_points,
+            "grid_mode": False,
+            "grid_points": 8,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "EquationConfig":
         """Checks that every feature but the mode has a numeric ``mu``,
-        ``sigma >= 0``, ``trunc_lo <= trunc_hi`` and, if it has a
-        ``mode_table``, one entry in it per value of the mode feature."""
-        f = artifacts.typed({"grid_mode": False, "grid_points": 8, **d}, equation=str,
-                            schema=list, variations=list, rows_per_class=int, grid_mode=bool,
-                            grid_points=int)
+        ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
+        f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
+                            schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in _ENERGY_FNS:
             raise ConfigError(f"equation must be one of {sorted(_ENERGY_FNS)}: {f['equation']!r}")
         f["variations"] = tuple(
@@ -336,16 +341,12 @@ class EquationConfig:
         if f["rows_per_class"] < 1:
             raise ConfigError("rows_per_class must be >= 1")
         f["schema"] = FeatureSchema.from_dict(f["schema"])
-        n_modes = next((len(m.mode_values) for m in f["schema"].features if m.kind == "mode"), 0)
         for feat in f["schema"].features:
             if feat.kind != "mode":
                 artifacts.typed(vars(feat), mu=float, sigma=float, trunc_lo=float, trunc_hi=float)
                 if not (feat.sigma >= 0 and feat.trunc_lo <= feat.trunc_hi):
                     raise ConfigError(f"feature {feat.name!r} needs sigma >= 0 and trunc_lo <= "
                                       f"trunc_hi: {feat.sigma}, {feat.trunc_lo}, {feat.trunc_hi}")
-                if feat.mode_table and len(feat.mode_table) != n_modes:
-                    raise ConfigError(f"feature {feat.name!r}: mode_table needs {n_modes} entries, "
-                                      f"one per mode value")
         return EquationConfig(**f)
 
     @staticmethod
@@ -354,46 +355,18 @@ class EquationConfig:
 
 
 def _draw_base_rows(cfg: EquationConfig, rng: np.random.Generator) -> np.ndarray:
-    """Raw (unrounded) base-class rows: truncated-normal draws per continuous
-    variable, uniform mode codes, optional per-mode scaling tables."""
+    """Raw (unrounded) base-class rows, drawn feature by feature in schema
+    order: truncated-normal values per continuous variable, uniform mode codes."""
     n = cfg.rows_per_class
-    cols = []
-    mode_col = None
-    for f in cfg.schema.features:
-        if f.kind == "mode":
-            mode_values = np.asarray(f.mode_values, dtype=float)
-            mode_col = rng.choice(mode_values, size=n)
-            cols.append(mode_col)
-        else:
-            cols.append(
-                truncated_normal(f.mu, f.sigma, f.trunc_lo, f.trunc_hi, rng, size=n)
-            )
-    X = np.column_stack(cols)
-    if mode_col is not None:
-        mode_idx = np.searchsorted(mode_values, mode_col)
-        for j, f in enumerate(cfg.schema.features):
-            if f.mode_table and f.kind != "mode":
-                X[:, j] = X[:, j] * np.asarray(f.mode_table)[mode_idx]
-    return X
-
-
-def _grid_base_rows(cfg: EquationConfig) -> np.ndarray:
-    axes = []
-    for f in cfg.schema.features:
-        if f.kind == "mode":
-            axes.append(np.asarray(f.mode_values, dtype=float))
-        else:
-            axes.append(np.linspace(f.trunc_lo, f.trunc_hi, cfg.grid_points))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return np.column_stack([
+        rng.choice(np.asarray(f.mode_values, dtype=float), size=n) if f.kind == "mode"
+        else truncated_normal(f.mu, f.sigma, f.trunc_lo, f.trunc_hi, rng, size=n)
+        for f in cfg.schema.features
+    ])
 
 
 def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
-    rng = make_rng(seed, 0)
-    if cfg.grid_mode:
-        base_raw = _grid_base_rows(cfg)
-    else:
-        base_raw = _draw_base_rows(cfg, rng)
+    base_raw = _draw_base_rows(cfg, make_rng(seed, 0))
     # the base equation must be defined on every base row (distance rejects TO == 0)
     energy_fn, var_names = _ENERGY_FNS[cfg.equation]
     energy_fn(*(base_raw[:, cfg.schema.index(v)] for v in var_names))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,8 @@ class EvalReport:
     dataset_hash: str
     runs: int
     n_features: int
-    failed_cells: int = 0  # (run, instance) cells left out: exp or gte failed there
-    failure_kinds: dict[str, int] = field(default_factory=dict)  # exception -> recorded failures
+    failed_cells: int  # (run, instance) cells left out: exp or gte failed there
+    failure_kinds: dict[str, int]  # exception -> recorded failures
 
     def to_dict(self) -> dict:
         """report.json: every field but the scores in declaration order, the
@@ -132,12 +132,11 @@ class EvalReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvalReport":
-        """Inverse of ``to_dict``; a report without instance scores is rejected.
-        Reports written before failed cells were counted have none."""
+        """Inverse of ``to_dict``; a report without instance scores is rejected."""
         f = artifacts.typed(
-            {"failed_cells": 0, "failure_kinds": {}, **doc}, instances=list, ave_c_of_ed=float,
-            ave_second=float, ave_all=float, invariance=(dict, type(None)), zero_counts_exp=list,
-            zero_rates_exp=list, zero_counts_gte=list, zero_rates_gte=list, exp_config_hash=str,
+            doc, instances=list, ave_c_of_ed=float, ave_second=float, ave_all=float,
+            invariance=(dict, type(None)), zero_counts_exp=list, zero_rates_exp=list,
+            zero_counts_gte=list, zero_rates_gte=list, exp_config_hash=str,
             gte_config_hash=str, dataset_hash=str, runs=int, n_features=int, failed_cells=int,
             failure_kinds=dict)
         scores = [InstanceScore(**s) for s in f.pop("instances")]

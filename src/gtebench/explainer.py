@@ -24,16 +24,14 @@ class ExplainerConfig:
     num_samples: int
     n_perturb: int | None = None  # pool size; default 20 * num_samples, capped
     alpha: float = 1.0
-    scale: float = 1.0  # std multiplier: a float, or a list with one per feature
+    scale: float = 1.0  # std multiplier
 
     def __post_init__(self):
         if self.num_samples < 1:
             raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
         check_alpha(self.alpha)
-        scale = np.asarray(self.scale, dtype=float)
-        if not np.isfinite(scale).all() or (scale < 0).any() or not (scale > 0).any():
-            raise ConfigError(f"scale must be finite and non-negative, with a positive entry; "
-                              f"got {self.scale!r}")
+        if not 0 < self.scale < np.inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.scale!r}")
         if self.pool_size < self.num_samples:
             raise ConfigError(
                 f"perturbation pool ({self.pool_size}) smaller than num_samples ({self.num_samples})"
@@ -140,14 +138,14 @@ def perturb_instance(
     stds: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    scale=1.0,
+    scale: float = 1.0,
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
     per-feature std ``scale * stds``."""
     instance = np.asarray(instance, dtype=float)
     if n < 1:
         raise ConfigError(f"perturbation count must be positive, got {n}")
-    eff = np.broadcast_to(np.asarray(scale, dtype=float) * np.asarray(stds, dtype=float), instance.shape)
+    eff = np.broadcast_to(scale * np.asarray(stds, dtype=float), instance.shape)
     if np.all(eff == 0):
         raise DegenerateSampleError("all perturbation scales are zero")
     return instance + rng.standard_normal((n, instance.size)) * eff

@@ -256,19 +256,3 @@ def jointly_correct(models: list[TrainedModel | None], X: np.ndarray,
             ok &= m.predict_batch(X).argmax(axis=1) == labels
     return ok
 
-
-def select_correct(
-    models: list[TrainedModel],
-    X: np.ndarray,
-    labels: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Indices of a uniform no-replacement sample of size ``n`` from the
-    instances every supplied model predicts correctly."""
-    correct = np.flatnonzero(jointly_correct(models, X, labels))
-    if n > len(correct):
-        raise ConfigError(
-            f"requested {n} jointly-correct instances but only {len(correct)} available"
-        )
-    return np.sort(rng.choice(correct, size=n, replace=False))

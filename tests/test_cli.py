@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import verify_manifest
+from gtebench.numerics import make_rng
 from oracles import summary_csv_oracle
 
 CFG = Path(__file__).resolve().parents[1] / "src" / "gtebench" / "configs"
@@ -304,6 +306,46 @@ class TestFailedCells:
         assert not (workdir / "ev").exists()
 
 
+class TestOnlyCorrectSample:
+    """``explain --only-correct --sample N`` explains N distinct rows drawn from
+    those every model predicts correctly."""
+
+    @pytest.fixture
+    def loan(self, workdir, loan_nn1, loan_nn2):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        loan_nn1.save(workdir / "nn1.json")
+        loan_nn2.save(workdir / "nn2.json")
+        return workdir
+
+    @staticmethod
+    def _explain(*flags):
+        return run("explain", "nn1.json", "loan.csv", "--num-samples", 5, "--only-correct",
+                   *flags, "--out", "e.csv")
+
+    def test_perfect_models_full_set(self, loan):
+        assert self._explain("--second-model", "nn2.json", "--sample", 54) == 0
+        ids = CoefficientMatrix.load_csv(loan / "e.csv").instance_ids
+        assert np.array_equal(ids, np.arange(54))
+
+    def test_sampling_without_replacement(self, loan):
+        assert self._explain("--sample", 10, "--seed", 1) == 0
+        ids = CoefficientMatrix.load_csv(loan / "e.csv").instance_ids
+        assert len(np.unique(ids)) == 10
+        assert np.array_equal(ids, np.sort(make_rng(1, 9999).choice(54, 10, replace=False)))
+
+    def test_shortfall_error(self, loan, capsys):
+        # nn1 now predicts class 0 for every row: only the 25 rejected loans are correct
+        doc = json.loads((loan / "nn1.json").read_text())
+        doc["weights"][-1] = [[(0.0).hex()] * len(row) for row in doc["weights"][-1]]
+        doc["biases"][-1] = [float(k == 0).hex() for k in range(len(doc["biases"][-1]))]
+        (loan / "nn1.json").write_text(json.dumps(doc))
+        assert self._explain("--sample", 30) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert all(w in err for w in ("--only-correct", "25 rows of loan.csv", "--sample 30"))
+        assert not (loan / "e.csv").exists()
+
+
 class TestRejectedInputs:
     """Arguments and artifacts that cannot be used stop the subcommand with
     exit 2 and one ``error:`` line, not a traceback or a silent default."""
@@ -442,9 +484,13 @@ class TestRejectedInputs:
         ("time", lambda doc: doc["schema"][0].pop("mu")),
         ("time", lambda doc: doc["schema"][0].update(trunc_lo=3.0, trunc_hi=0.5)),
         ("time", lambda doc: doc["schema"][0].update(sigma=-0.8)),
+        # mode_table is no longer read: any table but [] is refused, a short one too
         ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0])),
+        ("loan", lambda doc: doc.update(removals=[list(g) for g in product(range(2, 6),
+                                                                           range(4), range(4))])),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
-            "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short"])
+            "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
+            "loan-removes-every-row"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
@@ -453,6 +499,44 @@ class TestRejectedInputs:
         assert run("generate", dataset, "--config", workdir / "cfg.json", "--out", "o.csv") == 2
         self._one_error_line(capsys, "cfg.json")
         assert not (workdir / "o.csv").exists()
+
+    @pytest.mark.parametrize("key, default, other", [
+        ("grid_mode", False, True),
+        ("grid_points", 8, 3),
+        ("mode_table", [], [1.0, 2.0, 1.0, 1.0, 1.0]),
+    ], ids=["grid_mode", "grid_points", "mode_table"])
+    def test_removed_config_key(self, workdir, capsys, key, default, other):
+        """A key the generator no longer reads loads at its old default, to
+        the same dataset and sidecar bytes, and exits 2 at any other value."""
+        doc = json.loads((CFG / "time_desk.json").read_text())
+        doc["rows_per_class"] = 5
+        holder = doc["schema"][0] if key == "mode_table" else doc
+
+        def generate(out):
+            (workdir / "cfg.json").write_text(json.dumps(doc))
+            return run("generate", "time", "--config", workdir / "cfg.json", "--out", out)
+
+        assert generate("new.csv") == 0
+        holder[key] = default
+        assert generate("old.csv") == 0
+        for suffix in ("", ".meta.json"):
+            assert ((workdir / f"old.csv{suffix}").read_bytes()
+                    == (workdir / f"new.csv{suffix}").read_bytes())
+        holder[key] = other
+        assert generate("o.csv") == 2
+        self._one_error_line(capsys, "cfg.json", repr(key))
+        assert not (workdir / "o.csv").exists()
+
+    def test_dataset_sidecar_removed_key_exit_2(self, workdir, capsys):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        meta_path = workdir / "loan.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert [f["mode_table"] for f in meta["schema"]] == [[], [], []]
+        meta["schema"][0]["mode_table"] = [2.0]
+        meta_path.write_text(json.dumps(meta))
+        assert run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g") == 2
+        self._one_error_line(capsys, "loan.csv.meta.json", "'mode_table'")
+        assert not (workdir / "g_ns5.csv").exists()
 
     def test_matrix_sidecar_without_source_exit_2(self, quick, capsys):
         run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
@@ -561,14 +645,13 @@ READERS = {
                         ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "o"), ()),
     "matrix": ("e.csv", ("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "o"), ()),
     "matrix-sidecar": ("e.csv.meta.json", ("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "o"), ()),
-    "report": ("ev/report.json", ("report", "ev", "--out-dir", "o"),
-               ("failed_cells", "failure_kinds")),
+    "report": ("ev/report.json", ("report", "ev", "--out-dir", "o"), ()),
     "model-config": ("mc.json", ("train", "loan.csv", "--model-config", "{dir}/mc.json",
                                  "--epochs", 1, "--out", "o.json"), ()),
     "loan-config": ("lc.json", ("generate", "loan", "--config", "{dir}/lc.json", "--out", "o.csv"),
                     ()),
     "equation-config": ("ec.json", ("generate", "time", "--config", "{dir}/ec.json",
-                                    "--out", "o.csv"), ("grid_mode", "grid_points")),
+                                    "--out", "o.csv"), ()),
 }
 # one value of each JSON type; int and float are one type, the number
 RETYPES = (None, True, 0.5, "x", [], {})

@@ -9,17 +9,16 @@ from gtebench.datagen import (
     Dataset,
     EquationConfig,
     VariationSpec,
-    _draw_base_rows,
     apply_variation_raw,
     base_energy_distance,
     base_energy_time,
+    config_hash,
     generate_equation_dataset,
     generate_loan,
     loan_label,
     loan_score,
 )
 from gtebench.errors import ConfigError, NumericFailure
-from gtebench.numerics import make_rng
 
 from importlib import resources
 
@@ -56,11 +55,10 @@ class TestGenerateLoan:
     def test_empty_removals(self):
         assert len(generate_loan(())) == 64
 
-    def test_full_removal_warns(self):
+    def test_full_removal_rejected(self):
         everything = tuple(product(range(2, 6), range(0, 4), range(0, 4)))
-        with pytest.warns(UserWarning):
-            ds = generate_loan(everything)
-        assert len(ds) == 0
+        with pytest.raises(ConfigError, match="every instance"):
+            generate_loan(everything)
 
     def test_invalid_removal(self):
         with pytest.raises(ConfigError):
@@ -157,18 +155,6 @@ class TestGenerateEquationDataset:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_mode_table_scales_by_mode(self):
-        doc = TIME_CFG.to_dict()
-        doc["rows_per_class"] = 50
-        plain = _draw_base_rows(EquationConfig.from_dict(doc), make_rng(4, 0))
-        doc["schema"][0]["mode_table"] = [1.0, 2.0, 1.0, 1.0, 1.0]
-        scaled = _draw_base_rows(EquationConfig.from_dict(doc), make_rng(4, 0))
-        mode = TIME_CFG.schema.index("m")
-        doubled = plain[:, mode] == 2
-        assert doubled.any() and not doubled.all()
-        assert np.array_equal(scaled[doubled, 0], 2 * plain[doubled, 0])
-        assert np.array_equal(scaled[~doubled], plain[~doubled])
-
     def test_zero_occupancy_rejected(self):
         # generate evaluates the base equation on every base row, and the
         # distance equation is undefined where TO is 0
@@ -187,14 +173,16 @@ class TestGenerateEquationDataset:
             assert np.all((col >= f.lo) & (col <= f.hi))
             assert np.array_equal(col, np.round(col, f.precision))
 
-    def test_grid_mode(self):
-        cfg = EquationConfig(
-            TIME_CFG.equation, TIME_CFG.schema, TIME_CFG.variations, 1,
-            grid_mode=True, grid_points=3,
-        )
-        ds = generate_equation_dataset(cfg, seed=0)
-        # 3 grid points per continuous variable x 5 modes, per class
-        assert len(ds) == 3 * 3 * 3 * 5 * 7
+    @pytest.mark.parametrize("name, expected", [
+        ("time_desk", "3c2e9d2be35626f0"),
+        ("time_full", "a67132cccffc6ead"),
+        ("distance_desk", "64ee9dba73fa59a3"),
+        ("distance_full", "64ddf6065de9f3aa"),
+    ])
+    def test_shipped_config_hash(self, name, expected):
+        # every dataset generated so far from a shipped config carries this hash
+        cfg = EquationConfig.load(resources.files("gtebench.configs") / f"{name}.json")
+        assert config_hash(cfg.to_dict()) == expected
 
 
 class TestCsvRoundTrip:

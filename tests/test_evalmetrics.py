@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,17 +212,6 @@ class TestBuildReport:
         assert summary == summary_csv_oracle(
             "dataset", [("toy", rep.ave_c_of_ed, rep.ave_second, rep.ave_all)])
         assert (out / "per_instance.csv").read_text() == per_instance_csv_oracle(rep.instance_scores)
-
-    def test_old_report_json_loads(self, tmp_path):
-        rep = build_report(_matrix(np.ones((1, 2, 3))), _matrix(np.zeros((1, 2, 3))))
-        rep.save(tmp_path)
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert (doc["failed_cells"], doc["failure_kinds"]) == (0, {})
-        del doc["failed_cells"], doc["failure_kinds"]
-        (tmp_path / "report.json").write_text(json.dumps(doc))
-        back = EvalReport.load(tmp_path)
-        assert (back.failed_cells, back.failure_kinds) == (0, {})
-        assert back.instance_scores == rep.instance_scores
 
 
 class TestFailedCells:

@@ -12,7 +12,6 @@ from gtebench.model import (
     accuracy,
     forward_backward,
     init_params,
-    select_correct,
     train,
 )
 from gtebench.numerics import make_rng
@@ -117,22 +116,6 @@ class TestAccuracy:
     def test_empty(self, loan_nn1):
         with pytest.raises(ValueError):
             accuracy(loan_nn1, np.empty((0, 3)), np.empty(0, int))
-
-
-class TestSelectCorrect:
-    def test_perfect_models_full_set(self, loan_nn1, loan_nn2, loan_dataset):
-        idx = select_correct([loan_nn1, loan_nn2], loan_dataset.X, loan_dataset.labels,
-                             len(loan_dataset), make_rng(0))
-        assert np.array_equal(idx, np.arange(len(loan_dataset)))
-
-    def test_sampling_without_replacement(self, loan_nn1, loan_dataset):
-        idx = select_correct([loan_nn1], loan_dataset.X, loan_dataset.labels, 10, make_rng(1))
-        assert len(idx) == 10
-        assert len(np.unique(idx)) == 10
-
-    def test_shortfall_error(self, loan_nn1, loan_dataset):
-        with pytest.raises(ConfigError, match="54"):
-            select_correct([loan_nn1], loan_dataset.X, loan_dataset.labels, 60, make_rng(0))
 
 
 class TestPersistence:
