@@ -7,9 +7,10 @@
 # sequence in both trees: the steps of scripts/run_loan_pipeline.sh plus a
 # loan explain --only-correct --second-model --sample, then a desk-scale
 # distance run (generate, train, explain --sample, align --instances-from at
-# ns 5,25,50, evaluate, report) and a desk-scale time generate. Every file
-# written, manifest.jsonl aside (it records paths), must be byte-identical;
-# exits 1 on any difference.
+# ns 5,25,50, evaluate, report) and a desk-scale time run (generate, train
+# the tanh nn2, explain --sample: a 7-class softmax). Every file written,
+# manifest.jsonl aside (it records paths), must be byte-identical; exits 1 on
+# any difference.
 set -euo pipefail
 
 rev="${1:?usage: scripts/compare_outputs.sh REV}"
@@ -56,6 +57,8 @@ run_sequence() {
     cli report dist/eval eval_ns25 --out-dir dist/plots
     # time desk: 14,000 rows in 7 classes, from the shipped config
     cli generate time --out time/time.csv --seed 7
+    cli train time/time.csv --model-config "$cfg/nn2.json" --out time/nn2.json --split 0.8 --epochs 3 --lr 0.3 --batch-size 16 --seed 12
+    cli explain time/nn2.json time/time.csv --num-samples 25 --runs 5 --sample 20 --seed 100 --out time/exp.csv
 }
 
 run_sequence "$repo" "$tmp/out/new"

@@ -25,6 +25,10 @@ class SingularSystemError(NumericFailure):
     """Unpenalized normal equations are singular."""
 
 
+class NonFiniteFitError(NumericFailure):
+    """A surrogate fit's coefficients or intercept are not finite."""
+
+
 class DegenerateSampleError(NumericFailure):
     """A statistic is undefined for the given sample (e.g. zero variance)."""
 

@@ -145,10 +145,16 @@ def perturb_instance(
     instance = np.asarray(instance, dtype=float)
     if n < 1:
         raise ConfigError(f"perturbation count must be positive, got {n}")
-    eff = np.broadcast_to(scale * np.asarray(stds, dtype=float), instance.shape)
-    if np.all(eff == 0):
+    eff = scale * np.asarray(stds, dtype=float)
+    if eff.shape != instance.shape:
+        eff = np.broadcast_to(eff, instance.shape)
+    if not eff.any():
         raise DegenerateSampleError("all perturbation scales are zero")
-    return instance + rng.standard_normal((n, instance.size)) * eff
+    # instance + draws * eff, in place: the sum is the same either way round
+    points = rng.standard_normal((n, instance.size))
+    points *= eff
+    points += instance
+    return points
 
 
 def explain(

@@ -61,16 +61,15 @@ class TrainedModel:
 
     # -- inference ---------------------------------------------------------
 
-    def _normalize(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.norm_lo) / self.norm_span
-
     def predict_batch(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.config.layers[0]:
             raise IncompatibilityError(
                 f"model expects {self.config.layers[0]} features, got {X.shape[1]}"
             )
-        return _forward(self.weights, self.biases, self.config.activation, self._normalize(X))[-1]
+        X = X - self.norm_lo
+        X /= self.norm_span
+        return _forward(self.weights, self.biases, self.config.activation, X)
 
     # -- persistence -------------------------------------------------------
 
@@ -111,22 +110,47 @@ class TrainedModel:
         return TrainedModel(**f)
 
 
-def _forward(weights, biases, activation, X) -> list[np.ndarray]:
-    """Activations per layer, input first, softmax output last."""
-    acts = [X]
+def _forward(weights, biases, activation, X, inputs: list | None = None) -> np.ndarray:
+    """Softmax output of the network on the rows of ``X``.
+
+    Each layer adds its bias and applies its activation in place, on the fresh
+    product of its matmul. Backprop reads only each layer's input, ``X``
+    first: these are appended to ``inputs`` when a list is given, and not kept
+    otherwise.
+    """
+    a = X
     for i, (W, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ W + b
-        if i < len(weights) - 1:
-            acts.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+        if inputs is not None:
+            inputs.append(a)
+        a = a @ W
+        a += b
+        if i == len(weights) - 1:
+            return _softmax(a)
+        if activation == "relu":
+            np.maximum(a, 0.0, out=a)
         else:
-            acts.append(_softmax(z))
-    return acts
+            np.tanh(a, out=a)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax of the logits ``z`` (n x c), written over ``z``.
+
+    numpy reduces a short contiguous axis one row at a time, which costs more
+    than the rest of the softmax. With fewer than 8 classes the max and the sum
+    therefore run over a class-major copy, as c - 1 elementwise ops on whole
+    rows of it. That is exact: max is exact in any order, and numpy sums fewer
+    than 8 contiguous elements left to right, as the column sum does. From 8
+    classes on numpy sums in pairwise blocks, so the row reductions stay.
+    """
+    if z.shape[1] >= 8:
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
+    e = np.ascontiguousarray(z.T)  # z.T itself when z has one row or one column
+    e -= e.max(axis=0)
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=0), out=z.T).T
 
 
 # arrays of floats to and from arrays of IEEE hex strings, which round-trip exactly
@@ -150,10 +174,10 @@ def init_params(mcfg: ModelConfig, rng: np.random.Generator):
 
 def forward_backward(weights, biases, activation, X, y_onehot):
     """Mean cross-entropy loss and parameter gradients for one batch."""
-    acts = _forward(weights, biases, activation, X)
+    acts: list[np.ndarray] = []
+    probs = _forward(weights, biases, activation, X, acts)
     L = len(weights)
     n = X.shape[0]
-    probs = acts[-1]
     loss = float(-np.sum(y_onehot * np.log(np.clip(probs, 1e-300, None))) / n)
 
     dW = [None] * L

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateSampleError,
+    NonFiniteFitError,
     SingularSystemError,
     ZeroVectorError,
 )
@@ -201,7 +202,27 @@ _NORM_SAFE = (2.0**-500, 2.0**500)
 
 def _power_of_two_exponent(a: np.ndarray) -> np.ndarray:
     """Exponent e with max|a| in [2**(e-1), 2**e), along the last axis (0 for zero rows)."""
-    return np.frexp(np.max(np.abs(a), axis=-1, initial=0.0))[1]
+    return np.frexp(np.abs(a).max(axis=-1, initial=0.0))[1]
+
+
+def _unscaled_row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(rows, axis=1)``, bit for bit.
+
+    numpy sums fewer than 8 contiguous elements left to right, so below 8
+    columns the squares are summed left to right a column at a time. That
+    skips numpy's slow reduction over each short row, and its temporary
+    array of every square.
+    """
+    d = rows.shape[1]
+    if not 0 < d < 8:
+        return np.linalg.norm(rows, axis=1)
+    col = rows[:, 0]
+    sums = col * col
+    sq = np.empty_like(sums)
+    for j in range(1, d):
+        col = rows[:, j]
+        sums += np.multiply(col, col, out=sq)
+    return np.sqrt(sums, out=sums)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -213,11 +234,13 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    bad = np.flatnonzero(~((norms >= _NORM_SAFE[0]) & (norms <= _NORM_SAFE[1])))
-    if bad.size:
+        norms = _unscaled_row_norms(rows)
+    lo, hi = _NORM_SAFE
+    # NaN fails both comparisons, so rows with NaN take the scaled path too
+    if not (norms.min(initial=lo) >= lo and norms.max(initial=hi) <= hi):
+        bad = np.flatnonzero(~((norms >= lo) & (norms <= hi)))
         e = _power_of_two_exponent(rows[bad])
-        norms[bad] = np.ldexp(np.linalg.norm(np.ldexp(rows[bad], -e[:, None]), axis=1), e)
+        norms[bad] = np.ldexp(_unscaled_row_norms(np.ldexp(rows[bad], -e[:, None])), e)
     return norms
 
 
@@ -236,7 +259,7 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
     rows = np.asarray(rows, dtype=float)
     v = np.asarray(v, dtype=float)
     v = np.ldexp(v, -_power_of_two_exponent(v))
-    nv = np.linalg.norm(v)
+    nv = math.sqrt(v.dot(v))  # np.linalg.norm(v), which takes the same steps
     if nv == 0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")
     if norms is None:
@@ -245,7 +268,9 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
     with np.errstate(invalid="ignore", divide="ignore"):
         sims /= norms * nv
     sims[norms == 0] = np.nan
-    return np.clip(sims, -1.0, 1.0, out=sims)
+    # np.clip(sims, -1, 1), which propagates NaN the same way
+    np.maximum(sims, -1.0, out=sims)
+    return np.minimum(sims, 1.0, out=sims)
 
 
 def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
@@ -260,16 +285,20 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
     result equals the first k of a full sort.
     """
     s = -sims
-    cand = np.arange(len(s))
     if k < len(s):
         kth = np.partition(s, k - 1)[k - 1]
         # ``not >`` rather than ``<=`` keeps NaN scores (sorted last) when kth is NaN
         cand = np.flatnonzero(~(s > kth))
-    order = cand[np.argsort(s[cand], kind="stable")[:k]]
-    X = np.vstack([target[None, :], pool[order]])
-    y = np.concatenate([[y_target], y_pool[order]])
+        order = cand[np.argsort(s[cand], kind="stable")[:k]]
+    else:
+        order = np.argsort(s, kind="stable")
+    X = np.empty((len(order) + 1, pool.shape[1]))
+    X[0] = target
+    X[1:] = pool[order]
+    y = np.concatenate(([y_target], y_pool[order]))
+    w = np.concatenate(([1.0], sims[order]))
     # ridge weights must be non-negative; anti-aligned rows carry no weight
-    return X, y, np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
+    return X, y, np.maximum(w, 0.0, out=w)
 
 
 def check_alpha(alpha: float) -> None:
@@ -288,7 +317,7 @@ def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
     n, d = X.shape
     if n < 1 or y.shape != (n,) or w.shape != (n,):
         raise ValueError(f"inconsistent shapes: X {X.shape}, y {y.shape}, w {w.shape}")
-    if np.any(w < 0):
+    if w.min() < 0:
         raise ValueError("weights must be non-negative")
     wsum = w.sum()
     if wsum == 0:
@@ -306,7 +335,11 @@ def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
         raise SingularSystemError(f"singular penalized normal matrix (alpha={alpha})") from exc
     if alpha == 0 and np.linalg.matrix_rank(A) < d:
         raise SingularSystemError("singular normal matrix at alpha=0")
-    return coef, ym - float(coef @ xm)
+    intercept = ym - float(coef @ xm)
+    # a non-finite coefficient (or mean) makes the intercept non-finite too
+    if not math.isfinite(intercept):
+        raise NonFiniteFitError("the fit's coefficients or intercept are not finite")
+    return coef, intercept
 
 
 def student_t_cdf(t: float, df: float) -> float:

@@ -188,3 +188,71 @@ def fit_outcome(fn):
     except NumericFailure as exc:
         return type(exc)
     return np.append(coef, intercept).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The inference and neighbourhood kernels as first written, with numpy's
+# row reductions, np.linalg.norm, np.clip and fresh arrays for every step: the
+# bit-for-bit reference for the in-place kernels of gtebench.model,
+# gtebench.numerics and gtebench.explainer.
+
+
+def forward_oracle(weights, biases, activation, X):
+    """Activations per layer, input first, softmax output last."""
+    acts = [X]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ W + b
+        if i < len(weights) - 1:
+            acts.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+        else:
+            z = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            acts.append(e / e.sum(axis=-1, keepdims=True))
+    return acts
+
+
+def predict_batch_oracle(model, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = (X - model.norm_lo) / model.norm_span
+    return forward_oracle(model.weights, model.biases, model.config.activation, X)[-1]
+
+
+def row_norms_oracle(rows):
+    """np.linalg.norm of each row, with a power-of-two rescale of the rows
+    whose norm falls outside [2**-500, 2**500]."""
+    rows = np.asarray(rows, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(~((norms >= 2.0**-500) & (norms <= 2.0**500)))
+    if bad.size:
+        e = np.frexp(np.max(np.abs(rows[bad]), axis=-1, initial=0.0))[1]
+        norms[bad] = np.ldexp(np.linalg.norm(np.ldexp(rows[bad], -e[:, None]), axis=1), e)
+    return norms
+
+
+def cosine_similarity_rows_oracle(rows, v, norms=None):
+    from gtebench.errors import ZeroVectorError
+
+    rows = np.asarray(rows, dtype=float)
+    v = np.asarray(v, dtype=float)
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=-1, initial=0.0))[1])
+    nv = np.linalg.norm(v)
+    if nv == 0:
+        raise ZeroVectorError("cosine similarity undefined for a zero vector")
+    if norms is None:
+        norms = row_norms_oracle(rows)
+    sims = rows @ v
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims /= norms * nv
+    sims[norms == 0] = np.nan
+    return np.clip(sims, -1.0, 1.0, out=sims)
+
+
+def perturb_instance_oracle(instance, stds, n, rng, scale=1.0):
+    from gtebench.errors import DegenerateSampleError
+
+    instance = np.asarray(instance, dtype=float)
+    eff = np.broadcast_to(scale * np.asarray(stds, dtype=float), instance.shape)
+    if np.all(eff == 0):
+        raise DegenerateSampleError("all perturbation scales are zero")
+    return instance + rng.standard_normal((n, instance.size)) * eff

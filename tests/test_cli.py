@@ -19,6 +19,7 @@ from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import verify_manifest
+from gtebench.model import TrainedModel
 from gtebench.numerics import make_rng
 from oracles import summary_csv_oracle
 
@@ -169,6 +170,24 @@ class TestTrainExplainAlignEvaluate:
                    (d / "manifest.jsonl").read_text().splitlines()
                    if json.loads(line)["stage"] == "report"] for d in (workdir, other)]
         assert hashes[0] == hashes[1] and len(hashes[0]) == 1
+
+    def test_non_finite_predictions_are_recorded_failures(self, loan_artifacts, workdir, capsys):
+        # last-layer weights near the float limit: every logit overflows and
+        # every probability is NaN, so every fit is non-finite
+        model = TrainedModel.load(workdir / "nn1.json")
+        with np.errstate(over="ignore"):
+            model.weights[-1] *= 1e308
+        model.save(workdir / "huge.json")
+        capsys.readouterr()
+        assert run("explain", "huge.json", "loan.csv", "--num-samples", 25, "--runs", 2,
+                   "--seed", 100, "--out", "e.csv") == 0
+        assert "(shape (2, 54, 3), 108 failures)" in capsys.readouterr().out
+        mat = CoefficientMatrix.load_csv(workdir / "e.csv")
+        assert {msg.split(":")[0] for _, _, msg in mat.failures} == {"NonFiniteFitError"}
+        assert run("align", "loan.csv", "--num-samples", 25, "--runs", 2, "--seed", 100,
+                   "--out-prefix", "gte") == 0
+        assert run("evaluate", "e.csv", "gte_ns25.csv", "--out-dir", "ev") == 4
+        assert "all 108 cells failed" in capsys.readouterr().err
 
     def test_truncated_matrix_exit_2(self, loan_artifacts, workdir, capsys):
         run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--runs", 2,

@@ -230,21 +230,24 @@ class TestNeighbourhood:
         extra_k=st.integers(0, 3),
         k_frac=st.floats(0, 1),
         seed=st.integers(0, 2**16),
+        d=st.integers(1, 10),
+        labels=st.booleans(),
     )
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, seed):
+    def test_equals_full_sort_oracle(self, sims, extra_k, k_frac, seed, d, labels):
         sims = np.array(sims)
         n = len(sims)
         # k from 1 to n, or past n (every row selected)
         k = extra_k + n if extra_k else 1 + int(k_frac * (n - 1))
         rng = make_rng(seed)
-        pool = rng.integers(-3, 4, size=(n, 3)).astype(float)
-        y_pool = rng.random(n)
-        target = rng.normal(size=3)
-        got = neighbourhood(target, 0.75, pool, y_pool, sims, k)
-        want = neighbourhood_oracle(target, 0.75, pool, y_pool, sims, k)
+        pool = rng.integers(-3, 4, size=(n, d)).astype(float)
+        # the explainer's probabilities, or GTE's integer class labels
+        y_pool, y_target = (rng.integers(0, 3, size=n), 1) if labels else (rng.random(n), 0.75)
+        target = rng.normal(size=d)
+        got = neighbourhood(target, y_target, pool, y_pool, sims, k)
+        want = neighbourhood_oracle(target, y_target, pool, y_pool, sims, k)
         for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_all_tied(self):
         pool = np.arange(20.0).reshape(10, 2)
