@@ -3,25 +3,24 @@
 #
 # Usage: scripts/compare_outputs.sh REV
 #
-# Checks REV out into a temporary git worktree and runs the same CLI
+# Exports REV into a temporary directory (git archive) and runs the same CLI
 # sequence in both trees: the steps of scripts/run_loan_pipeline.sh plus a
 # loan explain --only-correct --second-model --sample, then a desk-scale
 # distance run (generate, train, explain --sample, align --instances-from at
 # ns 5,25,50, evaluate, report) and a desk-scale time run (generate, train
 # the tanh nn2, explain --sample: a 7-class softmax). Every file written,
-# manifest.jsonl aside (it records paths), must be byte-identical; exits 1 on
-# any difference.
+# manifest.jsonl aside, must be byte-identical. The manifests must hold the
+# same entries in the same order: stage, config hash, seed and output
+# digests, with output paths relative to the output directory (timestamps and
+# inputs are left out). Exits 1 on any difference.
 set -euo pipefail
 
 rev="${1:?usage: scripts/compare_outputs.sh REV}"
 repo="$(git -C "$(dirname "$0")" rev-parse --show-toplevel)"
 tmp="$(mktemp -d)"
-cleanup() {
-    git -C "$repo" worktree remove --force "$tmp/base" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$repo" worktree add --quiet --detach "$tmp/base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$repo" archive "$rev" | tar -x -C "$tmp/base"
 
 cli() { python3 -m gtebench.cli "$@" > /dev/null; }
 
@@ -65,6 +64,19 @@ run_sequence "$repo" "$tmp/out/new"
 run_sequence "$tmp/base" "$tmp/out/base"
 
 list() { (cd "$1" && find . -type f ! -name manifest.jsonl | sort); }
+
+# manifest_entries OUT: one line per entry of OUT/manifest.jsonl
+manifest_entries() {
+    python3 - "$1" <<'EOF'
+import json, os, sys
+out = os.path.realpath(sys.argv[1])
+with open(os.path.join(out, "manifest.jsonl"), encoding="utf-8") as fh:
+    for line in fh:
+        e = json.loads(line)
+        digests = {os.path.relpath(os.path.realpath(p), out): d for p, d in e["outputs"].items()}
+        print(json.dumps([e["stage"], e["config_hash"], e["seed"], digests]))
+EOF
+}
 status=0
 if ! diff <(list "$tmp/out/new") <(list "$tmp/out/base") > /dev/null; then
     echo "the two trees wrote different sets of files:"
@@ -78,7 +90,12 @@ while read -r f; do
         cmp -s "$tmp/out/new/$f" "$tmp/out/base/$f" || { echo "differs: ${f#./}"; status=1; }
     fi
 done < <(list "$tmp/out/new")
+entries="$(manifest_entries "$tmp/out/new")"
+if ! diff <(echo "$entries") <(manifest_entries "$tmp/out/base"); then
+    echo "manifest.jsonl entries differ (< this tree, > $rev)"
+    status=1
+fi
 if [[ $status -eq 0 ]]; then
-    echo "all $n files are byte-identical to $rev"
+    echo "all $n files are byte-identical to $rev, and all $(wc -l <<< "$entries") manifest entries match"
 fi
 exit $status

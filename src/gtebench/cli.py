@@ -14,11 +14,11 @@ from . import evalmetrics, svgplot
 from .artifacts import read_json, typed
 from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
 from .errors import ConfigError, IncompatibilityError, NumericFailure
-from .explainer import CoefficientMatrix, ExplainerConfig, batch_explain
-from .gte import GteConfig, batch_gte
+from .explainer import CoefficientMatrix, batch_explain
+from .gte import batch_gte
 from .manifest import record_stage
 from .model import ModelConfig, TrainConfig, TrainedModel, jointly_correct, train
-from .numerics import make_rng
+from .numerics import RIDGE_ALPHA, make_rng
 
 EXIT_CONFIG = 2
 EXIT_INCOMPATIBLE = 3
@@ -125,13 +125,7 @@ def cmd_explain(args) -> int:
     m = TrainedModel.load(_resolve(args.model))
     second = TrainedModel.load(_resolve(args.second_model)) if args.second_model else None
     idx = _select_instances(args, ds, [m, second])
-    cfg = ExplainerConfig(
-        num_samples=args.num_samples,
-        n_perturb=args.n_perturb,
-        alpha=args.alpha,
-        scale=args.scale,
-    )
-    mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), cfg, args.runs, args.seed,
+    mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), args.num_samples, args.runs, args.seed,
                         dataset_hash=ds.config_hash, instance_ids=idx)
     out = _resolve(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -163,15 +157,16 @@ def cmd_align(args) -> int:
     repeated = [ns for k, ns in enumerate(args.num_samples) if ns in args.num_samples[:k]]
     if repeated:
         raise ConfigError(f"--num-samples lists {repeated[0]} more than once")
-    cfgs = [GteConfig(num_samples=ns, alpha=args.alpha) for ns in args.num_samples]
     outputs = []
-    for ns, mat in zip(args.num_samples, batch_gte(ds, idx, cfgs, args.runs, args.seed)):
+    for ns, mat in zip(args.num_samples, batch_gte(ds, idx, args.num_samples, args.runs,
+                                                   args.seed)):
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         out.parent.mkdir(parents=True, exist_ok=True)
         outputs += mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     record_stage(_manifest_path(), "align",
-                 config_hash({"num_samples": args.num_samples, "alpha": args.alpha,
+                 # alpha is hashed as when it was an option
+                 config_hash({"num_samples": args.num_samples, "alpha": RIDGE_ALPHA,
                               "runs": args.runs}),
                  args.seed, [args.dataset], outputs)
     return 0
@@ -181,6 +176,11 @@ def cmd_evaluate(args) -> int:
     exp = _load_matrix(args.exp)
     gte_mat = _load_matrix(args.gte)
     second = _load_matrix(args.second) if args.second else None
+    for path, mat, source in ((args.exp, exp, "explainer"), (args.gte, gte_mat, "gte"),
+                              (args.second, second, "explainer")):
+        if mat is not None and mat.source != source:
+            raise IncompatibilityError(f"{path}: source {mat.source!r} where {source!r} "
+                                       f"is expected")
     report = evalmetrics.build_report(exp, gte_mat, second)
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
     # every evaluate entry written so far was hashed with the ranking and zero rules
@@ -261,11 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("explain", help="explain predictions, write a coefficient matrix")
     e.add_argument("model")
     e.add_argument("dataset")
-    e.add_argument("--num-samples", type=int, required=True)
-    e.add_argument("--n-perturb", type=int, default=None)
+    e.add_argument("--num-samples", type=int, required=True,
+                   help="perturbations kept per fit, from a pool of 20 times as many")
     e.add_argument("--runs", type=int, default=1)
-    e.add_argument("--alpha", type=float, default=1.0)
-    e.add_argument("--scale", type=float, default=1.0)
     e.add_argument("--only-correct", action="store_true",
                    help="explain only instances predicted correctly by all supplied models")
     e.add_argument("--second-model", help="additional model for --only-correct filtering")
@@ -279,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--num-samples", type=lambda s: [int(x) for x in s.split(",")], required=True,
                    help="one value or a comma list, e.g. 5,25,50")
     a.add_argument("--runs", type=int, default=1)
-    a.add_argument("--alpha", type=float, default=1.0)
     a.add_argument("--instances-from", help="coefficient CSV whose instance ids to reuse")
     a.add_argument("--out-prefix", required=True)
     a.add_argument("--seed", type=int, default=0, help="labels the sidecar; GTE draws no random numbers")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -107,7 +108,6 @@ class Dataset:
     schema: FeatureSchema
     X: np.ndarray  # n x d
     labels: np.ndarray  # n, int class ids contiguous from 0
-    variation_ids: np.ndarray  # n, int
     n_classes: int
     seed: int
     config_hash: str
@@ -126,6 +126,8 @@ class Dataset:
                 for f in self.schema.features]
         cols = [self.X[:, j] if f.kind == "continuous" else np.round(self.X[:, j])
                 for j, f in enumerate(self.schema.features)]
+        # an equation dataset's variation is its class; loan has none
+        variation_ids = np.zeros_like(self.labels) if self.equation == "loan" else self.labels
         meta = {
             "equation": self.equation,
             "seed": self.seed,
@@ -135,14 +137,14 @@ class Dataset:
             "rows": len(self),
         }
         return artifacts.write_csv(path, self.schema.names + ["label", "variation_id"],
-                                   fmts + ["%d", "%d"], cols + [self.labels, self.variation_ids],
+                                   fmts + ["%d", "%d"], cols + [self.labels, variation_ids],
                                    meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
         """The rows and the sidecar; the CSV must hold the sidecar's number of
-        rows, every label must be a class id below n_classes and every
-        variation id an integer."""
+        rows, every feature value must be finite, every label a class id below
+        n_classes and every variation id what ``save_csv`` writes."""
         def build(doc):
             fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
                                      schema=list, rows=int)
@@ -154,16 +156,25 @@ class Dataset:
         data = artifacts.read_csv(path, fields["schema"].names + ["label", "variation_id"])
         if len(data) != rows:
             raise ConfigError(f"{path}: {len(data)} rows, sidecar records {rows}")
-        labels, variation_ids, n = data[:, d], data[:, d + 1], fields["n_classes"]
-        # a float holds every integer in [-2**53, 2**53) exactly
-        for name, col, lo, hi, span in (("label", labels, 0, n, f" in [0, {n})"),
-                                        ("variation_id", variation_ids, -2**53, 2**53, "")):
-            bad = np.flatnonzero(~((col >= lo) & (col < hi) & (np.floor(col) == col)))
-            if bad.size:
-                raise ConfigError(f"{path}: {name} {col[bad[0]]:g} of data row {bad[0] + 1} is "
-                                  f"not an integer{span}")
-        return Dataset(X=data[:, :d], labels=labels.astype(int),
-                       variation_ids=variation_ids.astype(int), **fields)
+        X, labels, variation_ids, n = data[:, :d], data[:, d], data[:, d + 1], fields["n_classes"]
+        # min and max propagate NaN: both are finite iff every value of the column is
+        bad = np.flatnonzero(~(np.isfinite(X.min(axis=0)) & np.isfinite(X.max(axis=0)))
+                             if len(X) else [])
+        if bad.size:
+            j = bad[0]
+            i = np.flatnonzero(~np.isfinite(X[:, j]))[0]
+            raise ConfigError(f"{path}: {fields['schema'].names[j]} {X[i, j]:g} of data row "
+                              f"{i + 1} is not finite")
+        bad = np.flatnonzero(~((labels >= 0) & (labels < n) & (np.floor(labels) == labels)))
+        if bad.size:
+            raise ConfigError(f"{path}: label {labels[bad[0]]:g} of data row {bad[0] + 1} is "
+                              f"not an integer in [0, {n})")
+        loan = fields["equation"] == "loan"
+        bad = np.flatnonzero(variation_ids != (0 if loan else labels))
+        if bad.size:
+            raise ConfigError(f"{path}: variation_id {variation_ids[bad[0]]:g} of data row "
+                              f"{bad[0] + 1} is not {'0' if loan else 'its label'}")
+        return Dataset(X=X, labels=labels.astype(int), **fields)
 
 
 def config_hash(obj) -> str:
@@ -233,7 +244,6 @@ def generate_loan(
         schema=LOAN_SCHEMA,
         X=X,
         labels=labels,
-        variation_ids=np.zeros(len(kept), dtype=int),
         n_classes=2,
         seed=seed,
         config_hash=config_hash({"loan_removals": sorted(removal_set)}),
@@ -325,8 +335,9 @@ class EquationConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EquationConfig":
-        """Checks that every feature but the mode has a numeric ``mu``,
-        ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
+        """Checks that every number of every feature is finite, that ``lo <=
+        hi``, and that every feature but the mode has numbers ``mu``, ``sigma
+        >= 0`` and ``trunc_lo <= trunc_hi``."""
         f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
                             schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in _ENERGY_FNS:
@@ -342,8 +353,15 @@ class EquationConfig:
             raise ConfigError("rows_per_class must be >= 1")
         f["schema"] = FeatureSchema.from_dict(f["schema"])
         for feat in f["schema"].features:
+            keys = ("lo", "hi") + (("mu", "sigma", "trunc_lo", "trunc_hi") if feat.kind != "mode"
+                                   else ())
+            numbers = artifacts.typed(vars(feat), **dict.fromkeys(keys, float))
+            for key, v in [*numbers.items(), *(("mode_values", v) for v in feat.mode_values)]:
+                if not math.isfinite(v):
+                    raise ConfigError(f"feature {feat.name!r}: {key} must be finite, got {v}")
+            if not feat.lo <= feat.hi:
+                raise ConfigError(f"feature {feat.name!r} needs lo <= hi: {feat.lo}, {feat.hi}")
             if feat.kind != "mode":
-                artifacts.typed(vars(feat), mu=float, sigma=float, trunc_lo=float, trunc_hi=float)
                 if not (feat.sigma >= 0 and feat.trunc_lo <= feat.trunc_hi):
                     raise ConfigError(f"feature {feat.name!r} needs sigma >= 0 and trunc_lo <= "
                                       f"trunc_hi: {feat.sigma}, {feat.trunc_lo}, {feat.trunc_hi}")
@@ -371,17 +389,13 @@ def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
     energy_fn, var_names = _ENERGY_FNS[cfg.equation]
     energy_fn(*(base_raw[:, cfg.schema.index(v)] for v in var_names))
 
-    blocks, labels, variation_ids = [], [], []
-    for spec in sorted(cfg.variations, key=lambda v: v.class_id):
-        transformed = apply_variation_raw(base_raw, spec, cfg.schema)
-        blocks.append(cfg.schema.round_clamp(transformed))
-        labels.append(np.full(base_raw.shape[0], spec.class_id, dtype=int))
-        variation_ids.append(np.full(base_raw.shape[0], spec.class_id, dtype=int))
+    # rounding is elementwise, so the stacked classes are rounded and clamped at once
+    specs = sorted(cfg.variations, key=lambda v: v.class_id)
+    raw = np.vstack([apply_variation_raw(base_raw, spec, cfg.schema) for spec in specs])
     return Dataset(
         schema=cfg.schema,
-        X=np.vstack(blocks),
-        labels=np.concatenate(labels),
-        variation_ids=np.concatenate(variation_ids),
+        X=cfg.schema.round_clamp(raw),
+        labels=np.repeat([spec.class_id for spec in specs], len(base_raw)),
         n_classes=len(cfg.variations),
         seed=seed,
         config_hash=config_hash(cfg.to_dict()),

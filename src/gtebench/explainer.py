@@ -5,7 +5,7 @@ similarity-weighted ridge regression against the model's class probability.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,35 +13,19 @@ import numpy as np
 from . import artifacts
 from .datagen import config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure
-from .numerics import (check_alpha, cosine_similarity_rows, make_rng, neighbourhood,
+from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, make_rng, neighbourhood,
                        weighted_ridge)
 
 MAX_PERTURBATION_POOL = 100_000
 
 
-@dataclass(frozen=True)
-class ExplainerConfig:
-    num_samples: int
-    n_perturb: int | None = None  # pool size; default 20 * num_samples, capped
-    alpha: float = 1.0
-    scale: float = 1.0  # std multiplier
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
-        check_alpha(self.alpha)
-        if not 0 < self.scale < np.inf:
-            raise ConfigError(f"scale must be positive and finite, got {self.scale!r}")
-        if self.pool_size < self.num_samples:
-            raise ConfigError(
-                f"perturbation pool ({self.pool_size}) smaller than num_samples ({self.num_samples})"
-            )
-
-    @property
-    def pool_size(self) -> int:
-        if self.n_perturb is not None:
-            return self.n_perturb
-        return min(20 * self.num_samples, MAX_PERTURBATION_POOL)
+def pool_size(num_samples: int) -> int:
+    """The number of perturbations ranked to keep ``num_samples``: 20 per
+    kept sample, capped at ``MAX_PERTURBATION_POOL``."""
+    if not 1 <= num_samples <= MAX_PERTURBATION_POOL:
+        raise ConfigError(f"num_samples must be in [1, {MAX_PERTURBATION_POOL}] (the largest "
+                          f"perturbation pool), got {num_samples}")
+    return min(20 * num_samples, MAX_PERTURBATION_POOL)
 
 
 @dataclass
@@ -80,24 +64,26 @@ class CoefficientMatrix:
         n = len(fields[0]["instance_ids"])
         mats = [cls(coefficients=np.full((runs, n, n_features), np.nan),
                     intercepts=np.full((runs, n), np.nan), **f) for f in fields]
-        for r in range(runs):
-            if r >= distinct_runs:
-                for m in mats:
-                    m.coefficients[r], m.intercepts[r] = m.coefficients[0], m.intercepts[0]
-                    m.failures += [(r, i, msg) for r0, i, msg in m.failures if r0 == 0]
-                continue
-            for i in range(n):
-                try:
-                    fits = cell(r, i)
-                except NumericFailure as exc:  # record, keep going
+        # an overflow or NaN inside a cell ends as its recorded failure, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(runs):
+                if r >= distinct_runs:
                     for m in mats:
-                        m.failures.append((r, i, _failure_message(exc)))
+                        m.coefficients[r], m.intercepts[r] = m.coefficients[0], m.intercepts[0]
+                        m.failures += [(r, i, msg) for r0, i, msg in m.failures if r0 == 0]
                     continue
-                for m, fit in zip(mats, fits, strict=True):
+                for i in range(n):
                     try:
-                        m.coefficients[r, i], m.intercepts[r, i] = fit()
-                    except NumericFailure as exc:
-                        m.failures.append((r, i, _failure_message(exc)))
+                        fits = cell(r, i)
+                    except NumericFailure as exc:  # record, keep going
+                        for m in mats:
+                            m.failures.append((r, i, _failure_message(exc)))
+                        continue
+                    for m, fit in zip(mats, fits, strict=True):
+                        try:
+                            m.coefficients[r, i], m.intercepts[r, i] = fit()
+                        except NumericFailure as exc:
+                            m.failures.append((r, i, _failure_message(exc)))
         return mats
 
     def save_csv(self, path: str | Path) -> list[Path]:
@@ -138,21 +124,20 @@ def perturb_instance(
     stds: np.ndarray,
     n: int,
     rng: np.random.Generator,
-    scale: float = 1.0,
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
-    per-feature std ``scale * stds``."""
+    per-feature std ``stds``."""
     instance = np.asarray(instance, dtype=float)
     if n < 1:
         raise ConfigError(f"perturbation count must be positive, got {n}")
-    eff = scale * np.asarray(stds, dtype=float)
-    if eff.shape != instance.shape:
-        eff = np.broadcast_to(eff, instance.shape)
-    if not eff.any():
+    stds = np.asarray(stds, dtype=float)
+    if stds.shape != instance.shape:
+        stds = np.broadcast_to(stds, instance.shape)
+    if not stds.any():
         raise DegenerateSampleError("all perturbation scales are zero")
-    # instance + draws * eff, in place: the sum is the same either way round
+    # instance + draws * stds, in place: the sum is the same either way round
     points = rng.standard_normal((n, instance.size))
-    points *= eff
+    points *= stds
     points += instance
     return points
 
@@ -161,16 +146,17 @@ def explain(
     model,
     instance: np.ndarray,
     stds: np.ndarray,
-    cfg: ExplainerConfig,
+    num_samples: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Explain one prediction; returns (coefficients, intercept).
+    """Explain one prediction from the ``num_samples`` perturbations most
+    similar to it; returns (coefficients, intercept).
 
     ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stds``
     are the per-feature standard deviations of the training data.
     """
     instance = np.asarray(instance, dtype=float)
-    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale)
+    points = perturb_instance(instance, stds, pool_size(num_samples), rng)
     sims = cosine_similarity_rows(points, instance)
     # a zero-norm (or non-finite) perturbation has no similarity to rank by
     if np.isnan(sims).any():
@@ -181,15 +167,15 @@ def explain(
     pred_class = int(np.argmax(p_self))
     # ties in similarity are broken by draw order
     X, y, w = neighbourhood(instance, p_self[pred_class], points, probs[:, pred_class], sims,
-                            cfg.num_samples)
-    return weighted_ridge(X, y, w, cfg.alpha)
+                            num_samples)
+    return weighted_ridge(X, y, w, RIDGE_ALPHA)
 
 
 def batch_explain(
     model,
     instances: np.ndarray,
     stds: np.ndarray,
-    cfg: ExplainerConfig,
+    num_samples: int,
     runs: int,
     base_seed: int,
     dataset_hash: str = "",
@@ -199,13 +185,18 @@ def batch_explain(
     (run, instance) so results are independent of execution order."""
     instances = np.atleast_2d(np.asarray(instances, dtype=float))
     n, d = instances.shape
+    pool_size(num_samples)  # checked before the first cell
     [mat] = CoefficientMatrix.fill(
-        lambda r, i: [lambda: explain(model, instances[i], stds, cfg, make_rng(base_seed, r, i))],
+        lambda r, i: [lambda: explain(model, instances[i], stds, num_samples,
+                                      make_rng(base_seed, r, i))],
         runs, runs, d,
         [dict(source="explainer",
-              # every explainer matrix written so far was hashed with these keys
-              config_hash=config_hash({**asdict(cfg), "clamp_to_schema": False,
-                                       "selection": "top_k", "kernel_width": 0.25}),
+              # every explainer matrix written so far was hashed with these keys,
+              # the pool, the std multiplier and alpha once being settable
+              config_hash=config_hash({"num_samples": num_samples, "n_perturb": None,
+                                       "alpha": RIDGE_ALPHA, "scale": 1.0,
+                                       "clamp_to_schema": False, "selection": "top_k",
+                                       "kernel_width": 0.25}),
               dataset_hash=dataset_hash,
               seed=base_seed,
               instance_ids=(np.arange(n) if instance_ids is None

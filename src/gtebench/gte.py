@@ -9,29 +9,19 @@ same-class indicator as the regression target.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .datagen import Dataset, config_hash
 from .errors import ConfigError
 from .explainer import CoefficientMatrix
-from .numerics import (check_alpha, cosine_similarity_rows, neighbourhood, row_norms,
+from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, neighbourhood, row_norms,
                        weighted_ridge)
 
 
-@dataclass(frozen=True)
-class GteConfig:
-    num_samples: int
-    alpha: float = 1.0  # must match the paired explainer's value
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be positive, got {self.num_samples}")
-        check_alpha(self.alpha)
-
-
 def _check_num_samples(k: int, dataset: Dataset) -> None:
+    if k < 1:
+        raise ConfigError(f"num_samples must be positive, got {k}")
     if k >= len(dataset):
         raise ConfigError(f"num_samples ({k}) must be below dataset size ({len(dataset)})")
 
@@ -64,41 +54,45 @@ def gte_design(
 
 
 def gte_explain(design: tuple[np.ndarray, np.ndarray, np.ndarray],
-                cfg: GteConfig) -> tuple[np.ndarray, float]:
-    """Ground-truth coefficients from the first ``cfg.num_samples + 1`` rows
-    of a :func:`gte_design` built at ``k`` >= ``cfg.num_samples``."""
-    m = cfg.num_samples + 1
+                num_samples: int) -> tuple[np.ndarray, float]:
+    """Ground-truth coefficients from the first ``num_samples + 1`` rows of a
+    :func:`gte_design` built at ``k`` >= ``num_samples``."""
+    m = num_samples + 1
     X, y, w = design
-    return weighted_ridge(X[:m], y[:m], w[:m], cfg.alpha)
+    return weighted_ridge(X[:m], y[:m], w[:m], RIDGE_ALPHA)
 
 
 def batch_gte(
     dataset: Dataset,
     indices: np.ndarray,
-    cfgs: list[GteConfig],
+    num_samples: list[int],
     runs: int,
     base_seed: int,
 ) -> list[CoefficientMatrix]:
-    """One runs x len(indices) x d tensor per entry of ``cfgs``, source tag "gte".
+    """One runs x len(indices) x d tensor per entry of ``num_samples``, source
+    tag "gte".
 
     Each target's design is built once, at the largest ``num_samples``, and
-    every config fits its leading rows. The procedure is deterministic on fixed
+    every value fits its leading rows. The procedure is deterministic on fixed
     data, so run 0 is computed and every other run is a copy of it;
     ``base_seed`` only labels the sidecars.
     """
     indices = np.asarray(indices, dtype=int)
+    for ns in num_samples:  # also when there is no target to rank
+        _check_num_samples(ns, dataset)
     norms = row_norms(dataset.X)
-    k = max(cfg.num_samples for cfg in cfgs)
-    _check_num_samples(k, dataset)  # also when there is no target to rank
+    k = max(num_samples)
 
     def cell(r, i):
         design = gte_design(dataset, int(indices[i]), k, norms)
-        return [functools.partial(gte_explain, design, cfg) for cfg in cfgs]
+        return [functools.partial(gte_explain, design, ns) for ns in num_samples]
 
     return CoefficientMatrix.fill(
         cell, runs, 1, dataset.n_features,
-        # every GTE matrix written so far was hashed with this key
-        [dict(source="gte", config_hash=config_hash({**asdict(cfg), "resample_per_run": False}),
+        # every GTE matrix written so far was hashed with these keys, alpha once
+        # being settable
+        [dict(source="gte", config_hash=config_hash({"num_samples": ns, "alpha": RIDGE_ALPHA,
+                                                     "resample_per_run": False}),
               dataset_hash=dataset.config_hash, seed=base_seed, instance_ids=indices)
-         for cfg in cfgs],
+         for ns in num_samples],
     )

@@ -301,10 +301,8 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
     return X, y, np.maximum(w, 0.0, out=w)
 
 
-def check_alpha(alpha: float) -> None:
-    """A ridge penalty is finite and non-negative."""
-    if not 0 <= alpha < np.inf:
-        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
+# the ridge penalty of every explainer and GTE fit: LIME's default
+RIDGE_ALPHA = 1.0
 
 
 def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
@@ -322,7 +320,8 @@ def weighted_ridge(X, y, w, alpha: float) -> tuple[np.ndarray, float]:
     wsum = w.sum()
     if wsum == 0:
         raise ValueError("weights must not all be zero")
-    check_alpha(alpha)
+    if not 0 <= alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and non-negative, got {alpha}")
     xm = (w @ X) / wsum
     ym = float(w @ y) / wsum
     Xc = X - xm

@@ -78,7 +78,9 @@ def dataset_csv_oracle(ds) -> str:
             f"{ds.X[i, j]:.{f.precision}f}" if f.kind == "continuous" else str(int(round(ds.X[i, j])))
             for j, f in enumerate(ds.schema.features)
         ]
-        vals += [str(int(ds.labels[i])), str(int(ds.variation_ids[i]))]
+        # an equation dataset's variation is its class; loan has none
+        variation = 0 if ds.equation == "loan" else int(ds.labels[i])
+        vals += [str(int(ds.labels[i])), str(variation)]
         lines.append(",".join(vals))
     return "\n".join(lines) + "\n"
 
@@ -132,25 +134,26 @@ def neighbourhood_oracle(target, y_target, pool, y_pool, sims, k):
     return X, y, np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
 
 
-def select_and_fit_oracle(points, sims, probs, instance, p_instance, cfg):
+def select_and_fit_oracle(points, sims, probs, instance, p_instance, k):
     from gtebench.numerics import weighted_ridge
 
-    k = cfg.num_samples
     # stable descending sort, ties broken by draw order
     order = np.lexsort((np.arange(len(sims)), -sims))[:k]
     X_fit = np.vstack([instance[None, :], points[order]])
     y_fit = np.concatenate([[p_instance], probs[order]])
     w = np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
-    return weighted_ridge(X_fit, y_fit, w, cfg.alpha)
+    return weighted_ridge(X_fit, y_fit, w, 1.0)
 
 
-def explain_oracle(model, instance, stds, cfg, rng):
+def explain_oracle(model, instance, stds, k, rng):
+    """LIME's steps at its defaults: a pool of 20 perturbations per kept
+    sample, at most 100,000, with the features' stds; ridge alpha 1."""
     from gtebench.errors import DegenerateSampleError
     from gtebench.explainer import perturb_instance
     from gtebench.numerics import cosine_similarity_rows
 
     instance = np.asarray(instance, dtype=float)
-    points = perturb_instance(instance, stds, cfg.pool_size, rng, cfg.scale)
+    points = perturb_instance(instance, stds, min(20 * k, 100_000), rng)
     sims = cosine_similarity_rows(points, instance)
     if np.isnan(sims).any():
         raise DegenerateSampleError("a perturbation has undefined cosine similarity")
@@ -158,11 +161,11 @@ def explain_oracle(model, instance, stds, cfg, rng):
     p_self = model.predict_batch(instance[None, :])[0]
     pred_class = int(np.argmax(p_self))
     return select_and_fit_oracle(points, sims, probs[:, pred_class], instance,
-                                 p_self[pred_class], cfg)
+                                 p_self[pred_class], k)
 
 
-def gte_explain_oracle(dataset, index, cfg):
-    """Ranks a copy of the dataset without the target row."""
+def gte_explain_oracle(dataset, index, k):
+    """Ranks a copy of the dataset without the target row; ridge alpha 1."""
     from gtebench.numerics import cosine_similarity_rows, weighted_ridge
 
     target = dataset.X[index]
@@ -170,12 +173,12 @@ def gte_explain_oracle(dataset, index, cfg):
     sims = cosine_similarity_rows(dataset.X[others], target)
     if np.isnan(sims).any():
         sims = np.nan_to_num(sims, nan=-2.0)
-    order = np.lexsort((np.arange(len(others)), -sims))[: cfg.num_samples]
+    order = np.lexsort((np.arange(len(others)), -sims))[:k]
     sel = others[order]
     X_fit = np.vstack([target[None, :], dataset.X[sel]])
     y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])
     w = np.concatenate([[1.0], np.maximum(sims[order], 0.0)])
-    return weighted_ridge(X_fit, y_fit, w, cfg.alpha)
+    return weighted_ridge(X_fit, y_fit, w, 1.0)
 
 
 def fit_outcome(fn):
@@ -248,11 +251,11 @@ def cosine_similarity_rows_oracle(rows, v, norms=None):
     return np.clip(sims, -1.0, 1.0, out=sims)
 
 
-def perturb_instance_oracle(instance, stds, n, rng, scale=1.0):
+def perturb_instance_oracle(instance, stds, n, rng):
     from gtebench.errors import DegenerateSampleError
 
     instance = np.asarray(instance, dtype=float)
-    eff = np.broadcast_to(scale * np.asarray(stds, dtype=float), instance.shape)
+    eff = np.broadcast_to(np.asarray(stds, dtype=float), instance.shape)
     if np.all(eff == 0):
         raise DegenerateSampleError("all perturbation scales are zero")
     return instance + rng.standard_normal((n, instance.size)) * eff

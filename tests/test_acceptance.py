@@ -13,8 +13,8 @@ from gtebench.datagen import (
     generate_loan,
 )
 from gtebench.evalmetrics import build_report, zero_census
-from gtebench.explainer import ExplainerConfig, batch_explain
-from gtebench.gte import GteConfig, batch_gte
+from gtebench.explainer import batch_explain
+from gtebench.gte import batch_gte
 from gtebench.model import ModelConfig, TrainConfig, forward_backward, init_params, train
 from gtebench.numerics import make_rng, student_t_cdf, weighted_ridge
 from conftest import LOAN_NN1, LOAN_NN2
@@ -39,10 +39,9 @@ def loan_pipeline():
     nn1 = train(ds, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
     nn2 = train(ds, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
     stds = ds.X.std(axis=0)
-    cfg25 = ExplainerConfig(num_samples=25)
-    exp1 = batch_explain(nn1, ds.X, stds, cfg25, 100, SEED, ds.config_hash)
-    exp2 = batch_explain(nn2, ds.X, stds, cfg25, 100, SEED, ds.config_hash)
-    [gte25] = batch_gte(ds, np.arange(len(ds)), [GteConfig(num_samples=25)], 100, SEED)
+    exp1 = batch_explain(nn1, ds.X, stds, 25, 100, SEED, ds.config_hash)
+    exp2 = batch_explain(nn2, ds.X, stds, 25, 100, SEED, ds.config_hash)
+    [gte25] = batch_gte(ds, np.arange(len(ds)), [25], 100, SEED)
     report = build_report(exp1, gte25, exp2)
     elapsed = time.time() - t0
     return dict(ds=ds, nn1=nn1, nn2=nn2, stds=stds, exp1=exp1, exp2=exp2,
@@ -85,10 +84,8 @@ def test_criterion_2_zero_coefficient_phenomenon(loan_pipeline):
     p = loan_pipeline
     ds, stds = p["ds"], p["stds"]
     idx = np.arange(len(ds))
-    gte5, gte50 = batch_gte(ds, idx, [GteConfig(num_samples=5), GteConfig(num_samples=50)], 1,
-                            SEED)
-    exp5 = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=5),
-                         50, SEED, ds.config_hash)
+    gte5, gte50 = batch_gte(ds, idx, [5, 50], 1, SEED)
+    exp5 = batch_explain(p["nn1"], ds.X, stds, 5, 50, SEED, ds.config_hash)
     _, r5 = zero_census(gte5)
     _, r50 = zero_census(gte50)
     _, re5 = zero_census(exp5)
@@ -104,9 +101,8 @@ def test_criterion_3_metric_consistency(loan_pipeline):
     ds, stds = p["ds"], p["stds"]
     reports = [p["report"]]
     for ns in (5, 50):
-        exp = batch_explain(p["nn1"], ds.X, stds, ExplainerConfig(num_samples=ns),
-                            25, SEED, ds.config_hash)
-        [gte_m] = batch_gte(ds, np.arange(len(ds)), [GteConfig(num_samples=ns)], 25, SEED)
+        exp = batch_explain(p["nn1"], ds.X, stds, ns, 25, SEED, ds.config_hash)
+        [gte_m] = batch_gte(ds, np.arange(len(ds)), [ns], 25, SEED)
         reports.append(build_report(exp, gte_m))
     ok = True
     for rep in reports:
@@ -193,8 +189,8 @@ def test_criterion_7_determinism(tmp_path, loan_pipeline):
     stds = loan_pipeline["stds"]
     e1, e2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
     for p in (e1, e2):
-        batch_explain(loan_pipeline["nn1"], ds.X[:10], stds, ExplainerConfig(num_samples=10),
-                      2, 5, ds.config_hash).save_csv(p)
+        batch_explain(loan_pipeline["nn1"], ds.X[:10], stds, 10, 2, 5,
+                      ds.config_hash).save_csv(p)
     exp_ok = e1.read_bytes() == e2.read_bytes()
 
     series = [Series("s", tuple(s.mean_c_of_ed for s in loan_pipeline["report"].instance_scores), "red")]

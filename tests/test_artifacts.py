@@ -34,7 +34,9 @@ def datasets(draw, rounded=False):
         X = np.array(draw(st.lists(st.lists(st.floats(-1e12, 1e12), min_size=len(kinds),
                                             max_size=len(kinds)), min_size=n, max_size=n)))
     labels = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=int)
-    return Dataset(schema, X.reshape(n, len(kinds)), labels, labels % 3, 10, 1, "h", "time")
+    # the variation_id column is the label for an equation dataset and 0 for loan
+    equation = draw(st.sampled_from(["time", "loan"]))
+    return Dataset(schema, X.reshape(n, len(kinds)), labels, 10, 1, "h", equation)
 
 
 FIXED_FORMATS = ["%d"] + [f"%.{p}f" for p in range(7)]
@@ -108,7 +110,6 @@ class TestDatasetFiles:
             d = ds.n_features
             assert back.X.tobytes() == np.ascontiguousarray(expect[:, :d]).tobytes()
         assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.variation_ids, ds.variation_ids)
 
 
 class TestFixedPointWriter:

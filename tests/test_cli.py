@@ -171,9 +171,11 @@ class TestTrainExplainAlignEvaluate:
                    if json.loads(line)["stage"] == "report"] for d in (workdir, other)]
         assert hashes[0] == hashes[1] and len(hashes[0]) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_predictions_are_recorded_failures(self, loan_artifacts, workdir, capsys):
         # last-layer weights near the float limit: every logit overflows and
-        # every probability is NaN, so every fit is non-finite
+        # every probability is NaN, so every fit is non-finite; each failure
+        # is counted, none is printed as a numpy warning
         model = TrainedModel.load(workdir / "nn1.json")
         with np.errstate(over="ignore"):
             model.weights[-1] *= 1e308
@@ -246,7 +248,13 @@ class TestTrainExplainAlignEvaluate:
          "--selection", "kernel"),
         ("evaluate", "e.csv", "g.csv", "--out-dir", "ev", "--rank-by", "signed"),
         ("evaluate", "e.csv", "g.csv", "--out-dir", "ev", "--zero-tolerance", 1e-9),
-    ], ids=["threads", "resample-per-run", "clamp", "selection", "rank-by", "zero-tolerance"])
+        ("explain", "m.json", "loan.csv", "--num-samples", 5, "--out", "e.csv", "--alpha", 1.0),
+        ("explain", "m.json", "loan.csv", "--num-samples", 5, "--out", "e.csv", "--scale", 1.0),
+        ("explain", "m.json", "loan.csv", "--num-samples", 5, "--out", "e.csv",
+         "--n-perturb", 100),
+        ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g", "--alpha", 1.0),
+    ], ids=["threads", "resample-per-run", "clamp", "selection", "rank-by", "zero-tolerance",
+            "explain-alpha", "scale", "n-perturb", "align-alpha"])
     def test_removed_option_rejected(self, workdir, argv):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
@@ -369,6 +377,9 @@ class TestRejectedInputs:
     """Arguments and artifacts that cannot be used stop the subcommand with
     exit 2 and one ``error:`` line, not a traceback or a silent default."""
 
+    # options the CLI no longer has: argparse rejects them, whatever their value
+    REMOVED_OPTIONS = ("--alpha", "--scale")
+
     @pytest.fixture
     def quick(self, workdir):
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
@@ -382,21 +393,38 @@ class TestRejectedInputs:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "Traceback" not in err and all(w in err for w in words)
 
+    @staticmethod
+    def _removed_option_exit_2(capsys, argv, option):
+        # argparse exits before any subcommand runs, after its usage line
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert f"error: unrecognized arguments: {option}" in err
+
     @pytest.mark.parametrize("extra, option", [
         (("--sample", 0), "--sample"),
         (("--sample", -3), "--sample"),
         (("--second-model", "m2.json"), "--second-model"),
         (("--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
         (("--only-correct", "--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
-        (("--scale", 0), "scale"),
-        (("--scale", -1), "scale"),
-        (("--scale", "nan"), "scale"),
+        (("--num-samples", 0), "num_samples must be in [1, 100000]"),
+        (("--num-samples", 100_001), "num_samples must be in [1, 100000]"),
+        (("--scale", 0), "--scale"),
+        (("--scale", -1), "--scale"),
+        (("--scale", "nan"), "--scale"),
     ], ids=["sample-0", "sample-negative", "second-model-alone", "sample-past-rows",
-            "only-correct-sample-past-rows", "scale-0", "scale-negative", "scale-nan"])
+            "only-correct-sample-past-rows", "num-samples-0", "num-samples-past-pool",
+            "scale-0", "scale-negative", "scale-nan"])
     def test_explain_argument_exit_2(self, quick, capsys, extra, option):
-        assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, *extra,
-                   "--out", "e.csv") == 2
-        self._one_error_line(capsys, option)
+        # a later --num-samples overrides the first
+        argv = ("explain", "m1.json", "loan.csv", "--num-samples", 5, *extra, "--out", "e.csv")
+        if option in self.REMOVED_OPTIONS:
+            self._removed_option_exit_2(capsys, argv, option)
+        else:
+            assert run(*argv) == 2
+            self._one_error_line(capsys, option)
         assert not (quick / "e.csv").exists()
 
     def test_only_correct_selecting_no_row_exit_2(self, quick, capsys):
@@ -479,12 +507,13 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("argv, words", [
         (("explain", "m1.json", "loan.csv", "--num-samples", 5, "--alpha", -1, "--out", "o.csv"),
-         "alpha"),
+         "--alpha"),
         (("explain", "m1.json", "loan.csv", "--num-samples", 5, "--alpha", "nan", "--out", "o.csv"),
-         "alpha"),
-        (("align", "loan.csv", "--num-samples", "5", "--alpha", -1, "--out-prefix", "o"), "alpha"),
+         "--alpha"),
+        (("align", "loan.csv", "--num-samples", "5", "--alpha", -1, "--out-prefix", "o"),
+         "--alpha"),
         (("align", "loan.csv", "--num-samples", "5", "--alpha", "nan", "--out-prefix", "o"),
-         "alpha"),
+         "--alpha"),
         (("train", "loan.csv", "--epochs", 0, "--out", "o.json"), "epochs=0"),
         (("train", "loan.csv", "--lr", "nan", "--out", "o.json"), "learning_rate"),
         (("train", "loan.csv", "--lr", "inf", "--out", "o.json"), "learning_rate"),
@@ -492,8 +521,11 @@ class TestRejectedInputs:
     ], ids=["explain-alpha-negative", "explain-alpha-nan", "align-alpha-negative",
             "align-alpha-nan", "epochs-0", "lr-nan", "lr-inf", "lr-0"])
     def test_option_exit_2(self, quick, capsys, argv, words):
-        assert run(*argv) == 2
-        self._one_error_line(capsys, words)
+        if words in self.REMOVED_OPTIONS:
+            self._removed_option_exit_2(capsys, argv, words)
+        else:
+            assert run(*argv) == 2
+            self._one_error_line(capsys, words)
         assert not list(quick.glob("o*"))
 
     @pytest.mark.parametrize("dataset, edit", [
@@ -517,6 +549,27 @@ class TestRejectedInputs:
         (workdir / "cfg.json").write_text(json.dumps(doc))
         assert run("generate", dataset, "--config", workdir / "cfg.json", "--out", "o.csv") == 2
         self._one_error_line(capsys, "cfg.json")
+        assert not (workdir / "o.csv").exists()
+
+    @pytest.mark.parametrize("feature, key, value", [
+        (0, "lo", float("nan")),
+        (0, "mu", float("nan")),
+        (0, "sigma", float("inf")),
+        (0, "trunc_hi", float("inf")),
+        (3, "hi", float("inf")),
+        (3, "mode_values", [1, 2, float("inf")]),
+        (0, "hi", -1.0),
+    ], ids=["lo-nan", "mu-nan", "sigma-inf", "trunc-hi-inf", "mode-hi-inf", "mode-value-inf",
+            "lo-above-hi"])
+    def test_generate_config_feature_exit_2(self, workdir, capsys, feature, key, value):
+        """Every number of a feature is finite (json reads NaN and Infinity)
+        and lo <= hi; the error names the feature."""
+        doc = json.loads((CFG / "time_desk.json").read_text())
+        doc["rows_per_class"] = 5
+        doc["schema"][feature][key] = value
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        assert run("generate", "time", "--config", workdir / "cfg.json", "--out", "o.csv") == 2
+        self._one_error_line(capsys, "cfg.json", repr(doc["schema"][feature]["name"]), key)
         assert not (workdir / "o.csv").exists()
 
     @pytest.mark.parametrize("key, default, other", [
@@ -585,8 +638,9 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("fields, words", [
         ("7,0", "label 7 of data row 5"),
         ("nan,0", "label nan of data row 5"),
-        ("0,nan", "variation_id nan of data row 5"),
-    ], ids=["7", "nan", "variation_id-nan"])
+        ("0,nan", "variation_id nan of data row 5 is not 0"),
+        ("1,1", "variation_id 1 of data row 5 is not 0"),
+    ], ids=["7", "nan", "variation_id-nan", "variation_id-not-0"])
     def test_dataset_label_exit_2(self, quick, capsys, fields, words):
         lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
         lines[5] = lines[5][: lines[5].rindex(",", 0, lines[5].rindex(","))] + f",{fields}\n"
@@ -594,6 +648,40 @@ class TestRejectedInputs:
         assert run("train", "loan.csv", "--out", "o.json", "--epochs", 2) == 2
         self._one_error_line(capsys, "loan.csv", words)
         assert not (quick / "o.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("train", "loan.csv", "--out", "o.json", "--epochs", 2),
+        ("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "o.csv"),
+    ], ids=["train", "explain"])
+    def test_dataset_feature_not_finite_exit_2(self, quick, capsys, argv, value):
+        lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[1] = value
+        lines[5] = ",".join(fields)
+        (quick / "loan.csv").write_text("".join(lines))
+        assert run(*argv) == 2
+        self._one_error_line(capsys, "loan.csv", f"x2 {value} of data row 5 is not finite")
+        assert not list(quick.glob("o*"))
+
+    @pytest.mark.parametrize("argv, bad", [
+        (("g_ns5.csv", "e.csv"), "g_ns5.csv"),
+        (("g_ns5.csv", "g_ns5.csv"), "g_ns5.csv"),
+        (("e.csv", "e.csv"), "e.csv"),
+        (("e.csv", "g_ns5.csv", "--second", "g_ns5.csv"), "g_ns5.csv"),
+    ], ids=["gte-as-exp", "gte-as-both", "exp-as-gte", "gte-as-second"])
+    def test_evaluate_matrix_of_another_source_exit_3(self, quick, capsys, argv, bad):
+        """``evaluate`` scores explainer matrices (``exp``, ``--second``)
+        against a GTE matrix; align --instances-from reads the ids of either."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        capsys.readouterr()
+        assert run("evaluate", *argv, "--out-dir", "ev") == 3
+        self._one_error_line(capsys, f"{bad}: source")
+        assert not (quick / "ev").exists()
+        for ids in ("e.csv", "g_ns5.csv"):
+            assert run("align", "loan.csv", "--num-samples", "5", "--instances-from", ids,
+                       "--out-prefix", "h") == 0
 
     def test_model_for_another_dataset_exit_3(self, quick, capsys):
         doc = json.loads((CFG / "distance_desk.json").read_text())
@@ -648,6 +736,7 @@ class TestManifestHashes:
                    for name in ("e", "g_ns5", "g_ns25")}
         assert {k: v["config_hash"] for k, v in sidecar.items()} == {
             "e": "1a75aff604ef20c6", "g_ns5": "839295c669448f7f", "g_ns25": "9d16459ae5eb0c29"}
+        assert _stage_entries(workdir, "align")[0]["config_hash"] == "c3f97dc024b1a431"
         # evaluate hashes the matrices' hashes and its own defaults
         assert run("evaluate", "e.csv", "g_ns25.csv", "--out-dir", "ev") == 0
         assert _stage_entries(workdir, "evaluate")[0]["config_hash"] == "b39db534ca15ffb6"

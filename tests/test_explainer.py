@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError
 from gtebench.explainer import (
+    MAX_PERTURBATION_POOL,
     CoefficientMatrix,
-    ExplainerConfig,
     batch_explain,
     explain,
     perturb_instance,
+    pool_size,
 )
-from gtebench.gte import GteConfig
 from gtebench.numerics import make_rng
 from oracles import explain_oracle, fit_outcome
 
@@ -47,20 +47,17 @@ class TestExplain:
         w = np.array([0.12, -0.07, 0.04])
         model = LinearProbModel(w, 0.5)
         instance = np.array([0.5, -0.2, 0.1])
-        cfg = ExplainerConfig(num_samples=10_000, n_perturb=10_000, alpha=0.0, scale=1.0)
-        stds = np.ones(3)
-        coef, intercept = explain(model, instance, stds, cfg, make_rng(7))
+        # the largest num_samples keeps the whole pool
+        coef, intercept = explain(model, instance, np.ones(3), MAX_PERTURBATION_POOL, make_rng(7))
         assert np.max(np.abs(coef - w)) < 1e-2
         # tighter slope check against the spec'd 1e-3 on a narrow perturbation
-        cfg2 = ExplainerConfig(num_samples=10_000, n_perturb=10_000, alpha=0.0, scale=0.3)
-        coef2, _ = explain(model, instance, stds, cfg2, make_rng(8))
+        coef2, _ = explain(model, instance, np.full(3, 0.3), MAX_PERTURBATION_POOL, make_rng(8))
         assert np.max(np.abs(coef2 - w)) < 1e-3
 
     def test_deterministic(self, loan_nn1, loan_dataset):
         stds = loan_dataset.X.std(axis=0)
-        cfg = ExplainerConfig(num_samples=25)
-        a = explain(loan_nn1, loan_dataset.X[3], stds, cfg, make_rng(5))
-        b = explain(loan_nn1, loan_dataset.X[3], stds, cfg, make_rng(5))
+        a = explain(loan_nn1, loan_dataset.X[3], stds, 25, make_rng(5))
+        b = explain(loan_nn1, loan_dataset.X[3], stds, 25, make_rng(5))
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
@@ -68,33 +65,28 @@ class TestExplain:
         # perturbations that overflow to inf have no cosine similarity to rank by
         model = LinearProbModel([0.0, 0.0], 0.5)
         with np.errstate(all="ignore"), pytest.raises(DegenerateSampleError):
-            explain(model, np.full(2, 1e308), np.full(2, 1e308), ExplainerConfig(num_samples=5),
-                    make_rng(0))
+            explain(model, np.full(2, 1e308), np.full(2, 1e308), 5, make_rng(0))
 
     def test_num_samples_exceeds_pool(self):
-        with pytest.raises(ConfigError):
-            ExplainerConfig(num_samples=100, n_perturb=50)
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, np.nan])
-    def test_unusable_scale(self, scale):
-        with pytest.raises(ConfigError, match="scale"):
-            ExplainerConfig(num_samples=5, scale=scale)
-
-    @pytest.mark.parametrize("config", [ExplainerConfig, GteConfig])
-    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
-    def test_unusable_alpha(self, config, alpha):
-        with pytest.raises(ConfigError, match="alpha"):
-            config(num_samples=5, alpha=alpha)
+        # past the cap the pool would be smaller than num_samples
+        model = LinearProbModel([0.1, 0.1], 0.5)
+        for k in (0, MAX_PERTURBATION_POOL + 1):
+            with pytest.raises(ConfigError, match="num_samples"):
+                pool_size(k)
+            with pytest.raises(ConfigError, match="num_samples"):
+                explain(model, np.ones(2), np.ones(2), k, make_rng(0))
+            with pytest.raises(ConfigError, match="num_samples"):
+                batch_explain(model, np.ones((0, 2)), np.ones(2), k, runs=1, base_seed=0)
 
     def test_default_pool_size(self):
-        assert ExplainerConfig(num_samples=25).pool_size == 500
-        assert ExplainerConfig(num_samples=10_000).pool_size == 100_000
+        assert pool_size(1) == 20
+        assert pool_size(25) == 500
+        assert pool_size(5_000) == pool_size(10_000) == pool_size(100_000) == 100_000
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), d=st.integers(2, 4), k=st.integers(1, 8),
-           extra=st.integers(0, 12), spread=st.sampled_from([0.5, 1.0, 4.0]),
-           alpha=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-    def test_equals_per_module_oracle(self, data, d, k, extra, spread, alpha, seed):
+           spread=st.sampled_from([0.5, 1.0, 4.0]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_module_oracle(self, data, d, k, spread, seed):
         # Wide perturbations around a small instance point away from it
         # (negative similarities, which carry no weight).
         small_ints = st.integers(-3, 3)
@@ -102,18 +94,16 @@ class TestExplain:
                                       .filter(any)), float)
         weights = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d))
         model = LinearProbModel(weights, 0.5)
-        cfg = ExplainerConfig(num_samples=k, n_perturb=k + extra, alpha=alpha)
         stds = np.full(d, spread)
-        got = fit_outcome(lambda: explain(model, instance, stds, cfg, make_rng(seed)))
-        want = fit_outcome(lambda: explain_oracle(model, instance, stds, cfg, make_rng(seed)))
+        got = fit_outcome(lambda: explain(model, instance, stds, k, make_rng(seed)))
+        want = fit_outcome(lambda: explain_oracle(model, instance, stds, k, make_rng(seed)))
         assert got == want
 
 
 class TestBatchExplain:
     def test_tensor_shape(self, loan_nn1, loan_dataset):
         stds = loan_dataset.X.std(axis=0)
-        mat = batch_explain(loan_nn1, loan_dataset.X, stds, ExplainerConfig(num_samples=25),
-                            runs=3, base_seed=42,
+        mat = batch_explain(loan_nn1, loan_dataset.X, stds, 25, runs=3, base_seed=42,
                             dataset_hash=loan_dataset.config_hash)
         assert mat.shape == (3, 54, 3)
         assert mat.source == "explainer"
@@ -124,13 +114,12 @@ class TestBatchExplain:
         # cell (r, i) is explain() on the child stream (seed, r, i), for one
         # run and for several
         stds = loan_dataset.X.std(axis=0)
-        cfg = ExplainerConfig(num_samples=25)
         for runs, seed, n in ((1, 9, 5), (2, 1, 8)):
-            mat = batch_explain(loan_nn1, loan_dataset.X[:n], stds, cfg, runs=runs,
+            mat = batch_explain(loan_nn1, loan_dataset.X[:n], stds, 25, runs=runs,
                                 base_seed=seed)
             for r in range(runs):
                 for i in range(n):
-                    coef, inter = explain(loan_nn1, loan_dataset.X[i], stds, cfg,
+                    coef, inter = explain(loan_nn1, loan_dataset.X[i], stds, 25,
                                           make_rng(seed, r, i))
                     assert np.array_equal(mat.coefficients[r, i], coef)
                     assert mat.intercepts[r, i] == inter
@@ -147,19 +136,18 @@ class TestBatchExplain:
 
         X = np.array([[0.0, 1.0], [1.0, 1.0]])
         stds = np.ones(2)
-        cfg = ExplainerConfig(num_samples=5)
-        mat = batch_explain(FailingModel(SingularSystemError("boom")), X, stds, cfg,
+        mat = batch_explain(FailingModel(SingularSystemError("boom")), X, stds, 5,
                             runs=2, base_seed=0)
         assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1)]
         assert mat.failures[0][2] == "SingularSystemError: boom"
         assert np.isnan(mat.coefficients[:, 1]).all()
         assert np.isfinite(mat.coefficients[:, 0]).all()
         with pytest.raises(TypeError):
-            batch_explain(FailingModel(TypeError("bug")), X, stds, cfg, runs=1, base_seed=0)
+            batch_explain(FailingModel(TypeError("bug")), X, stds, 5, runs=1, base_seed=0)
 
     def test_coefficient_count_matches_features(self, loan_nn1, loan_dataset):
         stds = loan_dataset.X.std(axis=0)
-        mat = batch_explain(loan_nn1, loan_dataset.X[:4], stds, ExplainerConfig(num_samples=10),
+        mat = batch_explain(loan_nn1, loan_dataset.X[:4], stds, 10,
                             runs=1, base_seed=0)
         assert mat.shape[2] == loan_dataset.n_features
 
@@ -167,7 +155,7 @@ class TestBatchExplain:
 class TestCoefficientMatrixIO:
     def test_round_trip(self, loan_nn1, loan_dataset, tmp_path):
         stds = loan_dataset.X.std(axis=0)
-        mat = batch_explain(loan_nn1, loan_dataset.X[:6], stds, ExplainerConfig(num_samples=10),
+        mat = batch_explain(loan_nn1, loan_dataset.X[:6], stds, 10,
                             runs=2, base_seed=3,
                             dataset_hash=loan_dataset.config_hash,
                             instance_ids=np.array([4, 8, 15, 16, 23, 42]))
@@ -189,6 +177,6 @@ class TestCoefficientMatrixIO:
         stds = loan_dataset.X.std(axis=0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
-            batch_explain(loan_nn1, loan_dataset.X[:6], stds, ExplainerConfig(num_samples=10),
+            batch_explain(loan_nn1, loan_dataset.X[:6], stds, 10,
                           runs=2, base_seed=3).save_csv(p)
         assert p1.read_bytes() == p2.read_bytes()

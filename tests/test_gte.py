@@ -7,7 +7,7 @@ from gtebench.datagen import Dataset, FeatureSchema
 from gtebench import gte
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
-from gtebench.gte import GteConfig, batch_gte, gte_design, gte_explain
+from gtebench.gte import batch_gte, gte_design, gte_explain
 from gtebench.numerics import make_rng
 from oracles import fit_outcome, gte_explain_oracle, ridge_oracle
 
@@ -22,12 +22,12 @@ def _linear_threshold_dataset(n=80, seed=4):
         [{"name": "a", "kind": "continuous", "lo": -1e9, "hi": 1e9},
          {"name": "b", "kind": "continuous", "lo": -1e9, "hi": 1e9}]
     )
-    return Dataset(schema, X, labels, np.zeros(n, int), 2, seed, "lin", "loan")
+    return Dataset(schema, X, labels, 2, seed, "lin", "loan")
 
 
-def _explain(ds, index, cfg):
+def _explain(ds, index, num_samples):
     """The GTE fit of one (target, num_samples) pair on its own design."""
-    return gte_explain(gte_design(ds, index, cfg.num_samples), cfg)
+    return gte_explain(gte_design(ds, index, num_samples), num_samples)
 
 
 def _draw_dataset(data, d, n, scale):
@@ -43,7 +43,7 @@ def _draw_dataset(data, d, n, scale):
                                          max_size=len(X))))
     schema = FeatureSchema.from_dict(
         [{"name": f"f{c}", "kind": "continuous", "lo": -9, "hi": 9} for c in range(d)])
-    return Dataset(schema, X, labels, np.zeros(len(X), int), 3, 0, "h", "time")
+    return Dataset(schema, X, labels, 3, 0, "h", "time")
 
 
 def _cell_outcome(mat, r, k):
@@ -58,9 +58,8 @@ def _cell_outcome(mat, r, k):
 class TestGteExplain:
     def test_matches_least_squares_oracle(self):
         ds = _linear_threshold_dataset()
-        cfg = GteConfig(num_samples=40, alpha=0.0)
         i = 10
-        coef, intercept = _explain(ds, i, cfg)
+        coef, intercept = _explain(ds, i, 40)
         # rebuild the same regression by hand and solve with the brute-force
         # normal-equation oracle
         target = ds.X[i]
@@ -74,14 +73,13 @@ class TestGteExplain:
         Xf = np.vstack([target, ds.X[sel]])
         yf = np.concatenate([[1.0], (ds.labels[sel] == ds.labels[i]).astype(float)])
         wf = np.concatenate([[1.0], np.maximum(np.clip(sims[order], -1, 1), 0.0)])
-        oc, ob = ridge_oracle(Xf, yf, wf, 0.0)
+        oc, ob = ridge_oracle(Xf, yf, wf, 1.0)
         assert np.max(np.abs(coef - oc)) < 1e-8
         assert abs(intercept - ob) < 1e-8
 
     def test_saturated_selection(self):
         ds = _linear_threshold_dataset(n=30)
-        cfg = GteConfig(num_samples=29)
-        coef, _ = _explain(ds, 0, cfg)
+        coef, _ = _explain(ds, 0, 29)
         # with every other instance selected the similarity ordering cannot
         # change the member set
         assert np.all(np.isfinite(coef))
@@ -92,26 +90,25 @@ class TestGteExplain:
             gte_design(ds, 0, 30)
 
     def test_deterministic(self, loan_dataset):
-        cfg = GteConfig(num_samples=25)
-        a = _explain(loan_dataset, 7, cfg)
-        b = _explain(loan_dataset, 7, cfg)
+        a = _explain(loan_dataset, 7, 25)
+        b = _explain(loan_dataset, 7, 25)
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
-           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]))
-    def test_equals_np_delete_oracle(self, data, d, n, scale, alpha):
+           scale=st.sampled_from([0.5, 2.0, 3.0]))
+    def test_equals_np_delete_oracle(self, data, d, n, scale):
         ds = _draw_dataset(data, d, n, scale)
         index = data.draw(st.integers(0, len(ds) - 1))
-        cfg = GteConfig(num_samples=data.draw(st.integers(1, len(ds) - 1)), alpha=alpha)
-        got = fit_outcome(lambda: _explain(ds, index, cfg))
-        assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, cfg))
+        k = data.draw(st.integers(1, len(ds) - 1))
+        got = fit_outcome(lambda: _explain(ds, index, k))
+        assert got == fit_outcome(lambda: gte_explain_oracle(ds, index, k))
 
     def test_loan_zero_incidence_at_small_num_samples(self, loan_dataset):
         zero_rows = 0
         for i in range(len(loan_dataset)):
-            coef, _ = _explain(loan_dataset, i, GteConfig(num_samples=5))
+            coef, _ = _explain(loan_dataset, i, 5)
             zero_rows += int(np.any(coef == 0.0))
         # small neighborhoods are often label-pure, which zeroes the fit
         assert zero_rows >= 5
@@ -119,8 +116,7 @@ class TestGteExplain:
 
 class TestBatchGte:
     def test_tensor_shape(self, loan_dataset):
-        [mat] = batch_gte(loan_dataset, np.arange(54), [GteConfig(num_samples=25)],
-                          runs=4, base_seed=0)
+        [mat] = batch_gte(loan_dataset, np.arange(54), [25], runs=4, base_seed=0)
         assert mat.shape == (4, 54, 3)
         assert mat.source == "gte"
 
@@ -132,9 +128,8 @@ class TestBatchGte:
         monkeypatch.setattr(gte, "gte_design",
                             lambda ds, i, *a: targets.append(i) or design(ds, i, *a))
         monkeypatch.setattr(gte, "gte_explain",
-                            lambda d, cfg: fits.append(cfg.num_samples) or fit(d, cfg))
-        mats = batch_gte(loan_dataset, np.arange(10), [GteConfig(25), GteConfig(5)],
-                         runs=3, base_seed=0)
+                            lambda d, ns: fits.append(ns) or fit(d, ns))
+        mats = batch_gte(loan_dataset, np.arange(10), [25, 5], runs=3, base_seed=0)
         assert targets == list(range(10))
         assert fits == [25, 5] * 10
         for mat in mats:
@@ -154,20 +149,19 @@ class TestBatchGte:
         for ds in (loan_dataset, tied):
             ids = np.arange(3, 13)
             ids = ids[np.linalg.norm(ds.X[ids], axis=1) > 0]
-            cfgs = [GteConfig(num_samples=ns) for ns in (25, 5, 13)]
+            sizes = [25, 5, 13]
             for runs in (1, 3):
-                mats = batch_gte(ds, ids, cfgs, runs=runs, base_seed=4)
-                for cfg, mat in zip(cfgs, mats):
+                mats = batch_gte(ds, ids, sizes, runs=runs, base_seed=4)
+                for ns, mat in zip(sizes, mats):
                     assert mat.failures == []
                     for r in range(runs):
                         for k, i in enumerate(ids):
-                            coef, inter = _explain(ds, int(i), cfg)
+                            coef, inter = _explain(ds, int(i), ns)
                             assert mat.coefficients[r, k].tobytes() == coef.tobytes()
                             assert mat.intercepts[r, k] == inter
 
     def test_dimensions_match_features(self, loan_dataset):
-        [mat] = batch_gte(loan_dataset, np.arange(5), [GteConfig(num_samples=10)],
-                          runs=2, base_seed=1)
+        [mat] = batch_gte(loan_dataset, np.arange(5), [10], runs=2, base_seed=1)
         assert mat.shape[2] == loan_dataset.n_features
 
     @pytest.mark.parametrize("targets", [3, 0])
@@ -175,14 +169,12 @@ class TestBatchGte:
         ds = _linear_threshold_dataset(n=30)
         monkeypatch.setattr(gte, "weighted_ridge", lambda *a: pytest.fail("fitted"))
         with pytest.raises(ConfigError, match=r"num_samples \(30\)"):
-            batch_gte(ds, np.arange(targets), [GteConfig(5), GteConfig(30)], runs=1,
-                      base_seed=0)
+            batch_gte(ds, np.arange(targets), [5, 30], runs=1, base_seed=0)
 
     def test_failures_copied_with_runs(self, tmp_path):
         ds = _linear_threshold_dataset(n=30)
         ds.X[3] = 0.0  # a zero-vector target cannot be ranked
-        mats = batch_gte(ds, np.array([2, 3, 4]), [GteConfig(10), GteConfig(4)], runs=3,
-                         base_seed=0)
+        mats = batch_gte(ds, np.array([2, 3, 4]), [10, 4], runs=3, base_seed=0)
         for mat in mats:
             assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1), (2, 1)]
             assert mat.failures[0][2].startswith("ZeroVectorError")
@@ -194,24 +186,26 @@ class TestBatchGte:
         assert mats[0].failures == mats[1].failures
 
     def test_fit_failure_stays_in_its_matrix(self):
-        # at alpha 0, two rows cannot fix two coefficients; eleven can
+        # rows on an arc, one of them scaled to 1e200: the ten-row fit of either
+        # target selects it and squares it past the float range, the one-row fit
+        # selects a nearer row
         ds = _linear_threshold_dataset(n=30)
-        few, many = batch_gte(ds, np.array([2, 3]), [GteConfig(1, alpha=0.0),
-                                                     GteConfig(10, alpha=0.0)],
-                              runs=2, base_seed=0)
-        assert [f[:2] for f in few.failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert all(f[2].startswith("SingularSystemError") for f in few.failures)
-        assert many.failures == [] and np.isfinite(many.coefficients).all()
+        angles = np.linspace(0.0, 1.0, 30)
+        ds.X[:] = np.column_stack([np.cos(angles), np.sin(angles)])
+        ds.X[4] *= 1e200
+        few, many = batch_gte(ds, np.array([1, 2]), [1, 10], runs=2, base_seed=0)
+        assert [f[:2] for f in many.failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert all(f[2].startswith("NonFiniteFitError") for f in many.failures)
+        assert few.failures == [] and np.isfinite(few.coefficients).all()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
-           scale=st.sampled_from([0.5, 2.0, 3.0]), alpha=st.sampled_from([0.0, 1.0]))
-    def test_shared_design_equals_per_pair_oracle(self, data, d, n, scale, alpha):
+           scale=st.sampled_from([0.5, 2.0, 3.0]))
+    def test_shared_design_equals_per_pair_oracle(self, data, d, n, scale):
         ds = _draw_dataset(data, d, n, scale)
         ids = np.arange(len(ds))
         sizes = data.draw(st.lists(st.integers(1, len(ds) - 1), min_size=1, max_size=4,
                                    unique=True), label="num_samples")
-        cfgs = [GteConfig(num_samples=ns, alpha=alpha) for ns in sizes]
         calls = {"cosine": 0, "fit": 0}
 
         def counted(name, fn):
@@ -223,12 +217,12 @@ class TestBatchGte:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gte, "cosine_similarity_rows", counted("cosine", gte.cosine_similarity_rows))
             mp.setattr(gte, "gte_explain", counted("fit", gte.gte_explain))
-            mats = batch_gte(ds, ids, cfgs, runs=1, base_seed=0)
+            mats = batch_gte(ds, ids, sizes, runs=1, base_seed=0)
         zero = ~ds.X.any(axis=1)
-        assert calls == {"cosine": len(ids), "fit": int((~zero).sum()) * len(cfgs)}
-        for cfg, mat in zip(cfgs, mats):
+        assert calls == {"cosine": len(ids), "fit": int((~zero).sum()) * len(sizes)}
+        for ns, mat in zip(sizes, mats):
             for k, i in enumerate(ids):
-                want = fit_outcome(lambda: gte_explain_oracle(ds, int(i), cfg))
+                want = fit_outcome(lambda: gte_explain_oracle(ds, int(i), ns))
                 want = want.__name__ if isinstance(want, type) else want
                 assert _cell_outcome(mat, 0, k) == want
         # a zero-vector target fails with one message in every matrix

@@ -23,8 +23,7 @@ def _toy_dataset(X, labels, n_classes):
     schema = FeatureSchema.from_dict(
         [{"name": f"f{j}", "kind": "continuous", "lo": -1e9, "hi": 1e9} for j in range(d)]
     )
-    return Dataset(schema, X.astype(float), np.asarray(labels), np.zeros(len(labels), int),
-                   n_classes, 0, "toy", "loan")
+    return Dataset(schema, X.astype(float), np.asarray(labels), n_classes, 0, "toy", "loan")
 
 
 XOR = _toy_dataset(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), [0, 1, 1, 0], 2)

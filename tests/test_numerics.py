@@ -308,6 +308,11 @@ class TestWeightedRidge:
         with pytest.raises(ValueError):
             weighted_ridge([[1], [2]], [1, 2], [0, 0], alpha=1)
 
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+    def test_unusable_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be finite and non-negative"):
+            weighted_ridge([[0], [1], [2]], [1, 3, 5], [1, 1, 1], alpha)
+
 
 class TestStudentTCdf:
     def test_symmetry_at_zero(self):

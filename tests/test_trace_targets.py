@@ -42,9 +42,8 @@ def test_each_explainer_cell_calls_every_traced_step(monkeypatch, loan_nn1, loan
         monkeypatch.setattr(explainer, name, counted(name, getattr(explainer, name)))
     monkeypatch.setattr(TrainedModel, "predict_batch",
                         counted("predict_batch", TrainedModel.predict_batch))
-    cfg = explainer.ExplainerConfig(num_samples=25)
     mat = explainer.batch_explain(loan_nn1, loan_dataset.X[:3], loan_dataset.X.std(axis=0),
-                                  cfg, 2, 100)
+                                  25, 2, 100)
     assert not mat.failures
     cells = 2 * 3
     assert calls == {**{name: cells for name in steps}, "predict_batch": 2 * cells}
