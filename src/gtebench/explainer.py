@@ -168,7 +168,7 @@ def explain(
     # ties in similarity are broken by draw order
     X, y, w = neighbourhood(instance, p_self[pred_class], points, probs[:, pred_class], sims,
                             num_samples)
-    return weighted_ridge(X, y, w, RIDGE_ALPHA)
+    return weighted_ridge(X, y, w)
 
 
 def batch_explain(

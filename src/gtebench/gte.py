@@ -59,7 +59,7 @@ def gte_explain(design: tuple[np.ndarray, np.ndarray, np.ndarray],
     :func:`gte_design` built at ``k`` >= ``num_samples``."""
     m = num_samples + 1
     X, y, w = design
-    return weighted_ridge(X[:m], y[:m], w[:m], RIDGE_ALPHA)
+    return weighted_ridge(X[:m], y[:m], w[:m])
 
 
 def batch_gte(

@@ -142,7 +142,7 @@ def select_and_fit_oracle(points, sims, probs, instance, p_instance, k):
     X_fit = np.vstack([instance[None, :], points[order]])
     y_fit = np.concatenate([[p_instance], probs[order]])
     w = np.maximum(np.concatenate([[1.0], sims[order]]), 0.0)
-    return weighted_ridge(X_fit, y_fit, w, 1.0)
+    return weighted_ridge(X_fit, y_fit, w)
 
 
 def explain_oracle(model, instance, stds, k, rng):
@@ -178,7 +178,7 @@ def gte_explain_oracle(dataset, index, k):
     X_fit = np.vstack([target[None, :], dataset.X[sel]])
     y_fit = np.concatenate([[1.0], (dataset.labels[sel] == dataset.labels[index]).astype(float)])
     w = np.concatenate([[1.0], np.maximum(sims[order], 0.0)])
-    return weighted_ridge(X_fit, y_fit, w, 1.0)
+    return weighted_ridge(X_fit, y_fit, w)
 
 
 def fit_outcome(fn):

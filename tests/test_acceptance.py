@@ -16,7 +16,7 @@ from gtebench.evalmetrics import build_report, zero_census
 from gtebench.explainer import batch_explain
 from gtebench.gte import batch_gte
 from gtebench.model import ModelConfig, TrainConfig, forward_backward, init_params, train
-from gtebench.numerics import make_rng, student_t_cdf, weighted_ridge
+from gtebench.numerics import RIDGE_ALPHA, _t_two_sided_p, make_rng, weighted_ridge
 from conftest import LOAN_NN1, LOAN_NN2
 from oracles import numeric_gradients, ridge_oracle
 
@@ -134,9 +134,8 @@ def test_criterion_5_oracle_suites():
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
         w = rng.random(n) + 0.05
-        alpha = float(rng.random() * 2)
-        coef, intercept = weighted_ridge(X, y, w, alpha)
-        oc, ob = ridge_oracle(X, y, w, alpha)
+        coef, intercept = weighted_ridge(X, y, w)
+        oc, ob = ridge_oracle(X, y, w, RIDGE_ALPHA)
         ridge_ok &= np.max(np.abs(coef - oc)) < 1e-8 and abs(intercept - ob) < 1e-8
 
     # analytic vs central-difference gradients
@@ -156,11 +155,11 @@ def test_criterion_5_oracle_suites():
             denom = np.maximum(np.abs(numeric), 1e-6)
             grad_ok &= float(np.max(np.abs(analytic - numeric) / denom)) < 1e-4
 
-    # published t-table values
+    # published t-table values, as two-sided p
     table_ok = (
-        abs(student_t_cdf(1.812, 10) - 0.95) < 1e-3
-        and abs(student_t_cdf(2.228, 10) - 0.975) < 1e-3
-        and abs(student_t_cdf(1.0, 1) - 0.75) < 1e-3
+        abs(_t_two_sided_p(1.812, 10) - 0.10) < 1e-3
+        and abs(_t_two_sided_p(2.228, 10) - 0.05) < 1e-3
+        and abs(_t_two_sided_p(1.0, 1) - 0.5) < 1e-3
     )
     _report("5 (oracle suites)", ridge_ok and grad_ok and table_ok)
 

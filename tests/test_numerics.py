@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import mpmath
 from scipy import special
 
 from gtebench.datagen import EquationConfig
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError, ZeroVectorError
 from gtebench.numerics import (
+    RIDGE_ALPHA,
+    _t_two_sided_p,
     cosine_similarity_rows,
     make_rng,
     minmax_normalize,
@@ -17,7 +20,6 @@ from gtebench.numerics import (
     neighbourhood,
     paired_t_test,
     row_norms,
-    student_t_cdf,
     truncated_normal,
     weighted_ridge,
 )
@@ -259,13 +261,14 @@ class TestNeighbourhood:
 
 
 class TestWeightedRidge:
+    # the penalty is fixed, so weights set the data term's scale beside it
     def test_exact_line(self):
-        coef, intercept = weighted_ridge([[0], [1], [2]], [1, 3, 5], [1, 1, 1], alpha=0)
+        coef, intercept = weighted_ridge([[0], [1], [2]], [1, 3, 5], [1e12] * 3)
         assert coef == pytest.approx([2.0], abs=1e-10)
         assert intercept == pytest.approx(1.0, abs=1e-10)
 
     def test_infinite_shrinkage(self):
-        coef, intercept = weighted_ridge([[0], [1], [2]], [1, 3, 5], [1, 1, 1], alpha=1e9)
+        coef, intercept = weighted_ridge([[0], [1], [2]], [1, 3, 5], [1e-12] * 3)
         assert coef == pytest.approx([0.0], abs=1e-6)
         assert intercept == pytest.approx(3.0, abs=1e-6)
 
@@ -273,8 +276,8 @@ class TestWeightedRidge:
         X = [[1, 0], [0, 1], [1, 1]]
         y = [1, 2, 3]
         w = [1, 2, 1]
-        coef, intercept = weighted_ridge(X, y, w, alpha=1)
-        oc, ob = ridge_oracle(X, y, w, alpha=1)
+        coef, intercept = weighted_ridge(X, y, w)
+        oc, ob = ridge_oracle(X, y, w, RIDGE_ALPHA)
         assert coef == pytest.approx(oc, abs=1e-8)
         assert intercept == pytest.approx(ob, abs=1e-8)
 
@@ -286,63 +289,94 @@ class TestWeightedRidge:
             X = rng.normal(size=(n, d))
             y = rng.normal(size=n)
             w = rng.random(n) + 0.05
-            alpha = float(rng.random() * 3)
-            coef, intercept = weighted_ridge(X, y, w, alpha)
-            oc, ob = ridge_oracle(X, y, w, alpha)
+            coef, intercept = weighted_ridge(X, y, w)
+            oc, ob = ridge_oracle(X, y, w, RIDGE_ALPHA)
             assert np.max(np.abs(coef - oc)) < 1e-8
             assert abs(intercept - ob) < 1e-8
 
-    def test_alpha0_linear_system_zero_residual(self):
-        rng = make_rng(3)
-        X = rng.normal(size=(10, 3))
-        beta = np.array([1.5, -2.0, 0.5])
-        y = X @ beta + 4.0
-        coef, intercept = weighted_ridge(X, y, np.ones(10), alpha=0)
-        assert np.max(np.abs(X @ coef + intercept - y)) < 1e-8
-
-    def test_singular_at_alpha0(self):
-        with pytest.raises(SingularSystemError):
-            weighted_ridge([[1, 1], [2, 2]], [1, 2], [1, 1], alpha=0)
-
     def test_all_zero_weights(self):
         with pytest.raises(ValueError):
-            weighted_ridge([[1], [2]], [1, 2], [0, 0], alpha=1)
+            weighted_ridge([[1], [2]], [1, 2], [0, 0])
 
-    @pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
-    def test_unusable_alpha(self, alpha):
-        with pytest.raises(ConfigError, match="alpha must be finite and non-negative"):
-            weighted_ridge([[0], [1], [2]], [1, 3, 5], [1, 1, 1], alpha)
+    def test_singular_normal_matrix(self):
+        # the penalty is lost in rounding beside 2e32: X'WX + I is exactly singular
+        with pytest.raises(SingularSystemError):
+            weighted_ridge([[1e16, 1e16], [-1e16, -1e16]], [1, 2], [1, 1])
+
+
+def _t_p_mpmath(t, df):
+    """Two-sided p of Student's t as I_x(df/2, 1/2), x = df / (df + t^2), at 60 digits."""
+    with mpmath.workdps(60):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + t * t), regularized=True)
+
+
+def _check_against_mpmath(t, df):
+    exact = _t_p_mpmath(t, df)
+    got = _t_two_sided_p(t, df)
+    if exact < mpmath.mpf("1e-300"):
+        assert 0.0 <= got <= 1e-300, (t, df, got)
+        return
+    # the bound met: lgamma's rounding grows with df
+    assert abs(got - exact) <= (1e-12 if df <= 200 else 1e-10) * exact, (t, df, got, exact)
 
 
 class TestStudentTCdf:
+    """Student's t distribution, through the two-sided tail p that
+    ``paired_t_test`` reports: p = 2 (1 - cdf(|t|))."""
+
     def test_symmetry_at_zero(self):
-        assert student_t_cdf(0, 7) == 0.5
+        assert _t_two_sided_p(0.0, 7) == 1.0
+        assert _t_two_sided_p(-0.0, 10**4) == 1.0
+
+    def test_infinite_t(self):
+        assert _t_two_sided_p(np.inf, 3) == 0.0
+        assert _t_two_sided_p(-np.inf, 10**4) == 0.0
 
     def test_cauchy_case(self):
-        # df=1 is Cauchy: 1/2 + arctan(1)/pi = 0.75
-        assert student_t_cdf(1, 1) == pytest.approx(0.75, abs=1e-10)
+        # df=1 is Cauchy: p = 2 arctan(1/|t|) / pi, 0.5 at t = 1
+        for t in (1e-3, 0.5, 1.0, 3.0, 1e3, 1e8):
+            assert _t_two_sided_p(t, 1) == pytest.approx(2 * np.arctan(1 / t) / np.pi, rel=1e-13)
 
     def test_against_quadrature(self):
-        assert student_t_cdf(2.0, 10) == pytest.approx(t_cdf_quadrature(2.0, 10), abs=1e-3)
-        assert student_t_cdf(2.0, 10) == pytest.approx(0.9633, abs=1e-3)
+        p = _t_two_sided_p(2.0, 10)
+        assert p == pytest.approx(2 * (1 - t_cdf_quadrature(2.0, 10)), abs=1e-9)
+        assert p == pytest.approx(0.0734, abs=1e-4)
 
     def test_t_table(self):
-        assert student_t_cdf(1.812, 10) == pytest.approx(0.95, abs=1e-3)
-        assert student_t_cdf(2.228, 10) == pytest.approx(0.975, abs=1e-3)
+        assert _t_two_sided_p(1.812, 10) == pytest.approx(0.10, abs=1e-3)
+        assert _t_two_sided_p(2.228, 10) == pytest.approx(0.05, abs=1e-3)
+        assert _t_two_sided_p(1.0, 1) == pytest.approx(0.5, abs=1e-15)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            student_t_cdf(1.0, 0)
+    @pytest.mark.parametrize("df", [*range(1, 11), 20, 53, 100, 200, 10**3, 10**4])
+    def test_against_mpmath_grid(self, df):
+        for t in [*np.logspace(-8, 8, 33), 0.7, 1.5, 1.812, 2.228, 3.0, 12.0, 30.0]:
+            _check_against_mpmath(float(t), df)
 
-    @given(st.floats(-30, 30), st.floats(0.5, 50))
+    def test_against_mpmath_random(self):
+        rng = make_rng(11)
+        for _ in range(300):
+            _check_against_mpmath(float(10 ** rng.uniform(-8, 8)), int(10 ** rng.uniform(0, 4)))
+
+    @pytest.mark.parametrize("t, df, p", [(2, 10, "0.07338803477074"),
+                                          (8, 20, "1.1656628271489e-7"),
+                                          (12, 30, "5.5801854151993e-13"),
+                                          (30, 53, "6.2670584724593e-35")])
+    def test_cancelling_points(self, t, df, p):
+        # where 2 (1 - cdf) cancels: relative errors of 9.5e-16, 7.6e-10 and 3.7e-5,
+        # and 0 in place of 6.3e-35
+        assert _t_two_sided_p(float(t), df) == pytest.approx(float(p), rel=1e-12)
+
+    @given(st.floats(-1e6, 1e6), st.integers(1, 10**4))
     @settings(max_examples=200, deadline=None)
     def test_reflection(self, t, df):
-        assert student_t_cdf(t, df) + student_t_cdf(-t, df) == pytest.approx(1.0, abs=1e-10)
+        p = _t_two_sided_p(t, df)
+        assert p == _t_two_sided_p(-t, df)
+        assert 0.0 <= p <= 1.0
 
     def test_monotone(self):
-        ts = np.linspace(-5, 5, 101)
-        vals = [student_t_cdf(t, 4) for t in ts]
-        assert np.all(np.diff(vals) >= 0)
+        vals = [_t_two_sided_p(t, 4) for t in np.linspace(0, 5, 101)]
+        assert np.all(np.diff(vals) <= 0)
 
 
 class TestPairedTTest:
@@ -375,8 +409,8 @@ class TestPairedTTest:
         b = rng.normal(size=20)
         r1 = paired_t_test(a, b)
         r2 = paired_t_test(b, a)
-        assert r1.t_statistic == pytest.approx(-r2.t_statistic)
-        assert r1.p_value == pytest.approx(r2.p_value)
+        assert r1.t_statistic == -r2.t_statistic
+        assert r1.p_value == r2.p_value
 
 
 class TestMinmaxNormalize:
