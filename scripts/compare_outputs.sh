@@ -7,8 +7,11 @@
 # sequence in both trees: the steps of scripts/run_loan_pipeline.sh plus a
 # loan explain --only-correct --second-model --sample, then a desk-scale
 # distance run (generate, train, explain --sample, align --instances-from at
-# ns 5,25,50, evaluate, report) and a desk-scale time run (generate, train
-# the tanh nn2, explain --sample: a 7-class softmax). Every file written,
+# ns 5,25,50, evaluate, report), a desk-scale time run (generate, train
+# the tanh nn2, explain --sample: a 7-class softmax) and the 504,000-row
+# time_full dataset (generate, then align the desk run's 20 instances at ns
+# 5,25,50), which writes and reads the dataset CSV in many chunks and runs
+# GTE at large N. Every file written,
 # manifest.jsonl aside, must be byte-identical. The manifests must hold the
 # same entries in the same order: stage, config hash, seed and output
 # digests, with output paths relative to the output directory (timestamps and
@@ -58,6 +61,9 @@ run_sequence() {
     cli generate time --out time/time.csv --seed 7
     cli train time/time.csv --model-config "$cfg/nn2.json" --out time/nn2.json --split 0.8 --epochs 3 --lr 0.3 --batch-size 16 --seed 12
     cli explain time/nn2.json time/time.csv --num-samples 25 --runs 5 --sample 20 --seed 100 --out time/exp.csv
+    # time full: 504,000 rows from the shipped config, 20 GTE targets
+    cli generate time --config "$cfg/time_full.json" --out time/time_full.csv --seed 7
+    cli align time/time_full.csv --num-samples 5,25,50 --instances-from time/exp.csv --out-prefix time/gte_full
 }
 
 run_sequence "$repo" "$tmp/out/new"

@@ -144,7 +144,8 @@ class Dataset:
     def load_csv(path: str | Path) -> "Dataset":
         """The rows and the sidecar; the CSV must hold the sidecar's number of
         rows, every feature value must be finite, every label a class id below
-        n_classes and every variation id what ``save_csv`` writes."""
+        n_classes and every variation id what ``save_csv`` writes. ``X`` is a
+        C-contiguous (n, d) float array and ``labels`` an int array."""
         def build(doc):
             fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
                                      schema=list, rows=int)
@@ -152,11 +153,14 @@ class Dataset:
 
         fields = artifacts.read_json(artifacts.sidecar_path(path), build)
         rows = fields.pop("rows")
-        d = len(fields["schema"].features)
-        data = artifacts.read_csv(path, fields["schema"].names + ["label", "variation_id"])
-        if len(data) != rows:
-            raise ConfigError(f"{path}: {len(data)} rows, sidecar records {rows}")
-        X, labels, variation_ids, n = data[:, :d], data[:, d], data[:, d + 1], fields["n_classes"]
+        features = fields["schema"].features
+        # the precisions save_csv writes with: a feature's own, 0 for %d
+        precisions = [f.precision if f.kind == "continuous" else 0 for f in features] + [0, 0]
+        X, ids = artifacts.read_fixed_csv(path, fields["schema"].names + ["label", "variation_id"],
+                                          precisions, len(features))
+        if len(X) != rows:
+            raise ConfigError(f"{path}: {len(X)} rows, sidecar records {rows}")
+        labels, variation_ids, n = ids[:, 0], ids[:, 1], fields["n_classes"]
         # min and max propagate NaN: both are finite iff every value of the column is
         bad = np.flatnonzero(~(np.isfinite(X.min(axis=0)) & np.isfinite(X.max(axis=0)))
                              if len(X) else [])

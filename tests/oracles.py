@@ -30,14 +30,17 @@ def truncated_normal_oracle(mu, sigma, lo, hi, rng, size):
     return np.clip(mu + sigma * special.ndtri(pa + u * (pb - pa)), lo, hi)
 
 
-def t_cdf_quadrature(t, df, lo=-60.0, n=4_000_001):
-    """CDF of Student's t by trapezoid integration of the density."""
+def t_cdf_quadrature(t, df, n=4_000_001):
+    """CDF of Student's t: 1/2 plus or minus the trapezoid integral of the
+    density from 0 to |t|. The density is symmetric about 0, so no tail is
+    cut off, however heavy."""
     from math import gamma, pi, sqrt
 
-    xs = np.linspace(lo, t, n)
+    xs = np.linspace(0.0, abs(t), n)
     c = gamma((df + 1) / 2.0) / (sqrt(df * pi) * gamma(df / 2.0))
     ys = c * (1.0 + xs**2 / df) ** (-(df + 1) / 2.0)
-    return float(np.trapezoid(ys, xs))
+    half = float(np.trapezoid(ys, xs))
+    return 0.5 + half if t >= 0 else 0.5 - half
 
 
 def numeric_gradients(loss_fn, params, eps=1e-4):

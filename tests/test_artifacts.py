@@ -1,11 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gtebench import artifacts
-from gtebench.artifacts import read_csv, sidecar_path, write_csv
-from gtebench.datagen import Dataset, FeatureSchema
+from gtebench.artifacts import read_csv, read_fixed_csv, sidecar_path, write_csv
+from gtebench.datagen import Dataset, FeatureSchema, generate_loan
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
 from oracles import csv_oracle, csv_rows_oracle, dataset_csv_oracle, matrix_csv_oracle
@@ -79,6 +81,49 @@ def fixed_point_columns(draw):
 
 
 @st.composite
+def fixed_point_tables(draw):
+    """(precisions, rows of field strings): each field ``-?[0-9]+`` with, for
+    p > 0, '.' and p digits, 1 to 15 digits in all, leading zeros and
+    ``-0.000`` included."""
+    precisions = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    n = draw(st.integers(0, 12))
+
+    def field(p):
+        digits = draw(st.text("0123456789", min_size=p + 1, max_size=15))
+        sign = draw(st.sampled_from(["", "-"]))
+        return sign + digits[:len(digits) - p] + ("." + digits[len(digits) - p:] if p else "")
+
+    return precisions, [[field(p) for p in precisions] for _ in range(n)]
+
+
+def _table_text(precisions, rows, newline="\n"):
+    header = [f"c{j}" for j in range(len(precisions))]
+    return header, newline.join([",".join(header), *(",".join(r) for r in rows)]) + newline
+
+
+# a field f of a column of p decimals made non-canonical
+NON_CANONICAL = {
+    "more-decimals": lambda f, p: f + "0" if p else f + ".0",
+    "fewer-decimals": lambda f, p: f[:-1] if p else f + ".",
+    "plus": lambda f, p: "+" + f,
+    "space": lambda f, p: " " + f,
+    "trailing-space": lambda f, p: f + " ",
+    "exponent": lambda f, p: f + "e3",
+    "nan": lambda f, p: "nan",
+    "inf": lambda f, p: "-inf",
+    "sixteen-digits": lambda f, p: "9" * (16 - p) + ("." + "1" * p if p else ""),
+    "empty": lambda f, p: "",
+    "letter": lambda f, p: f[:-1] + "x",
+    "two-signs": lambda f, p: "--" + f.lstrip("-"),
+    "inner-sign": lambda f, p: f[0] + "-" + f[1:],
+    "no-integer-digit": lambda f, p: "." + f.split(".")[-1],
+    "extra-field": lambda f, p: f + ",1",
+    "inner-space": lambda f, p: f + " " + f,
+    "no-dot": lambda f, p: f.replace(".", "") + "0" if p else f + ".",
+}
+
+
+@st.composite
 def matrices(draw, min_runs=1, min_n=0):
     runs, n, d = draw(st.integers(min_runs, 3)), draw(st.integers(min_n, 4)), draw(st.integers(1, 4))
     coef = np.array(draw(st.lists(finite, min_size=runs * n * d, max_size=runs * n * d)))
@@ -145,6 +190,196 @@ class TestFixedPointWriter:
         assert p.read_text() == csv_oracle(["x", "n"], ["%.3f", "%d"], columns)
         assert p.read_text().split("\n")[1:4] == ["0.080,-3", "-1.500,-2", "-0.000,-1"]
         assert [e is None for e in encoded] == [False, True, False]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 65_536])
+    def test_mixed_widths_and_signs(self, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        k = np.array([0, 5, -5, 12, -123, 1234, 99999, -100000, 7, 2**52 - 1, 1 - 2**52, 10, -1])
+        columns = [k / 1000, k, k / 10, np.abs(k) / 1e6, k.astype(float)]
+        fmts = ["%.3f", "%d", "%.1f", "%.6f", "%.0f"]
+        header = [f"c{j}" for j in range(len(fmts))]
+        p = write_csv(tmp_path / "x.csv", header, fmts, columns)[0]
+        assert p.read_text() == csv_oracle(header, fmts, columns)
+
+    @settings(SETTINGS, max_examples=200)
+    @given(p=st.integers(0, 4), n=st.integers(1, 40), chunk=st.integers(1, 8), data=st.data())
+    def test_fuzz_takes_fixed_point_path(self, p, n, chunk, data, tmp_path, monkeypatch):
+        """Values on the p-decimal grid up to 1e8 in magnitude all pass the
+        guard, and come out as the per-row formatter prints them."""
+        encoded = []
+        real = artifacts._fixed_point
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(artifacts, "_fixed_point",
+                            lambda *a: encoded.append(real(*a)) or encoded[-1])
+        bound = 10**8 * 10**p
+        k = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+        columns = [np.array(k, dtype=float) / 10.0**p, np.array(k[::-1]) // 10**p]
+        fmts = [f"%.{p}f", "%d"]
+        path = write_csv(tmp_path / "x.csv", ["x", "n"], fmts, columns)[0]
+        assert path.read_text() == csv_oracle(["x", "n"], fmts, columns)
+        assert encoded and all(e is not None for e in encoded)
+
+
+class TestAtomicWrite:
+    """``write_csv`` replaces the CSV and then its sidecar, each from a
+    temporary file beside it, so a failed write leaves the old pair."""
+
+    @staticmethod
+    def _files(tmp_path):
+        return {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    def test_unformattable_cell_keeps_old_files(self, tmp_path):
+        p = tmp_path / "loan.csv"
+        generate_loan().save_csv(p)
+        before = self._files(tmp_path)
+        bad = generate_loan()
+        bad.X[3, 0] = np.inf  # x1 is written with %d
+        with pytest.raises(ConfigError, match=r"loan\.csv: cannot write x1 inf of data row 4"):
+            bad.save_csv(p)
+        assert self._files(tmp_path) == before
+
+    @pytest.mark.parametrize("failure", ["interrupt", "sidecar"])
+    def test_failure_keeps_old_files(self, failure, tmp_path, monkeypatch):
+        p = tmp_path / "x.csv"
+        write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1})
+        before = self._files(tmp_path)
+        meta = {"v": 2}
+        if failure == "interrupt":
+            def interrupted(*a):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(artifacts, "_fixed_point", interrupted)
+        else:
+            meta = {"v": {2}}  # not JSON: fails after the CSV's temporary file is written
+        with pytest.raises(KeyboardInterrupt if failure == "interrupt" else TypeError):
+            write_csv(p, ["a"], ["%d"], [np.arange(5)], meta)
+        assert self._files(tmp_path) == before
+
+    def test_csv_replaced_before_sidecar(self, tmp_path, monkeypatch):
+        moved = []
+        real = os.replace
+        monkeypatch.setattr(os, "replace", lambda a, b: moved.append(b) or real(a, b))
+        p = tmp_path / "x.csv"
+        assert write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1}) == [p, sidecar_path(p)]
+        assert [str(m) for m in moved] == [str(p), str(sidecar_path(p))]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["x.csv", "x.csv.meta.json"]
+
+
+class TestFixedPointReader:
+    """``read_fixed_csv`` parses canonical fixed-point fields itself, bit for
+    bit as ``np.loadtxt`` (``read_csv``) does, and hands any other file to
+    ``read_csv``."""
+
+    @staticmethod
+    def _read(path, header, precisions, lead, monkeypatch):
+        """(blocks or the ConfigError's message, whether np.loadtxt ran)."""
+        calls = []
+        real = artifacts._loadtxt
+        monkeypatch.setattr(artifacts, "_loadtxt", lambda *a: calls.append(1) or real(*a))
+        try:
+            got = read_fixed_csv(path, header, precisions, lead)
+        except ConfigError as exc:
+            got = str(exc)
+        monkeypatch.setattr(artifacts, "_loadtxt", real)
+        return got, bool(calls)
+
+    @staticmethod
+    def _loadtxt(path, header):
+        try:
+            return read_csv(path, header)
+        except ConfigError as exc:
+            return str(exc)
+
+    @SETTINGS
+    @given(table=fixed_point_tables(), chunk=st.integers(1, 5), data=st.data())
+    def test_canonical_equals_loadtxt(self, table, chunk, data, tmp_path, monkeypatch):
+        precisions, rows = table
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        header, text = _table_text(precisions, rows)
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        lead = data.draw(st.integers(0, len(header)))
+        got, fell_back = self._read(p, header, precisions, lead, monkeypatch)
+        assert not fell_back
+        expect = read_csv(p, header)
+        assert all(b.flags.c_contiguous and b.dtype == float for b in got)
+        assert got[0].tobytes() == np.ascontiguousarray(expect[:, :lead]).tobytes()
+        assert got[1].tobytes() == np.ascontiguousarray(expect[:, lead:]).tobytes()
+
+    @SETTINGS
+    @given(table=fixed_point_tables().filter(lambda t: t[1]), chunk=st.integers(1, 5),
+           kind=st.sampled_from(sorted(NON_CANONICAL) + ["crlf", "precision"]), data=st.data())
+    def test_non_canonical_falls_back(self, table, chunk, kind, data, tmp_path, monkeypatch):
+        precisions, rows = table
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(precisions) - 1))
+        newline = "\n"
+        if kind == "crlf":
+            newline = "\r\n"
+        elif kind == "precision":  # the sidecar expects another number of decimals
+            precisions = [*precisions[:j], precisions[j] + 1, *precisions[j + 1:]]
+        else:
+            rows[i][j] = NON_CANONICAL[kind](rows[i][j], precisions[j])
+        header, text = _table_text(precisions, rows, newline)
+        p = tmp_path / "x.csv"
+        p.write_text(text, newline="")
+        got, fell_back = self._read(p, header, precisions, 1, monkeypatch)
+        if not fell_back:  # refused before any field is parsed, as by read_csv
+            with pytest.raises(ConfigError):
+                artifacts._checked_bytes(p, header)
+        expect = self._loadtxt(p, header)
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert got[0].tobytes() == np.ascontiguousarray(expect[:, :1]).tobytes()
+            assert got[1].tobytes() == np.ascontiguousarray(expect[:, 1:]).tobytes()
+
+    def test_signed_zeros_and_leading_zeros(self, tmp_path, monkeypatch):
+        p = tmp_path / "x.csv"
+        p.write_text("c0,c1\n-0.000,-0\n0.000,0\n-000.001,007\n")
+        (X, rest), fell_back = self._read(p, ["c0", "c1"], [3, 0], 1, monkeypatch)
+        assert not fell_back
+        assert np.hstack([X, rest]).tobytes() == read_csv(p, ["c0", "c1"]).tobytes()
+        assert np.signbit(X[0, 0]) and np.signbit(rest[0, 0]) and not np.signbit(X[1, 0])
+
+    @pytest.mark.parametrize("text", ["c0\n", "c0\n1\n", "c1\n1\n", "c0\n1", "c0\n1\n\n"])
+    def test_header_only_and_malformed(self, text, tmp_path, monkeypatch):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        got, _ = self._read(p, ["c0"], [0], 0, monkeypatch)
+        expect = self._loadtxt(p, ["c0"])
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert got[0].shape == (len(expect), 0)
+            assert got[1].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("text", ["c0\n1 1\n", "c0\n1\r2\n", "c0,c1\n1 2\n", "c0,c1\n1\t2\n3,4\n"])
+    def test_other_separator_falls_back(self, text, tmp_path, monkeypatch):
+        """Each row has as many bytes <= ',' as the header has columns, but
+        not all of them are ',' and a last '\n'."""
+        p = tmp_path / "x.csv"
+        p.write_text(text, newline="")
+        header = text.split("\n")[0].split(",")
+        got, fell_back = self._read(p, header, [0] * len(header), 1, monkeypatch)
+        assert fell_back
+        expect = self._loadtxt(p, header)
+        assert got == expect if isinstance(expect, str) else np.hstack(got).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("edit", [False, True])
+    def test_dataset_arrays(self, edit, tmp_path):
+        """``Dataset.load_csv`` gives a C-contiguous float X and int labels,
+        on the fixed-point path and through np.loadtxt alike."""
+        p = tmp_path / "loan.csv"
+        ds = generate_loan()
+        ds.save_csv(p)
+        if edit:  # a '+' is not canonical
+            p.write_text(p.read_text().replace("\n5,", "\n+5,", 1))
+        back = Dataset.load_csv(p)
+        assert back.X.flags.c_contiguous and back.X.dtype == float
+        assert back.labels.dtype.kind == "i"
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
 
 
 class TestMatrixFiles:

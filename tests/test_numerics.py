@@ -342,6 +342,13 @@ class TestStudentTCdf:
         p = _t_two_sided_p(2.0, 10)
         assert p == pytest.approx(2 * (1 - t_cdf_quadrature(2.0, 10)), abs=1e-9)
         assert p == pytest.approx(0.0734, abs=1e-4)
+        # df = 3 has tails heavy enough to tell an oracle that cuts them off
+        assert _t_two_sided_p(1.0, 3) == pytest.approx(2 * (1 - t_cdf_quadrature(1.0, 3)), abs=1e-9)
+
+    @pytest.mark.parametrize("t, df", [(1.0, 3), (-1.0, 3), (2.0, 3), (2.0, 10), (-0.5, 1)])
+    def test_quadrature_oracle_against_mpmath(self, t, df):
+        tail = float(_t_p_mpmath(abs(t), df)) / 2
+        assert t_cdf_quadrature(t, df) == pytest.approx(1 - tail if t >= 0 else tail, abs=1e-9)
 
     def test_t_table(self):
         assert _t_two_sided_p(1.812, 10) == pytest.approx(0.10, abs=1e-3)
