@@ -15,7 +15,9 @@
 # manifest.jsonl aside, must be byte-identical. The manifests must hold the
 # same entries in the same order: stage, config hash, seed and output
 # digests, with output paths relative to the output directory (timestamps and
-# inputs are left out). Exits 1 on any difference.
+# inputs are left out). Each manifest is also checked with verify_manifest:
+# every output digest, taken as the file was written, must match the bytes on
+# disk. Exits 1 on any difference or problem.
 set -euo pipefail
 
 rev="${1:?usage: scripts/compare_outputs.sh REV}"
@@ -83,7 +85,24 @@ with open(os.path.join(out, "manifest.jsonl"), encoding="utf-8") as fh:
         print(json.dumps([e["stage"], e["config_hash"], e["seed"], digests]))
 EOF
 }
+# verify OUT: verify_manifest of OUT/manifest.jsonl, one line per problem
+verify() {
+    PYTHONPATH="$repo/src" python3 - "$1/manifest.jsonl" <<'EOF'
+import sys
+from gtebench.manifest import verify_manifest
+problems = verify_manifest(sys.argv[1])
+print("\n".join(problems))
+sys.exit(1 if problems else 0)
+EOF
+}
 status=0
+for tree in new base; do
+    if ! problems="$(verify "$tmp/out/$tree")"; then
+        echo "verify_manifest reports problems in the $tree tree's manifest:"
+        echo "$problems"
+        status=1
+    fi
+done
 if ! diff <(list "$tmp/out/new") <(list "$tmp/out/base") > /dev/null; then
     echo "the two trees wrote different sets of files:"
     diff <(list "$tmp/out/new") <(list "$tmp/out/base") || true
@@ -102,6 +121,7 @@ if ! diff <(echo "$entries") <(manifest_entries "$tmp/out/base"); then
     status=1
 fi
 if [[ $status -eq 0 ]]; then
-    echo "all $n files are byte-identical to $rev, and all $(wc -l <<< "$entries") manifest entries match"
+    echo "all $n files are byte-identical to $rev, all $(wc -l <<< "$entries") manifest entries" \
+        "match, and verify_manifest finds no problem in either manifest"
 fi
 exit $status

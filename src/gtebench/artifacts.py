@@ -1,16 +1,17 @@
-"""The one place that formats, parses and validates the pipeline's files: a
-CSV of one header line and one newline-terminated line per row, with its
-metadata, if any, in the JSON sidecar ``<name>.meta.json``."""
+"""The one place that formats, writes, parses and validates the pipeline's
+files: a CSV of one header line and one newline-terminated line per row,
+with its metadata, if any, in the JSON sidecar ``<name>.meta.json``."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
 import re
 import secrets
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -25,58 +26,74 @@ def sidecar_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def write_csv(path: str | Path, header: list[str], fmts: list[str], columns,
-              meta: dict | None = None) -> list[Path]:
-    """Write equal-length ``columns`` under ``header``, each cell %-formatted
-    with its column's entry of ``fmts``, plus ``meta`` as the sidecar when
-    given. Returns the paths written.
-
-    ``CHUNK_ROWS`` rows at a time; a chunk of numeric array columns whose
-    formats are all ``%d`` or ``%.{p}f`` takes the exact fixed-point encoder
-    when every cell passes its guard, and the %-formatter otherwise.
-
-    The CSV and the sidecar are each written to a temporary file in the
-    target's directory and then moved into place, the CSV first and the
-    sidecar second. A failure before the moves leaves the old files as they
-    were and no temporary file; a cell that cannot be formatted raises a
-    ConfigError that names the file, the column and the row."""
-    path = Path(path)
-    line = ",".join(fmts) + "\n"
-    specs = [_FIXED.fullmatch(f) for f in fmts]
-    fixed = all(specs) and all(isinstance(c, np.ndarray) and c.dtype.kind in "biuf" for c in columns)
-    temps = []
+def publish(files: dict[Path, bytes | Iterable]) -> dict[Path, str]:
+    """Write each target of ``files`` whole or not at all; returns the sha256
+    of each, taken as its bytes, one buffer or an iterable of chunks, are
+    written. Each target's directory is made and its bytes go to a hidden
+    temporary file beside it; once all are written, the temporaries replace
+    the targets in order. Any exception before that, an interrupt too,
+    removes the temporaries and leaves the old files as they were."""
+    temps, digests = [], {}
     try:
-        with _temporary(path, temps) as fh:
-            fh.write((",".join(header) + "\n").encode("utf-8"))
-            for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-                chunk = [c[start:start + CHUNK_ROWS] for c in columns]
-                data = _fixed_point(chunk, specs) if fixed else None
-                if data is None:
-                    rows = [*zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))]
-                    try:
-                        data = "".join(line % row for row in rows).encode("utf-8")
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise _format_error(path, header, fmts, rows, start) from exc
-                fh.write(data)
-        if meta is not None:
-            with _temporary(sidecar_path(path), temps) as fh:
-                fh.write((json.dumps(meta, indent=2) + "\n").encode("utf-8"))
+        for target, data in files.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            temp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+            digest = hashlib.sha256()
+            with open(temp, "xb") as fh:
+                temps.append((temp, target))
+                for chunk in [data] if isinstance(data, bytes) else data:
+                    fh.write(chunk)
+                    digest.update(chunk)
+            digests[target] = digest.hexdigest()
         for temp, target in temps:
             os.replace(temp, target)
     except BaseException:
         for temp, _ in temps:
             temp.unlink(missing_ok=True)
         raise
-    return [target for _, target in temps]
+    return digests
 
 
-def _temporary(target: Path, temps: list[tuple[Path, Path]]) -> io.BufferedWriter:
-    """A new file beside ``target``, opened for writing, recorded in ``temps``
-    with its target before anything is written to it."""
-    temp = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
-    fh = open(temp, "xb")
-    temps.append((temp, target))
-    return fh
+def write_csv(path: str | Path, header: list[str], fmts: list[str], columns,
+              meta: dict | None = None) -> dict[Path, str]:
+    """``publish`` equal-length ``columns`` under ``header``, each cell
+    %-formatted with its column's entry of ``fmts``, and then ``meta`` as the
+    sidecar when given; the CSV replaces its target first.
+
+    ``CHUNK_ROWS`` rows at a time; a chunk of numeric array columns whose
+    formats are all ``%d`` or ``%.{p}f`` takes the exact fixed-point encoder
+    when every cell passes its guard, and the %-formatter otherwise. A cell
+    that cannot be formatted raises a ConfigError that names the file, the
+    column and the row."""
+    path = Path(path)
+    line = ",".join(fmts) + "\n"
+    specs = [_FIXED.fullmatch(f) for f in fmts]
+    fixed = all(specs) and all(isinstance(c, np.ndarray) and c.dtype.kind in "biuf" for c in columns)
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+            chunk = [c[start:start + CHUNK_ROWS] for c in columns]
+            data = _fixed_point(chunk, specs) if fixed else None
+            if data is None:
+                rows = [*zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))]
+                try:
+                    data = "".join(line % row for row in rows).encode("utf-8")
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise _format_error(path, header, fmts, rows, start) from exc
+            yield data
+
+    files = {path: chunks()}
+    if meta is not None:
+        files[sidecar_path(path)] = (json.dumps(meta, indent=2) + "\n").encode("utf-8")
+    return publish(files)
+
+
+def check_text_cell(value: str, what: str) -> None:
+    """A ConfigError naming ``what`` if ``value``, to be written as a ``%s``
+    cell, holds a ',', '\\r' or '\\n', which would split the cell or its row."""
+    if any(c in value for c in ",\r\n"):
+        raise ConfigError(f"{what} {value!r} holds a ',', '\\r' or '\\n', which no CSV cell can")
 
 
 def _format_error(path, header, fmts, rows, start) -> ConfigError:

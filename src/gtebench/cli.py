@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalmetrics, svgplot
-from .artifacts import read_json, typed
+from .artifacts import check_text_cell, publish, read_json, typed
 from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
 from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, batch_explain
@@ -38,6 +38,15 @@ def _manifest_path() -> Path:
     return _data_dir() / "manifest.jsonl"
 
 
+def _inputs(*data: str | None, config: str | None = None) -> dict[str, Path]:
+    """The files a stage read, as named and as opened: a data file resolved in
+    the data dir, a config file as given; None is skipped."""
+    found = {p: _resolve(p) for p in data if p}
+    if config:
+        found[config] = Path(config)
+    return found
+
+
 CONFIGS = resources.files("gtebench.configs")  # the shipped default configs
 
 
@@ -47,7 +56,6 @@ CONFIGS = resources.files("gtebench.configs")  # the shipped default configs
 
 def cmd_generate(args) -> int:
     out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.dataset == "loan":
         cfg_path = args.config or CONFIGS / "loan_default.json"
         removals = read_json(cfg_path, lambda doc: tuple(
@@ -64,7 +72,7 @@ def cmd_generate(args) -> int:
         ds = generate_equation_dataset(cfg, seed=args.seed)
     written = ds.save_csv(out)
     record_stage(_manifest_path(), f"generate:{args.dataset}", ds.config_hash, args.seed,
-                 [args.config] if args.config else [], written)
+                 _inputs(config=args.config), written)
     hist = np.bincount(ds.labels, minlength=ds.n_classes)
     print(f"wrote {out} ({len(ds)} instances, {ds.n_classes} classes)")
     print("class histogram:", " ".join(str(int(c)) for c in hist))
@@ -85,12 +93,11 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
                        seed=args.seed)
     trained = train(ds, args.split, mcfg, tcfg)
-    out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    trained.save(out)
+    written = trained.save(_resolve(args.out))
     record_stage(_manifest_path(), "train", config_hash({"layers": list(mcfg.layers),
                  "activation": mcfg.activation, "epochs": tcfg.epochs, "lr": tcfg.learning_rate,
-                 "batch": tcfg.batch_size, "split": args.split}), args.seed, [args.dataset], [out])
+                 "batch": tcfg.batch_size, "split": args.split}), args.seed,
+                 _inputs(args.dataset, config=args.model_config), written)
     print(f"train_accuracy={trained.train_accuracy:.3f}")
     if trained.test_accuracy is not None:
         print(f"test_accuracy={trained.test_accuracy:.3f}")
@@ -128,10 +135,9 @@ def cmd_explain(args) -> int:
     mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), args.num_samples, args.runs, args.seed,
                         dataset_hash=ds.config_hash, instance_ids=idx)
     out = _resolve(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     written = mat.save_csv(out)
     record_stage(_manifest_path(), "explain", mat.config_hash, args.seed,
-                 [args.dataset, args.model], written)
+                 _inputs(args.dataset, args.model, args.second_model), written)
     print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     return 0
 
@@ -157,22 +163,22 @@ def cmd_align(args) -> int:
     repeated = [ns for k, ns in enumerate(args.num_samples) if ns in args.num_samples[:k]]
     if repeated:
         raise ConfigError(f"--num-samples lists {repeated[0]} more than once")
-    outputs = []
+    outputs = {}
     for ns, mat in zip(args.num_samples, batch_gte(ds, idx, args.num_samples, args.runs,
                                                    args.seed)):
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        outputs += mat.save_csv(out)
+        outputs |= mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
     record_stage(_manifest_path(), "align",
                  # alpha is hashed as when it was an option
                  config_hash({"num_samples": args.num_samples, "alpha": RIDGE_ALPHA,
                               "runs": args.runs}),
-                 args.seed, [args.dataset], outputs)
+                 args.seed, _inputs(args.dataset, args.instances_from), outputs)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    check_text_cell(args.dataset_name, "--dataset-name")
     exp = _load_matrix(args.exp)
     gte_mat = _load_matrix(args.gte)
     second = _load_matrix(args.second) if args.second else None
@@ -188,7 +194,7 @@ def cmd_evaluate(args) -> int:
            "second": second.config_hash if second else None, "rank_by": "absolute",
            "zero_tolerance": 0.0, "dataset_name": args.dataset_name}
     record_stage(_manifest_path(), "evaluate", config_hash(cfg), None,
-                 [args.exp, args.gte] + ([args.second] if args.second else []), written)
+                 _inputs(args.exp, args.gte, args.second), written)
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
           f"ave_all={report.ave_all:.4f}")
     if report.invariance is not None:
@@ -206,27 +212,25 @@ _MEASURES = (
 
 def cmd_report(args) -> int:
     dirs = [_resolve(d) for d in args.eval_dirs]
+    for d in dirs:
+        check_text_cell(d.name, "evaluation directory name")
     reports = [(d.name, evalmetrics.EvalReport.load(d)) for d in dirs]
     out_dir = _resolve(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    svgs = {}
     for measure, attr, palette in _MEASURES:
         series = []
         for k, (name, rep) in enumerate(reports):
             ys = tuple(getattr(s, attr) for s in rep.instance_scores)
             series.append(svgplot.Series(name=name, ys=ys, color=palette[k % len(palette)]))
-        svg = svgplot.line_chart(
-            series, title=measure, xlabel="instance", ylabel=measure
-        )
-        path = out_dir / f"{measure}.svg"
-        path.write_text(svg, encoding="utf-8")
-        outputs.append(path)
-    outputs += evalmetrics.write_summary(out_dir / "combined_summary.csv", "evaluation", reports)
+        svg = svgplot.line_chart(series, title=measure, xlabel="instance", ylabel=measure)
+        svgs[out_dir / f"{measure}.svg"] = svg.encode("utf-8")
+    outputs = publish(svgs) | evalmetrics.write_summary(out_dir / "combined_summary.csv",
+                                                        "evaluation", reports)
     # the configuration of each evaluation, not where it lives
     cfg = [(name, rep.exp_config_hash, rep.gte_config_hash, rep.dataset_hash)
            for name, rep in reports]
     record_stage(_manifest_path(), "report", config_hash(cfg), None,
-                 [str(d) for d in dirs], outputs)
+                 {str(d): d / "report.json" for d in dirs}, outputs)
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0
 
@@ -300,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "seed"):
+            make_rng(args.seed)  # refuses a negative --seed, for every subcommand that has one
         return args.fn(args)
     except (ConfigError, OSError, IncompatibilityError, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

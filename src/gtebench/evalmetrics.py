@@ -111,20 +111,17 @@ class EvalReport:
         d["instances"] = [vars(s) for s in self.instance_scores]
         return d
 
-    def save(self, out_dir: str | Path, dataset_name: str = "dataset") -> list[Path]:
-        """Write report.json, per_instance.csv and summary.csv; returns their paths."""
+    def save(self, out_dir: str | Path, dataset_name: str = "dataset") -> dict[Path, str]:
+        """Write report.json, per_instance.csv and summary.csv; returns their sha256."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        written = artifacts.publish(
+            {out / "report.json": (json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8")})
         names = [f.name for f in fields(InstanceScore)]
-        per_instance = artifacts.write_csv(
+        written |= artifacts.write_csv(
             out / "per_instance.csv", names, ["%d"] + ["%r"] * (len(names) - 1),
             [[getattr(s, k) for s in self.instance_scores] for k in names],
         )
-        summary = write_summary(out / "summary.csv", "dataset", [(dataset_name, self)])
-        return [out / "report.json", *per_instance, *summary]
+        return written | write_summary(out / "summary.csv", "dataset", [(dataset_name, self)])
 
     @staticmethod
     def load(out_dir: str | Path) -> "EvalReport":
@@ -149,7 +146,7 @@ class EvalReport:
 
 
 def write_summary(path: str | Path, first_column: str,
-                  reports: list[tuple[str, EvalReport]]) -> list[Path]:
+                  reports: list[tuple[str, EvalReport]]) -> dict[Path, str]:
     """One row of averages per (name, report)."""
     return artifacts.write_csv(
         path, [first_column, *SUMMARY], ["%s"] + ["%r"] * len(SUMMARY),

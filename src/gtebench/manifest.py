@@ -22,16 +22,20 @@ def record_stage(
     stage: str,
     config_hash: str,
     seed: int | None,
-    inputs: list[str | Path],
-    outputs: list[str | Path],
+    inputs: dict[str, Path],
+    outputs: dict[Path, str],
 ) -> dict:
+    """Append an entry. ``inputs`` maps each input as the command names it to
+    the file the stage read, hashed here; ``outputs`` holds the sha256 that
+    each writer took as it wrote, so no output is read back."""
     entry = {
         "stage": stage,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "config_hash": config_hash,
         "seed": seed,
-        "inputs": [str(p) for p in inputs],
-        "outputs": {str(p): sha256_file(p) for p in outputs},
+        "inputs": list(inputs),
+        "input_sha256": {str(p): sha256_file(p) for p in inputs.values()},
+        "outputs": {str(p): digest for p, digest in outputs.items()},
     }
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
@@ -43,8 +47,8 @@ def record_stage(
 def verify_manifest(manifest_path: str | Path) -> list[str]:
     """Return a list of problems (missing files, checksum mismatches)."""
     problems = []
-    for line in Path(manifest_path).read_text(encoding="utf-8").strip().split("\n"):
-        entry = json.loads(line)
+    lines = Path(manifest_path).read_text(encoding="utf-8").splitlines()
+    for entry in map(json.loads, filter(str.strip, lines)):
         for path, digest in entry["outputs"].items():
             if not Path(path).exists():
                 problems.append(f"{entry['stage']}: missing output {path}")

@@ -73,7 +73,7 @@ class TrainedModel:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | Path) -> dict[Path, str]:
         doc = {
             "format_version": MODEL_FORMAT_VERSION,
             "config": {"layers": list(self.config.layers), "activation": self.config.activation},
@@ -85,7 +85,7 @@ class TrainedModel:
             "test_accuracy": self.test_accuracy,
             "seed": self.seed,
         }
-        Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        return artifacts.publish({Path(path): (json.dumps(doc, indent=1) + "\n").encode("utf-8")})
 
     @staticmethod
     def load(path: str | Path) -> "TrainedModel":

@@ -1,3 +1,6 @@
+import errno
+import hashlib
+import io
 import os
 
 import numpy as np
@@ -5,17 +8,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtebench import artifacts
-from gtebench.artifacts import read_csv, read_fixed_csv, sidecar_path, write_csv
+from gtebench import artifacts, cli
+from gtebench.artifacts import publish, read_csv, read_fixed_csv, sidecar_path, write_csv
 from gtebench.datagen import Dataset, FeatureSchema, generate_loan
 from gtebench.errors import ConfigError
+from gtebench.evalmetrics import build_report
 from gtebench.explainer import CoefficientMatrix
+from gtebench.manifest import sha256_file
 from oracles import csv_oracle, csv_rows_oracle, dataset_csv_oracle, matrix_csv_oracle
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_written(written, paths):
+    """``written`` names ``paths`` in order, each with the sha256 of the file on disk."""
+    assert list(written) == paths
+    assert all(digest == sha256_file(p) for p, digest in written.items())
 
 
 @st.composite
@@ -145,7 +156,7 @@ class TestDatasetFiles:
     @given(ds=datasets())
     def test_bytes_and_parse_match_oracle(self, ds, tmp_path):
         p = tmp_path / "d.csv"
-        assert ds.save_csv(p) == [p, sidecar_path(p)]
+        assert_written(ds.save_csv(p), [p, sidecar_path(p)])
         text = p.read_text()
         assert text == dataset_csv_oracle(ds)
         back = Dataset.load_csv(p)
@@ -167,7 +178,7 @@ class TestFixedPointWriter:
         fmts, columns = case
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
         header = [f"c{j}" for j in range(len(fmts))]
-        p = write_csv(tmp_path / "x.csv", header, fmts, columns)[0]
+        p, = write_csv(tmp_path / "x.csv", header, fmts, columns)
         assert p.read_text() == csv_oracle(header, fmts, columns)
 
     @SETTINGS
@@ -186,7 +197,7 @@ class TestFixedPointWriter:
                             lambda *a: encoded.append(real(*a)) or encoded[-1])
         x = np.array([0.08, -1.5, -0.0, 2.0, 10.25, 123456.789])
         columns = [x, np.arange(6) - 3]
-        p = write_csv(tmp_path / "x.csv", ["x", "n"], ["%.3f", "%d"], columns)[0]
+        p, = write_csv(tmp_path / "x.csv", ["x", "n"], ["%.3f", "%d"], columns)
         assert p.read_text() == csv_oracle(["x", "n"], ["%.3f", "%d"], columns)
         assert p.read_text().split("\n")[1:4] == ["0.080,-3", "-1.500,-2", "-0.000,-1"]
         assert [e is None for e in encoded] == [False, True, False]
@@ -198,7 +209,7 @@ class TestFixedPointWriter:
         columns = [k / 1000, k, k / 10, np.abs(k) / 1e6, k.astype(float)]
         fmts = ["%.3f", "%d", "%.1f", "%.6f", "%.0f"]
         header = [f"c{j}" for j in range(len(fmts))]
-        p = write_csv(tmp_path / "x.csv", header, fmts, columns)[0]
+        p, = write_csv(tmp_path / "x.csv", header, fmts, columns)
         assert p.read_text() == csv_oracle(header, fmts, columns)
 
     @settings(SETTINGS, max_examples=200)
@@ -215,18 +226,92 @@ class TestFixedPointWriter:
         k = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
         columns = [np.array(k, dtype=float) / 10.0**p, np.array(k[::-1]) // 10**p]
         fmts = [f"%.{p}f", "%d"]
-        path = write_csv(tmp_path / "x.csv", ["x", "n"], fmts, columns)[0]
+        path, = write_csv(tmp_path / "x.csv", ["x", "n"], fmts, columns)
         assert path.read_text() == csv_oracle(["x", "n"], fmts, columns)
         assert encoded and all(e is not None for e in encoded)
 
 
+class _FullDisk(io.FileIO):
+    """A file that takes the first byte of a write and then finds the disk full."""
+
+    def write(self, b):
+        super().write(memoryview(b).cast("B")[:1])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _report(seed):
+    rng = np.random.default_rng(seed)
+    return build_report(*(CoefficientMatrix(rng.normal(size=(2, 4, 3)), np.zeros((2, 4)), source,
+                                            "c", "d", 0, np.arange(4))
+                          for source in ("explainer", "gte")))
+
+
 class TestAtomicWrite:
-    """``write_csv`` replaces the CSV and then its sidecar, each from a
-    temporary file beside it, so a failed write leaves the old pair."""
+    """Every output goes through ``publish``: ``write_csv`` replaces the CSV
+    and then its sidecar, each from a temporary file beside it, and the model,
+    ``report.json`` and the SVGs are written the same way, so a failed write
+    leaves the old files."""
 
     @staticmethod
     def _files(tmp_path):
         return {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    def test_publish_makes_directories_and_hashes_chunks(self, tmp_path):
+        a, b = tmp_path / "new" / "dir" / "a", tmp_path / "b"
+        assert publish({a: iter([b"x,", b"y\n"]), b: b""}) == {
+            a: hashlib.sha256(b"x,y\n").hexdigest(), b: hashlib.sha256(b"").hexdigest()}
+        assert a.read_bytes() == b"x,y\n" and b.read_bytes() == b""
+
+    def test_failure_in_a_later_target_keeps_every_old_file(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        publish({a: b"old a", b: b"old b"})
+
+        def interrupted():
+            yield b"new"
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            publish({a: b"new a", b: interrupted()})
+        assert self._files(tmp_path) == {"a": b"old a", "b": b"old b"}
+
+    @pytest.mark.parametrize("failure", ["disk-full", "interrupt"])
+    @pytest.mark.parametrize("artifact", ["model", "report", "svg"])
+    def test_writer_failure_keeps_old_files(self, artifact, failure, tmp_path, monkeypatch,
+                                            capsys, loan_nn1, loan_nn2):
+        """The disk fills up as a temporary file is written, or an interrupt
+        comes as the first is moved into place: the model JSON, report.json
+        or the SVGs of ``report`` stay as they were, with no temporary left."""
+        monkeypatch.setenv("GTEBENCH_DATA_DIR", str(tmp_path))
+        out = tmp_path / "out"
+        for version in (0, 1):
+            _report(version).save(tmp_path / f"ev{version}")
+
+        def write(version):
+            if artifact == "model":
+                (loan_nn1, loan_nn2)[version].save(out / "m.json")
+            elif artifact == "report":
+                _report(version).save(out)
+            else:
+                return cli.main(["report", str(tmp_path / f"ev{version}"), "--out-dir", str(out)])
+
+        assert not write(0)
+        before = self._files(out)
+        if failure == "disk-full":
+            monkeypatch.setattr(artifacts, "open", lambda path, mode: _FullDisk(path, mode[0]),
+                                raising=False)
+        else:
+            def interrupted(*a):
+                raise KeyboardInterrupt
+            monkeypatch.setattr(os, "replace", interrupted)
+        if failure == "disk-full" and artifact == "svg":
+            assert write(1) == 2  # the CLI reports the OSError
+            assert "No space left on device" in capsys.readouterr().err
+        else:
+            disk_full = failure == "disk-full"
+            with pytest.raises(OSError if disk_full else KeyboardInterrupt,
+                               match="No space left" if disk_full else None):
+                write(1)
+        assert self._files(out) == before
 
     def test_unformattable_cell_keeps_old_files(self, tmp_path):
         p = tmp_path / "loan.csv"
@@ -249,7 +334,7 @@ class TestAtomicWrite:
                 raise KeyboardInterrupt
             monkeypatch.setattr(artifacts, "_fixed_point", interrupted)
         else:
-            meta = {"v": {2}}  # not JSON: fails after the CSV's temporary file is written
+            meta = {"v": {2}}  # not JSON: refused before either file is written
         with pytest.raises(KeyboardInterrupt if failure == "interrupt" else TypeError):
             write_csv(p, ["a"], ["%d"], [np.arange(5)], meta)
         assert self._files(tmp_path) == before
@@ -259,7 +344,7 @@ class TestAtomicWrite:
         real = os.replace
         monkeypatch.setattr(os, "replace", lambda a, b: moved.append(b) or real(a, b))
         p = tmp_path / "x.csv"
-        assert write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1}) == [p, sidecar_path(p)]
+        assert_written(write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1}), [p, sidecar_path(p)])
         assert [str(m) for m in moved] == [str(p), str(sidecar_path(p))]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["x.csv", "x.csv.meta.json"]
 
@@ -387,7 +472,7 @@ class TestMatrixFiles:
     @given(mat=matrices())
     def test_bytes_and_round_trip(self, mat, tmp_path):
         p = tmp_path / "m.csv"
-        assert mat.save_csv(p) == [p, sidecar_path(p)]
+        assert_written(mat.save_csv(p), [p, sidecar_path(p)])
         assert p.read_text() == matrix_csv_oracle(mat)
         back = CoefficientMatrix.load_csv(p)
         # bit-exact, NaN failure cells and signed zeros included
@@ -439,7 +524,7 @@ class TestReadCsv:
         return p
 
     def test_header_only_is_zero_rows(self, tmp_path):
-        p = write_csv(tmp_path / "x.csv", ["a", "b"], ["%d", "%r"], [[], []])[0]
+        p, = write_csv(tmp_path / "x.csv", ["a", "b"], ["%d", "%r"], [[], []])
         assert read_csv(p, ["a", "b"]).shape == (0, 2)
 
     @pytest.mark.parametrize("text", [

@@ -18,7 +18,7 @@ from gtebench import cli
 from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
-from gtebench.manifest import verify_manifest
+from gtebench.manifest import sha256_file, verify_manifest
 from gtebench.model import TrainedModel
 from gtebench.numerics import make_rng
 from oracles import summary_csv_oracle
@@ -297,6 +297,28 @@ class TestTrainExplainAlignEvaluate:
             "--seed", 0, "--out", "e.csv")
         assert verify_manifest(workdir / "manifest.jsonl") == []
 
+    def test_manifest_hashes_each_input(self, loan_artifacts, workdir):
+        """Data files resolve in the data dir, config files as given."""
+        assert run("explain", "nn1.json", "loan.csv", "--num-samples", 10, "--only-correct",
+                   "--second-model", "nn2.json", "--out", "e.csv") == 0
+        assert run("align", "loan.csv", "--num-samples", 10, "--instances-from", "e.csv",
+                   "--out-prefix", "g") == 0
+        for stage, names in (("explain", ["loan.csv", "nn1.json", "nn2.json"]),
+                             ("align", ["loan.csv", "e.csv"])):
+            entry = _stage_entries(workdir, stage)[0]
+            assert entry["inputs"] == names
+            assert entry["input_sha256"] == {str(workdir / n): sha256_file(workdir / n)
+                                             for n in names}
+        entry = _stage_entries(workdir, "train")[0]
+        assert entry["inputs"] == ["loan.csv", str(CFG / "nn1.json")]
+        assert entry["input_sha256"] == {str(workdir / "loan.csv"): sha256_file(workdir / "loan.csv"),
+                                         str(CFG / "nn1.json"): sha256_file(CFG / "nn1.json")}
+
+
+def test_empty_manifest_has_no_problem(tmp_path):
+    (tmp_path / "manifest.jsonl").write_text("")
+    assert verify_manifest(tmp_path / "manifest.jsonl") == []
+
 
 class TestFailedCells:
     @staticmethod
@@ -525,8 +547,22 @@ class TestRejectedInputs:
         (("train", "loan.csv", "--lr", "nan", "--out", "o.json"), "learning_rate"),
         (("train", "loan.csv", "--lr", "inf", "--out", "o.json"), "learning_rate"),
         (("train", "loan.csv", "--lr", 0, "--out", "o.json"), "learning_rate"),
+        (("generate", "loan", "--seed", -1, "--out", "o.csv"), "seed must be non-negative, got -1"),
+        (("align", "loan.csv", "--num-samples", "5", "--seed", -3, "--out-prefix", "o"),
+         "seed must be non-negative, got -3"),
+        # a name written as a summary CSV cell is refused before the stage reads anything
+        (("evaluate", "e.csv", "g.csv", "--dataset-name", "lo,an", "--out-dir", "o"),
+         "--dataset-name 'lo,an'"),
+        (("evaluate", "e.csv", "g.csv", "--dataset-name", "lo\nan", "--out-dir", "o"),
+         "--dataset-name 'lo\\nan'"),
+        (("evaluate", "e.csv", "g.csv", "--dataset-name", "lo\ran", "--out-dir", "o"),
+         "--dataset-name 'lo\\ran'"),
+        (("report", "a,b", "--out-dir", "o"), "evaluation directory name 'a,b'"),
+        (("report", "ev", "a\nb", "--out-dir", "o"), "evaluation directory name 'a\\nb'"),
     ], ids=["explain-alpha-negative", "explain-alpha-nan", "align-alpha-negative",
-            "align-alpha-nan", "epochs-0", "lr-nan", "lr-inf", "lr-0"])
+            "align-alpha-nan", "epochs-0", "lr-nan", "lr-inf", "lr-0",
+            "generate-loan-seed-negative", "align-seed-negative", "dataset-name-comma",
+            "dataset-name-newline", "dataset-name-cr", "report-dir-comma", "report-dir-newline"])
     def test_option_exit_2(self, quick, capsys, argv, words):
         if words in self.REMOVED_OPTIONS:
             self._removed_option_exit_2(capsys, argv, words)

@@ -14,6 +14,7 @@ from gtebench.evalmetrics import (
     zero_census,
 )
 from gtebench.explainer import CoefficientMatrix
+from gtebench.manifest import sha256_file
 from gtebench.numerics import make_rng
 from oracles import per_instance_csv_oracle, summary_csv_oracle
 
@@ -200,8 +201,9 @@ class TestBuildReport:
         rep = build_report(_matrix(rng.normal(size=(2, 5, 3))),
                            _matrix(rng.normal(size=(2, 5, 3)), source="gte"))
         out = tmp_path / "e"
-        assert rep.save(out, dataset_name="toy") == [
-            out / "report.json", out / "per_instance.csv", out / "summary.csv"]
+        written = rep.save(out, dataset_name="toy")
+        assert list(written) == [out / "report.json", out / "per_instance.csv", out / "summary.csv"]
+        assert all(digest == sha256_file(p) for p, digest in written.items())
         from gtebench.evalmetrics import EvalReport
 
         back = EvalReport.load(out)
