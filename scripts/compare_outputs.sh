@@ -13,9 +13,11 @@
 # 5,25,50), which writes and reads the dataset CSV in many chunks and runs
 # GTE at large N. Every file written,
 # manifest.jsonl aside, must be byte-identical. The manifests must hold the
-# same entries in the same order: stage, config hash, seed and output
-# digests, with output paths relative to the output directory (timestamps and
-# inputs are left out). Each manifest is also checked with verify_manifest:
+# same entries in the same order: stage, config hash, seed, output digests and
+# input digests, with paths relative to the output directory, or to the tree
+# for a shipped config (timestamps are left out). Input digests are read from
+# `input_sha256` where an entry has it, as older manifests do, and from
+# `inputs` otherwise. Each manifest is also checked with verify_manifest:
 # every output digest, taken as the file was written, must match the bytes on
 # disk. Exits 1 on any difference or problem.
 set -euo pipefail
@@ -73,16 +75,27 @@ run_sequence "$tmp/base" "$tmp/out/base"
 
 list() { (cd "$1" && find . -type f ! -name manifest.jsonl | sort); }
 
-# manifest_entries OUT: one line per entry of OUT/manifest.jsonl
+# manifest_entries OUT TREE: one line per entry of OUT/manifest.jsonl
 manifest_entries() {
-    python3 - "$1" <<'EOF'
+    python3 - "$1" "$2" <<'EOF'
 import json, os, sys
-out = os.path.realpath(sys.argv[1])
+out, tree = map(os.path.realpath, sys.argv[1:])
+
+
+def rel(path):
+    path = os.path.realpath(path)
+    if os.path.commonpath([path, out]) == out:
+        return os.path.relpath(path, out)
+    return os.path.join("<tree>", os.path.relpath(path, tree))
+
+
 with open(os.path.join(out, "manifest.jsonl"), encoding="utf-8") as fh:
     for line in fh:
         e = json.loads(line)
-        digests = {os.path.relpath(os.path.realpath(p), out): d for p, d in e["outputs"].items()}
-        print(json.dumps([e["stage"], e["config_hash"], e["seed"], digests]))
+        outputs = {rel(p): d for p, d in e["outputs"].items()}
+        inputs = {rel(p): d for p, d in e.get("input_sha256", e["inputs"]).items()}
+        print(json.dumps([e["stage"], e["config_hash"], e["seed"], outputs, inputs],
+                         sort_keys=True))
 EOF
 }
 # verify OUT: verify_manifest of OUT/manifest.jsonl, one line per problem
@@ -115,8 +128,8 @@ while read -r f; do
         cmp -s "$tmp/out/new/$f" "$tmp/out/base/$f" || { echo "differs: ${f#./}"; status=1; }
     fi
 done < <(list "$tmp/out/new")
-entries="$(manifest_entries "$tmp/out/new")"
-if ! diff <(echo "$entries") <(manifest_entries "$tmp/out/base"); then
+entries="$(manifest_entries "$tmp/out/new" "$repo")"
+if ! diff <(echo "$entries") <(manifest_entries "$tmp/out/base" "$tmp/base"); then
     echo "manifest.jsonl entries differ (< this tree, > $rev)"
     status=1
 fi

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import evalmetrics, svgplot
 from .artifacts import check_text_cell, publish, read_json, typed
-from .datagen import Dataset, EquationConfig, config_hash, generate_equation_dataset, generate_loan
+from .datagen import (Dataset, EquationConfig, config_hash, generate_equation_dataset,
+                      generate_loan, load_loan_removals)
 from .errors import ConfigError, IncompatibilityError, NumericFailure
 from .explainer import CoefficientMatrix, batch_explain
 from .gte import batch_gte
@@ -29,22 +30,20 @@ def _data_dir() -> Path:
     return Path(os.environ.get("GTEBENCH_DATA_DIR", "."))
 
 
-def _resolve(path: str) -> Path:
+def _resolve(path: str | Path) -> Path:
     p = Path(path)
     return p if p.is_absolute() else _data_dir() / p
 
 
-def _manifest_path() -> Path:
-    return _data_dir() / "manifest.jsonl"
-
-
-def _inputs(*data: str | None, config: str | None = None) -> dict[str, Path]:
-    """The files a stage read, as named and as opened: a data file resolved in
-    the data dir, a config file as given; None is skipped."""
-    found = {p: _resolve(p) for p in data if p}
-    if config:
-        found[config] = Path(config)
-    return found
+def _input(args, name: str | Path | None, config: bool = False) -> Path | None:
+    """The file the stage reads as ``name``, recorded as one of its inputs: a
+    data file resolved in the data dir, a config file as given; None for an
+    option left out."""
+    if not name:
+        return None
+    path = Path(name) if config else _resolve(name)
+    args.inputs.append(path)
+    return path
 
 
 CONFIGS = resources.files("gtebench.configs")  # the shipped default configs
@@ -54,29 +53,29 @@ CONFIGS = resources.files("gtebench.configs")  # the shipped default configs
 # Subcommands
 
 
-def cmd_generate(args) -> int:
+StageResult = tuple[str, str, dict[Path, str]]  # stage name, config hash, output digests
+
+
+def cmd_generate(args) -> StageResult:
     out = _resolve(args.out)
+    default = "loan_default.json" if args.dataset == "loan" else f"{args.dataset}_desk.json"
+    cfg_path = _input(args, args.config, config=True) or CONFIGS / default
     if args.dataset == "loan":
-        cfg_path = args.config or CONFIGS / "loan_default.json"
-        removals = read_json(cfg_path, lambda doc: tuple(
-            tuple(int(v) for v in r) for r in typed(doc, removals=list)["removals"]))
+        removals = load_loan_removals(cfg_path)
         try:
             ds = generate_loan(removals, seed=args.seed)
         except ConfigError as exc:  # a removal outside the grid, or no row left
             raise ConfigError(f"{cfg_path}: {exc}") from exc
     else:
-        cfg_path = args.config or CONFIGS / f"{args.dataset}_desk.json"
         cfg = EquationConfig.load(cfg_path)
         if cfg.equation != args.dataset:
             raise ConfigError(f"{cfg_path}: config is for {cfg.equation!r}, not {args.dataset!r}")
         ds = generate_equation_dataset(cfg, seed=args.seed)
     written = ds.save_csv(out)
-    record_stage(_manifest_path(), f"generate:{args.dataset}", ds.config_hash, args.seed,
-                 _inputs(config=args.config), written)
     hist = np.bincount(ds.labels, minlength=ds.n_classes)
     print(f"wrote {out} ({len(ds)} instances, {ds.n_classes} classes)")
     print("class histogram:", " ".join(str(int(c)) for c in hist))
-    return 0
+    return f"generate:{args.dataset}", ds.config_hash, written
 
 
 def _model_config(doc, ds: Dataset) -> ModelConfig:
@@ -87,21 +86,20 @@ def _model_config(doc, ds: Dataset) -> ModelConfig:
     return ModelConfig((ds.n_features, *hidden, ds.n_classes), activation)
 
 
-def cmd_train(args) -> int:
-    ds = Dataset.load_csv(_resolve(args.dataset))
-    mcfg = read_json(args.model_config or CONFIGS / "nn1.json", lambda doc: _model_config(doc, ds))
+def cmd_train(args) -> StageResult:
+    ds = Dataset.load_csv(_input(args, args.dataset))
+    mcfg = read_json(_input(args, args.model_config, config=True) or CONFIGS / "nn1.json",
+                     lambda doc: _model_config(doc, ds))
     tcfg = TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch_size,
                        seed=args.seed)
     trained = train(ds, args.split, mcfg, tcfg)
     written = trained.save(_resolve(args.out))
-    record_stage(_manifest_path(), "train", config_hash({"layers": list(mcfg.layers),
-                 "activation": mcfg.activation, "epochs": tcfg.epochs, "lr": tcfg.learning_rate,
-                 "batch": tcfg.batch_size, "split": args.split}), args.seed,
-                 _inputs(args.dataset, config=args.model_config), written)
     print(f"train_accuracy={trained.train_accuracy:.3f}")
     if trained.test_accuracy is not None:
         print(f"test_accuracy={trained.test_accuracy:.3f}")
-    return 0
+    return "train", config_hash({"layers": list(mcfg.layers), "activation": mcfg.activation,
+                                 "epochs": tcfg.epochs, "lr": tcfg.learning_rate,
+                                 "batch": tcfg.batch_size, "split": args.split}), written
 
 
 def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarray:
@@ -123,37 +121,35 @@ def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarr
     return idx
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> StageResult:
     if args.sample is not None and args.sample < 1:
         raise ConfigError(f"--sample must be positive, got {args.sample}")
     if args.second_model and not args.only_correct:
         raise ConfigError("--second-model is only used with --only-correct")
-    ds = Dataset.load_csv(_resolve(args.dataset))
-    m = TrainedModel.load(_resolve(args.model))
-    second = TrainedModel.load(_resolve(args.second_model)) if args.second_model else None
+    ds = Dataset.load_csv(_input(args, args.dataset))
+    m = TrainedModel.load(_input(args, args.model))
+    second = TrainedModel.load(_input(args, args.second_model)) if args.second_model else None
     idx = _select_instances(args, ds, [m, second])
     mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), args.num_samples, args.runs, args.seed,
                         dataset_hash=ds.config_hash, instance_ids=idx)
     out = _resolve(args.out)
     written = mat.save_csv(out)
-    record_stage(_manifest_path(), "explain", mat.config_hash, args.seed,
-                 _inputs(args.dataset, args.model, args.second_model), written)
     print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
-    return 0
+    return "explain", mat.config_hash, written
 
 
-def _load_matrix(path: str) -> CoefficientMatrix:
+def _load_matrix(args, path: str) -> CoefficientMatrix:
     """A coefficient matrix file that holds at least one cell."""
-    mat = CoefficientMatrix.load_csv(_resolve(path))
+    mat = CoefficientMatrix.load_csv(_input(args, path))
     if not mat.instance_ids.size:
         raise ConfigError(f"{path}: the matrix holds no cells (shape {mat.shape})")
     return mat
 
 
-def cmd_align(args) -> int:
-    ds = Dataset.load_csv(_resolve(args.dataset))
+def cmd_align(args) -> StageResult:
+    ds = Dataset.load_csv(_input(args, args.dataset))
     if args.instances_from:
-        idx = _load_matrix(args.instances_from).instance_ids
+        idx = _load_matrix(args, args.instances_from).instance_ids
         bad = idx[(idx < 0) | (idx >= len(ds))]
         if bad.size:
             raise ConfigError(f"instance id {bad[0]} from {args.instances_from} is outside "
@@ -169,19 +165,16 @@ def cmd_align(args) -> int:
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         outputs |= mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
-    record_stage(_manifest_path(), "align",
-                 # alpha is hashed as when it was an option
-                 config_hash({"num_samples": args.num_samples, "alpha": RIDGE_ALPHA,
-                              "runs": args.runs}),
-                 args.seed, _inputs(args.dataset, args.instances_from), outputs)
-    return 0
+    # alpha is hashed as when it was an option
+    return "align", config_hash({"num_samples": args.num_samples, "alpha": RIDGE_ALPHA,
+                                 "runs": args.runs}), outputs
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> StageResult:
     check_text_cell(args.dataset_name, "--dataset-name")
-    exp = _load_matrix(args.exp)
-    gte_mat = _load_matrix(args.gte)
-    second = _load_matrix(args.second) if args.second else None
+    exp = _load_matrix(args, args.exp)
+    gte_mat = _load_matrix(args, args.gte)
+    second = _load_matrix(args, args.second) if args.second else None
     for path, mat, source in ((args.exp, exp, "explainer"), (args.gte, gte_mat, "gte"),
                               (args.second, second, "explainer")):
         if mat is not None and mat.source != source:
@@ -193,14 +186,12 @@ def cmd_evaluate(args) -> int:
     cfg = {"exp": exp.config_hash, "gte": gte_mat.config_hash,
            "second": second.config_hash if second else None, "rank_by": "absolute",
            "zero_tolerance": 0.0, "dataset_name": args.dataset_name}
-    record_stage(_manifest_path(), "evaluate", config_hash(cfg), None,
-                 _inputs(args.exp, args.gte, args.second), written)
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
           f"ave_all={report.ave_all:.4f}")
     if report.invariance is not None:
         print(f"p={report.invariance.p_value:.4f}, "
               f"invariance_not_rejected={str(report.invariance_not_rejected).lower()}")
-    return 0
+    return "evaluate", config_hash(cfg), written
 
 
 _MEASURES = (
@@ -210,8 +201,8 @@ _MEASURES = (
 )
 
 
-def cmd_report(args) -> int:
-    dirs = [_resolve(d) for d in args.eval_dirs]
+def cmd_report(args) -> StageResult:
+    dirs = [_input(args, Path(d, "report.json")).parent for d in args.eval_dirs]
     for d in dirs:
         check_text_cell(d.name, "evaluation directory name")
     reports = [(d.name, evalmetrics.EvalReport.load(d)) for d in dirs]
@@ -229,14 +220,20 @@ def cmd_report(args) -> int:
     # the configuration of each evaluation, not where it lives
     cfg = [(name, rep.exp_config_hash, rep.gte_config_hash, rep.dataset_hash)
            for name, rep in reports]
-    record_stage(_manifest_path(), "report", config_hash(cfg), None,
-                 {str(d): d / "report.json" for d in dirs}, outputs)
     print(f"wrote {len(outputs)} files to {out_dir}")
-    return 0
+    return "report", config_hash(cfg), outputs
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer or a comma list of "
+                                         f"integers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("align", help="produce ground-truth coefficient matrices")
     a.add_argument("dataset")
-    a.add_argument("--num-samples", type=lambda s: [int(x) for x in s.split(",")], required=True,
+    a.add_argument("--num-samples", type=_int_list, required=True,
                    help="one value or a comma list, e.g. 5,25,50")
     a.add_argument("--runs", type=int, default=1)
     a.add_argument("--instances-from", help="coefficient CSV whose instance ids to reuse")
@@ -303,10 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.inputs = []  # the files the stage reads, in the order _input records them
     try:
         if hasattr(args, "seed"):
             make_rng(args.seed)  # refuses a negative --seed, for every subcommand that has one
-        return args.fn(args)
+        stage, cfg_hash, outputs = args.fn(args)
+        record_stage(_resolve("manifest.jsonl"), stage, cfg_hash, getattr(args, "seed", None),
+                     args.inputs, outputs)
+        return 0
     except (ConfigError, OSError, IncompatibilityError, NumericFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_INCOMPATIBLE if isinstance(exc, IncompatibilityError)

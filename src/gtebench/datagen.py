@@ -198,21 +198,20 @@ LOAN_SCHEMA = FeatureSchema(
     )
 )
 
-# Implausible combinations excluded from the 4x4x4 grid: no job (x1=2) paired
-# with the two top credit tiers, and a >3-year job (x1=5) with the worst
-# credit tier at low debt.  Any 10-entry list may be supplied instead.
-DEFAULT_LOAN_REMOVALS: tuple[tuple[int, int, int], ...] = (
-    (2, 3, 0),
-    (2, 3, 1),
-    (2, 3, 2),
-    (2, 3, 3),
-    (2, 2, 0),
-    (2, 2, 1),
-    (2, 2, 2),
-    (2, 2, 3),
-    (5, 0, 0),
-    (5, 0, 1),
-)
+
+def load_loan_removals(path: str | Path) -> tuple[tuple[int, int, int], ...]:
+    """The ``removals`` of a loan config: the (x1, x2, x3) grid points left
+    out, each three JSON integers. The shipped ``loan_default.json`` removes
+    the implausible ones: no job (x1=2) with the two top credit tiers, and a
+    >3-year job (x1=5) with the worst credit tier at low debt."""
+    def build(doc):
+        removals = artifacts.typed(doc, removals=list)["removals"]
+        for r in removals:
+            if type(r) is not list or len(r) != 3 or any(type(v) is not int for v in r):
+                raise TypeError(f"removal entry {r!r} is not three integers")
+        return tuple(map(tuple, removals))
+
+    return artifacts.read_json(path, build)
 
 
 def loan_score(x1: int, x2: int, x3: int) -> float:
@@ -230,10 +229,7 @@ def loan_label(score: float) -> int:
     return 1 if score >= 32 else 0
 
 
-def generate_loan(
-    removals: tuple[tuple[int, int, int], ...] = DEFAULT_LOAN_REMOVALS,
-    seed: int = 0,
-) -> Dataset:
+def generate_loan(removals: tuple[tuple[int, int, int], ...], seed: int = 0) -> Dataset:
     grid = list(product(range(2, 6), range(0, 4), range(0, 4)))
     removal_set = {tuple(int(v) for v in r) for r in removals}
     for r in removal_set:

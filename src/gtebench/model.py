@@ -35,10 +35,10 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    seed: int = 0
+    epochs: int
+    learning_rate: float
+    batch_size: int
+    seed: int
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:

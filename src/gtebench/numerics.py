@@ -277,21 +277,18 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
     """Design ``(X, y, w)`` of a local surrogate fit around ``target``.
 
     The target comes first with weight 1, then the ``k`` pool rows of highest
-    similarity: a stable descending sort of ``sims``, ties broken by pool
-    order. Each selected row is weighted by its similarity.
+    similarity, ``1 <= k <= len(sims)``: a stable descending sort of ``sims``,
+    ties broken by pool order. Each selected row is weighted by its similarity.
 
     Only the rows at or above the k-th score are sorted: every row strictly
     above it is selected, and rows tied with it keep their pool order, so the
     result equals the first k of a full sort.
     """
     s = -sims
-    if k < len(s):
-        kth = np.partition(s, k - 1)[k - 1]
-        # ``not >`` rather than ``<=`` keeps NaN scores (sorted last) when kth is NaN
-        cand = np.flatnonzero(~(s > kth))
-        order = cand[np.argsort(s[cand], kind="stable")[:k]]
-    else:
-        order = np.argsort(s, kind="stable")
+    kth = np.partition(s, k - 1)[k - 1]
+    # ``not >`` rather than ``<=`` keeps NaN scores (sorted last) when kth is NaN
+    cand = np.flatnonzero(~(s > kth))
+    order = cand[np.argsort(s[cand], kind="stable")[:k]]
     X = np.empty((len(order) + 1, pool.shape[1]))
     X[0] = target
     X[1:] = pool[order]

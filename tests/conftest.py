@@ -1,12 +1,16 @@
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from gtebench.datagen import generate_loan
+from gtebench.datagen import generate_loan, load_loan_removals
 from gtebench.model import ModelConfig, TrainConfig, train
+
+# the removals of the shipped loan config, which leave the 54-row grid
+LOAN_REMOVALS = load_loan_removals(resources.files("gtebench.configs") / "loan_default.json")
 
 # Training settings that take both default architectures to 100% on Loan.
 LOAN_NN1 = dict(
@@ -21,7 +25,7 @@ LOAN_NN2 = dict(
 
 @pytest.fixture(scope="session")
 def loan_dataset():
-    return generate_loan()
+    return generate_loan(LOAN_REMOVALS)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from gtebench.explainer import batch_explain
 from gtebench.gte import batch_gte
 from gtebench.model import ModelConfig, TrainConfig, forward_backward, init_params, train
 from gtebench.numerics import RIDGE_ALPHA, _t_two_sided_p, make_rng, weighted_ridge
-from conftest import LOAN_NN1, LOAN_NN2
+from conftest import LOAN_NN1, LOAN_NN2, LOAN_REMOVALS
 from oracles import numeric_gradients, ridge_oracle
 
 from importlib import resources
@@ -35,7 +35,7 @@ def loan_pipeline():
     """Full Loan run: generate, train NN1/NN2 to 100%, explain both at
     num_samples=25 with 100 runs, align, evaluate with the invariance test."""
     t0 = time.time()
-    ds = generate_loan()
+    ds = generate_loan(LOAN_REMOVALS)
     nn1 = train(ds, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
     nn2 = train(ds, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
     stds = ds.X.std(axis=0)
@@ -181,8 +181,8 @@ def test_criterion_7_determinism(tmp_path, loan_pipeline):
 
     ds = loan_pipeline["ds"]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    generate_loan().save_csv(p1)
-    generate_loan().save_csv(p2)
+    generate_loan(LOAN_REMOVALS).save_csv(p1)
+    generate_loan(LOAN_REMOVALS).save_csv(p2)
     csv_ok = p1.read_bytes() == p2.read_bytes()
 
     stds = loan_pipeline["stds"]

@@ -15,6 +15,7 @@ from gtebench.errors import ConfigError
 from gtebench.evalmetrics import build_report
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import sha256_file
+from conftest import LOAN_REMOVALS
 from oracles import csv_oracle, csv_rows_oracle, dataset_csv_oracle, matrix_csv_oracle
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -315,9 +316,9 @@ class TestAtomicWrite:
 
     def test_unformattable_cell_keeps_old_files(self, tmp_path):
         p = tmp_path / "loan.csv"
-        generate_loan().save_csv(p)
+        generate_loan(LOAN_REMOVALS).save_csv(p)
         before = self._files(tmp_path)
-        bad = generate_loan()
+        bad = generate_loan(LOAN_REMOVALS)
         bad.X[3, 0] = np.inf  # x1 is written with %d
         with pytest.raises(ConfigError, match=r"loan\.csv: cannot write x1 inf of data row 4"):
             bad.save_csv(p)
@@ -456,7 +457,7 @@ class TestFixedPointReader:
         """``Dataset.load_csv`` gives a C-contiguous float X and int labels,
         on the fixed-point path and through np.loadtxt alike."""
         p = tmp_path / "loan.csv"
-        ds = generate_loan()
+        ds = generate_loan(LOAN_REMOVALS)
         ds.save_csv(p)
         if edit:  # a '+' is not canonical
             p.write_text(p.read_text().replace("\n5,", "\n+5,", 1))

@@ -218,11 +218,18 @@ class TestTrainExplainAlignEvaluate:
             assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
             assert not list(workdir.glob("g_ns*"))
 
-    @pytest.mark.parametrize("values, words", [("25,25", "--num-samples lists 25 more than once"),
-                                               ("5,0", "num_samples must be positive, got 0")])
+    @pytest.mark.parametrize("values, words", [
+        ("25,25", "--num-samples lists 25 more than once"),
+        ("5,0", "num_samples must be positive, got 0"),
+        ("5,", "argument --num-samples: '5,' is not an integer or a comma list of integers"),
+    ])
     def test_align_num_samples_list_exit_2(self, workdir, capsys, values, words):
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
-        assert run("align", "loan.csv", "--num-samples", values, "--out-prefix", "g") == 2
+        try:
+            code = run("align", "loan.csv", "--num-samples", values, "--out-prefix", "g")
+        except SystemExit as exc:  # argparse refuses a list it cannot parse
+            code = exc.code
+        assert code == 2
         assert words in capsys.readouterr().err
         assert not list(workdir.glob("g_ns*"))
 
@@ -303,21 +310,82 @@ class TestTrainExplainAlignEvaluate:
                    "--second-model", "nn2.json", "--out", "e.csv") == 0
         assert run("align", "loan.csv", "--num-samples", 10, "--instances-from", "e.csv",
                    "--out-prefix", "g") == 0
-        for stage, names in (("explain", ["loan.csv", "nn1.json", "nn2.json"]),
-                             ("align", ["loan.csv", "e.csv"])):
-            entry = _stage_entries(workdir, stage)[0]
-            assert entry["inputs"] == names
-            assert entry["input_sha256"] == {str(workdir / n): sha256_file(workdir / n)
-                                             for n in names}
-        entry = _stage_entries(workdir, "train")[0]
-        assert entry["inputs"] == ["loan.csv", str(CFG / "nn1.json")]
-        assert entry["input_sha256"] == {str(workdir / "loan.csv"): sha256_file(workdir / "loan.csv"),
-                                         str(CFG / "nn1.json"): sha256_file(CFG / "nn1.json")}
+        for stage, paths in (("explain", [workdir / n for n in ("loan.csv", "nn1.json", "nn2.json")]),
+                             ("align", [workdir / "loan.csv", workdir / "e.csv"]),
+                             ("train", [workdir / "loan.csv", CFG / "nn1.json"])):
+            inputs = _stage_entries(workdir, stage)[0]["inputs"]
+            assert inputs == {str(p): sha256_file(p) for p in paths}
 
 
 def test_empty_manifest_has_no_problem(tmp_path):
     (tmp_path / "manifest.jsonl").write_text("")
     assert verify_manifest(tmp_path / "manifest.jsonl") == []
+
+
+class _Reads:
+    """The files opened for reading while ``paths`` is a list. An audit hook
+    sees every open, whichever layer makes it; as a hook cannot be removed,
+    one is installed for the whole session."""
+    paths: list[Path] | None = None
+    installed = False
+
+    @classmethod
+    def hook(cls, event, args):
+        if event == "open" and cls.paths is not None and isinstance(args[0], (str, os.PathLike)):
+            if not args[2] & (os.O_WRONLY | os.O_RDWR):
+                cls.paths.append(Path(args[0]).resolve())
+
+
+def test_every_file_a_stage_reads_is_an_input(workdir, monkeypatch):
+    """Each manifest entry's inputs are the files its stage opened for
+    reading before record_stage ran: a sidecar counts as its CSV, and a
+    shipped default config is not an input."""
+    if not _Reads.installed:
+        sys.addaudithook(_Reads.hook)
+        _Reads.installed = True
+    conf = workdir / "conf"
+    conf.mkdir()
+    for name in ("loan_default.json", "nn1.json"):
+        shutil.copy(CFG / name, conf / name)
+    time_cfg = json.loads((CFG / "time_desk.json").read_text())
+    time_cfg["rows_per_class"] = 20
+    (conf / "time.json").write_text(json.dumps(time_cfg))
+    read_before_record = []
+    real_record_stage = cli.record_stage
+
+    def record_stage(*args):
+        read_before_record.append(list(_Reads.paths))
+        return real_record_stage(*args)
+
+    monkeypatch.setattr(cli, "record_stage", record_stage)
+    stages = [
+        ("generate", "loan", "--config", conf / "loan_default.json", "--out", "loan.csv"),
+        ("generate", "time", "--config", conf / "time.json", "--out", "time.csv"),
+        ("train", "loan.csv", "--model-config", conf / "nn1.json", "--out", "m1.json",
+         "--epochs", 100, "--seed", 1),
+        ("train", "loan.csv", "--out", "m2.json", "--epochs", 100, "--seed", 2),
+        ("explain", "m1.json", "loan.csv", "--num-samples", 5, "--runs", 2, "--only-correct",
+         "--second-model", "m2.json", "--out", "e1.csv"),
+        ("explain", "m2.json", "loan.csv", "--num-samples", 5, "--runs", 2, "--only-correct",
+         "--second-model", "m1.json", "--out", "e2.csv"),
+        ("align", "loan.csv", "--num-samples", "5,10", "--runs", 2, "--instances-from", "e1.csv",
+         "--out-prefix", "g"),
+        ("evaluate", "e1.csv", "g_ns5.csv", "--second", "e2.csv", "--out-dir", "ev"),
+        ("report", "ev", "--out-dir", "plots"),
+    ]
+    try:
+        for argv in stages:
+            _Reads.paths = []
+            assert run(*argv) == 0, argv
+    finally:
+        _Reads.paths = None
+    entries = [json.loads(line) for line in (workdir / "manifest.jsonl").read_text().splitlines()]
+    assert [e["stage"].split(":")[0] for e in entries] == [argv[0] for argv in stages]
+    root = workdir.resolve()
+    for argv, entry, reads in zip(stages, entries, read_before_record):
+        files = {p.with_name(p.name.removesuffix(".meta.json")) for p in reads
+                 if p.is_relative_to(root)}
+        assert {Path(k).resolve() for k in entry["inputs"]} == files, argv
 
 
 class TestFailedCells:
@@ -571,27 +639,34 @@ class TestRejectedInputs:
             self._one_error_line(capsys, words)
         assert not list(quick.glob("o*"))
 
-    @pytest.mark.parametrize("dataset, edit", [
-        ("loan", lambda doc: doc.clear()),
-        ("loan", lambda doc: doc.update(removals=[[1, "a"]])),
-        ("time", lambda doc: doc.update(rows_per_class="x")),
-        ("time", lambda doc: doc["schema"][0].pop("mu")),
-        ("time", lambda doc: doc["schema"][0].update(trunc_lo=3.0, trunc_hi=0.5)),
-        ("time", lambda doc: doc["schema"][0].update(sigma=-0.8)),
+    @pytest.mark.parametrize("dataset, edit, words", [
+        ("loan", lambda doc: doc.clear(), ()),
+        ("loan", lambda doc: doc.update(removals=[[1, "a"]]), ()),
+        ("time", lambda doc: doc.update(rows_per_class="x"), ()),
+        ("time", lambda doc: doc["schema"][0].pop("mu"), ()),
+        ("time", lambda doc: doc["schema"][0].update(trunc_lo=3.0, trunc_hi=0.5), ()),
+        ("time", lambda doc: doc["schema"][0].update(sigma=-0.8), ()),
         # mode_table is no longer read: any table but [] is refused, a short one too
-        ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0])),
+        ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0]), ()),
         ("loan", lambda doc: doc.update(removals=[list(g) for g in product(range(2, 6),
-                                                                           range(4), range(4))])),
+                                                                           range(4), range(4))]),
+         ()),
+        # a removal is three JSON integers: none is truncated or parsed from a string
+        ("loan", lambda doc: doc.update(removals=[[2.9, 3, 0]]), ("[2.9, 3, 0]",)),
+        ("loan", lambda doc: doc.update(removals=[["2", 3, 1]]), ("['2', 3, 1]",)),
+        ("loan", lambda doc: doc.update(removals=[[True, 3, 2]]), ("[True, 3, 2]",)),
+        ("loan", lambda doc: doc.update(removals=[[2, 3]]), ("[2, 3]",)),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
-            "loan-removes-every-row"])
-    def test_generate_config_exit_2(self, workdir, capsys, dataset, edit):
+            "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
+            "loan-removal-bool", "loan-removal-two-values"])
+    def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
         edit(doc)
         (workdir / "cfg.json").write_text(json.dumps(doc))
         assert run("generate", dataset, "--config", workdir / "cfg.json", "--out", "o.csv") == 2
-        self._one_error_line(capsys, "cfg.json")
+        self._one_error_line(capsys, "cfg.json", *words)
         assert not (workdir / "o.csv").exists()
 
     @pytest.mark.parametrize("feature, key, value", [
@@ -766,7 +841,8 @@ class TestManifestHashes:
         entries = _stage_entries(workdir, "evaluate")
         hashes = [e["config_hash"] for e in entries]
         assert len(hashes) == len(set(hashes)) == 4
-        assert entries[1]["inputs"] == ["e.csv", "g_ns5.csv", "e2.csv"]
+        assert set(entries[1]["inputs"]) == {str(workdir / n) for n in ("e.csv", "g_ns5.csv",
+                                                                        "e2.csv")}
 
     def test_default_explain_and_align_config_hashes(self, workdir):
         # the configs' hashes are part of every matrix sidecar: changing how a

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gtebench.datagen import (
-    DEFAULT_LOAN_REMOVALS,
     Dataset,
     EquationConfig,
     VariationSpec,
@@ -19,6 +18,7 @@ from gtebench.datagen import (
     loan_score,
 )
 from gtebench.errors import ConfigError, NumericFailure
+from conftest import LOAN_REMOVALS
 
 from importlib import resources
 
@@ -50,7 +50,7 @@ class TestLoanScore:
 
 class TestGenerateLoan:
     def test_default_count(self):
-        assert len(generate_loan()) == 54
+        assert len(generate_loan(LOAN_REMOVALS)) == 54
 
     def test_empty_removals(self):
         assert len(generate_loan(())) == 64

@@ -29,6 +29,10 @@ def _toy_dataset(X, labels, n_classes):
 XOR = _toy_dataset(np.array([[0, 0], [0, 1], [1, 0], [1, 1]]), [0, 1, 1, 0], 2)
 
 
+# a valid config for the tests that fail before the first epoch
+TCFG = TrainConfig(epochs=200, learning_rate=0.1, batch_size=32, seed=0)
+
+
 class TestTrain:
     def test_loan_nn1_reaches_100(self, loan_nn1):
         assert loan_nn1.train_accuracy == 1.0
@@ -45,15 +49,15 @@ class TestTrain:
     def test_zero_epochs_rejected(self):
         # zero epochs would save the untrained initial weights as a model
         with pytest.raises(ConfigError, match="epochs=0"):
-            TrainConfig(epochs=0, seed=0)
+            TrainConfig(epochs=0, learning_rate=0.1, batch_size=32, seed=0)
 
     def test_bad_split(self):
         with pytest.raises(ConfigError):
-            train(XOR, 0.0, ModelConfig((2, 4, 2), "relu"), TrainConfig())
+            train(XOR, 0.0, ModelConfig((2, 4, 2), "relu"), TCFG)
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
-            train(XOR, 1.0, ModelConfig((3, 4, 2), "relu"), TrainConfig())
+            train(XOR, 1.0, ModelConfig((3, 4, 2), "relu"), TCFG)
 
     def test_bit_reproducible(self, loan_dataset):
         mcfg = ModelConfig((3, 8, 2), "relu")
