@@ -19,7 +19,8 @@
 # `input_sha256` where an entry has it, as older manifests do, and from
 # `inputs` otherwise. Each manifest is also checked with verify_manifest:
 # every output digest, taken as the file was written, must match the bytes on
-# disk. Exits 1 on any difference or problem.
+# disk. Exits 1 on any difference or problem. It also prints the line count
+# of each src/gtebench/*.py, as `wc -l` gives it, in both trees.
 set -euo pipefail
 
 rev="${1:?usage: scripts/compare_outputs.sh REV}"
@@ -133,6 +134,10 @@ if ! diff <(echo "$entries") <(manifest_entries "$tmp/out/base" "$tmp/base"); th
     echo "manifest.jsonl entries differ (< this tree, > $rev)"
     status=1
 fi
+# src_lines TREE: "FILE LINES" per module of TREE and "total LINES", sorted
+src_lines() { (cd "$1" && wc -l src/gtebench/*.py) | awk '{print $2, $1}' | sort; }
+echo "wc -l src/gtebench/*.py: file, lines in this tree, lines in $rev (- where absent)"
+join -a 1 -a 2 -e - -o 0,1.2,2.2 <(src_lines "$repo") <(src_lines "$tmp/base")
 if [[ $status -eq 0 ]]; then
     echo "all $n files are byte-identical to $rev, all $(wc -l <<< "$entries") manifest entries" \
         "match, and verify_manifest finds no problem in either manifest"

@@ -1,6 +1,7 @@
-"""The one place that formats, writes, parses and validates the pipeline's
-files: a CSV of one header line and one newline-terminated line per row,
-with its metadata, if any, in the JSON sidecar ``<name>.meta.json``."""
+"""Codecs that know no file type, each artifact's class owning its format:
+files written whole, a CSV of one header line and one newline-terminated line
+per row with its metadata, if any, in the JSON sidecar ``<name>.meta.json``,
+and typed JSON."""
 
 from __future__ import annotations
 
@@ -319,45 +320,3 @@ def _fixed_field(b: np.ndarray, p: int, begin: np.ndarray, end: np.ndarray) -> n
     value = k / 10.0 ** p if p else k
     return np.negative(value, out=value, where=neg)
 
-
-def _matrix_header(d: int) -> list[str]:
-    """A coefficient matrix has one row per (run, instance), run-major."""
-    return ["run", "instance_id", "intercept"] + [f"coef_{j + 1}" for j in range(d)]
-
-
-def write_matrix(path: str | Path, coefficients: np.ndarray, intercepts: np.ndarray,
-                 instance_ids: np.ndarray, meta: dict) -> list[Path]:
-    runs, n, d = coefficients.shape
-    columns = [np.repeat(np.arange(runs), n), np.tile(np.asarray(instance_ids, dtype=int), runs),
-               intercepts.ravel(), *coefficients.reshape(runs * n, d).T]
-    return write_csv(path, _matrix_header(d), ["%d", "%d"] + ["%r"] * (d + 1), columns, meta)
-
-
-def read_matrix(path: str | Path, build: Callable[[Any], dict]
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """(coefficients, intercepts, instance ids, fields) of a matrix file:
-    ``build`` parses the sidecar into fields that include ``shape`` (runs,
-    instances, features) and ``failures`` [(run, instance, message)], which
-    the rows are checked against; ``shape`` is popped."""
-    fields = read_json(sidecar_path(path), build)
-    runs, n, d = fields.pop("shape")
-    data = read_csv(path, _matrix_header(d))
-    _check_matrix(path, data, runs, n, {(r, i) for r, i, _ in fields["failures"]})
-    coef = np.ascontiguousarray(data[:, 3:]).reshape(runs, n, d)
-    inter = np.ascontiguousarray(data[:, 2]).reshape(runs, n)
-    return coef, inter, data[:n, 1].astype(int), fields
-
-
-def _check_matrix(path, data: np.ndarray, runs: int, n: int, failed: set) -> None:
-    if data.shape[0] != runs * n:
-        raise ConfigError(f"{path}: {data.shape[0]} rows, sidecar shape needs {runs * n}")
-    if not np.array_equal(data[:, 0], np.repeat(np.arange(runs), n)):
-        raise ConfigError(f"{path}: run column out of canonical order")
-    ids = data[:, 1].reshape(runs, n)
-    if not (ids == ids[:1]).all():
-        raise ConfigError(f"{path}: instance ids differ between runs")
-    bad = ~np.isfinite(data[:, 2:]).all(axis=1).reshape(runs, n)
-    cells = {(int(r), int(i)) for r, i in np.argwhere(bad)}
-    if cells != failed:
-        raise ConfigError(f"{path}: non-finite cells {sorted(cells ^ failed)[:5]} "
-                          f"disagree with the recorded failures")

@@ -64,7 +64,7 @@ def cmd_generate(args) -> StageResult:
         removals = load_loan_removals(cfg_path)
         try:
             ds = generate_loan(removals, seed=args.seed)
-        except ConfigError as exc:  # a removal outside the grid, or no row left
+        except ConfigError as exc:  # a removal not three ints or off the grid, or no row left
             raise ConfigError(f"{cfg_path}: {exc}") from exc
     else:
         cfg = EquationConfig.load(cfg_path)

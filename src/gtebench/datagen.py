@@ -120,8 +120,8 @@ class Dataset:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def save_csv(self, path: str | Path) -> list[Path]:
-        """Write the rows and the sidecar; returns the paths written."""
+    def save_csv(self, path: str | Path) -> dict[Path, str]:
+        """Write the rows and the sidecar; returns the sha256 of each file written."""
         fmts = [f"%.{f.precision}f" if f.kind == "continuous" else "%d"
                 for f in self.schema.features]
         cols = [self.X[:, j] if f.kind == "continuous" else np.round(self.X[:, j])
@@ -199,17 +199,13 @@ LOAN_SCHEMA = FeatureSchema(
 )
 
 
-def load_loan_removals(path: str | Path) -> tuple[tuple[int, int, int], ...]:
-    """The ``removals`` of a loan config: the (x1, x2, x3) grid points left
-    out, each three JSON integers. The shipped ``loan_default.json`` removes
-    the implausible ones: no job (x1=2) with the two top credit tiers, and a
-    >3-year job (x1=5) with the worst credit tier at low debt."""
+def load_loan_removals(path: str | Path) -> tuple[list, ...]:
+    """The ``removals`` of a loan config as JSON gives them, which ``generate_loan``
+    checks: the (x1, x2, x3) grid points left out. The shipped ``loan_default.json``
+    removes the implausible ones: no job (x1=2) with the two top credit tiers, and
+    a >3-year job (x1=5) with the worst credit tier at low debt."""
     def build(doc):
-        removals = artifacts.typed(doc, removals=list)["removals"]
-        for r in removals:
-            if type(r) is not list or len(r) != 3 or any(type(v) is not int for v in r):
-                raise TypeError(f"removal entry {r!r} is not three integers")
-        return tuple(map(tuple, removals))
+        return tuple(artifacts.typed(doc, removals=list)["removals"])
 
     return artifacts.read_json(path, build)
 
@@ -229,12 +225,16 @@ def loan_label(score: float) -> int:
     return 1 if score >= 32 else 0
 
 
-def generate_loan(removals: tuple[tuple[int, int, int], ...], seed: int = 0) -> Dataset:
+def generate_loan(removals, seed: int = 0) -> Dataset:
+    """The 4x4x4 loan grid less ``removals``, each a tuple or list of three ints."""
     grid = list(product(range(2, 6), range(0, 4), range(0, 4)))
-    removal_set = {tuple(int(v) for v in r) for r in removals}
-    for r in removal_set:
-        if r not in grid:
-            raise ConfigError(f"removal entry {r} outside the 4x4x4 grid")
+    removal_set = set()
+    for r in removals:
+        if type(r) not in (tuple, list) or len(r) != 3 or any(type(v) is not int for v in r):
+            raise ConfigError(f"removal entry {r!r} is not three integers")
+        if tuple(r) not in grid:
+            raise ConfigError(f"removal entry {tuple(r)} outside the 4x4x4 grid")
+        removal_set.add(tuple(r))
     kept = [g for g in grid if g not in removal_set]
     if not kept:
         raise ConfigError("the removal list eliminates every instance of the 4x4x4 grid")

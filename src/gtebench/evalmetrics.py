@@ -3,7 +3,7 @@
 Distance accuracy (normalized Euclidean distance and its complement),
 order accuracy (Second Correct / All Correct), implementation invariance
 (paired t-test on per-instance distances), and a zero-coefficient census.
-Cells whose fit failed (non-finite coefficients) are left out and counted.
+Cells whose fit failed (``CoefficientMatrix.ok`` false) are left out and counted.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def implementation_invariance(ed_a, ed_b) -> tuple[TTestResult, bool]:
 
 
 def zero_census(matrix: CoefficientMatrix):
-    """Per-feature counts of exactly-zero coefficients over all runs x
-    instances, and their rates among the cells that did not fail."""
-    coef = matrix.coefficients
-    counts = (coef == 0).sum(axis=(0, 1))
-    return counts.astype(int), counts / float(_finite(coef).sum())
+    """Per-feature counts of exactly-zero coefficients over the cells that
+    did not fail, and their rates among those cells."""
+    ok = matrix.ok
+    counts = (matrix.coefficients[ok] == 0).sum(axis=0)
+    return counts.astype(int), counts / float(ok.sum())
 
 
 @dataclass
@@ -165,11 +165,6 @@ def _check_compatible(a: CoefficientMatrix, b: CoefficientMatrix) -> None:
         raise IncompatibilityError("the matrices explain different instances or orders")
 
 
-def _finite(coefficients: np.ndarray) -> np.ndarray:
-    """runs x instances mask of the cells whose fit did not fail."""
-    return np.isfinite(coefficients).all(axis=2)
-
-
 def _run_means(ed: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Per-instance mean of ``ed`` over the runs in ``ok``; NaN where none is."""
     with np.errstate(invalid="ignore"):
@@ -189,7 +184,7 @@ def build_report(
     if second_exp is not None:
         _check_compatible(second_exp, gte)
     runs, n, d = exp.shape
-    ok = _finite(exp.coefficients) & _finite(gte.coefficients)
+    ok = exp.ok & gte.ok
     if not ok.any():
         raise NumericFailure(f"all {runs * n} cells failed in the explainer or GTE matrix")
 
@@ -221,7 +216,7 @@ def build_report(
     if second_exp is not None:
         ed_b = np.linalg.norm(second_exp.coefficients - gte.coefficients, axis=2)
         mean_a = _run_means(ed, ok)
-        mean_b = _run_means(ed_b, _finite(second_exp.coefficients) & _finite(gte.coefficients))
+        mean_b = _run_means(ed_b, second_exp.ok & gte.ok)
         both = ~np.isnan(mean_a) & ~np.isnan(mean_b)
         invariance, not_rejected = implementation_invariance(mean_a[both], mean_b[both])
 

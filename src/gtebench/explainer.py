@@ -86,8 +86,16 @@ class CoefficientMatrix:
                             m.failures.append((r, i, _failure_message(exc)))
         return mats
 
-    def save_csv(self, path: str | Path) -> list[Path]:
-        """Write the rows and the sidecar; returns the paths written."""
+    @property
+    def ok(self) -> np.ndarray:
+        """runs x instances mask of the cells whose fit did not fail: their
+        coefficients and intercept are all finite."""
+        return np.isfinite(self.coefficients).all(axis=2) & np.isfinite(self.intercepts)
+
+    def save_csv(self, path: str | Path) -> dict[Path, str]:
+        """Write one row per (run, instance), run-major, and the sidecar;
+        returns the sha256 of each file written."""
+        runs, n, d = self.shape
         meta = {
             "source": self.source,
             "config_hash": self.config_hash,
@@ -96,13 +104,46 @@ class CoefficientMatrix:
             "shape": list(self.shape),
             "failures": [list(f) for f in self.failures],
         }
-        return artifacts.write_matrix(path, self.coefficients, self.intercepts,
-                                      self.instance_ids, meta)
+        columns = [np.repeat(np.arange(runs), n),
+                   np.tile(np.asarray(self.instance_ids, dtype=int), runs),
+                   self.intercepts.ravel(), *self.coefficients.reshape(runs * n, d).T]
+        return artifacts.write_csv(path, _csv_header(d), ["%d", "%d"] + ["%r"] * (d + 1),
+                                   columns, meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "CoefficientMatrix":
-        coef, inter, ids, fields = artifacts.read_matrix(path, _sidecar_fields)
-        return CoefficientMatrix(coefficients=coef, intercepts=inter, instance_ids=ids, **fields)
+        """The rows and the sidecar; the CSV must hold the sidecar's runs x
+        instances rows in run-major order, the same integer instance ids in
+        every run, and failed cells (``ok`` false) exactly where the sidecar
+        records failures."""
+        fields = artifacts.read_json(artifacts.sidecar_path(path), _sidecar_fields)
+        runs, n, d = fields.pop("shape")
+        data = artifacts.read_csv(path, _csv_header(d))
+        if data.shape[0] != runs * n:
+            raise ConfigError(f"{path}: {data.shape[0]} rows, sidecar shape needs {runs * n}")
+        if not np.array_equal(data[:, 0], np.repeat(np.arange(runs), n)):
+            raise ConfigError(f"{path}: run column out of canonical order")
+        ids = data[:, 1].reshape(runs, n)
+        # NaN fails both tests, and the bound keeps every id exact in a double
+        bad = np.flatnonzero(~((np.floor(ids) == ids) & (np.abs(ids) < 2.0 ** 53)))
+        if bad.size:
+            raise ConfigError(f"{path}: instance_id {ids.flat[bad[0]]:g} of data row "
+                              f"{bad[0] + 1} is not an integer below 2**53 in magnitude")
+        if not (ids == ids[:1]).all():
+            raise ConfigError(f"{path}: instance ids differ between runs")
+        mat = CoefficientMatrix(coefficients=np.ascontiguousarray(data[:, 3:]).reshape(runs, n, d),
+                                intercepts=np.ascontiguousarray(data[:, 2]).reshape(runs, n),
+                                instance_ids=data[:n, 1].astype(int), **fields)
+        cells = {(int(r), int(i)) for r, i in np.argwhere(~mat.ok)}
+        failed = {(r, i) for r, i, _ in mat.failures}
+        if cells != failed:
+            raise ConfigError(f"{path}: non-finite cells {sorted(cells ^ failed)[:5]} "
+                              f"disagree with the recorded failures")
+        return mat
+
+
+def _csv_header(d: int) -> list[str]:
+    return ["run", "instance_id", "intercept"] + [f"coef_{j + 1}" for j in range(d)]
 
 
 def _failure_message(exc: NumericFailure) -> str:
@@ -110,12 +151,16 @@ def _failure_message(exc: NumericFailure) -> str:
 
 
 def _sidecar_fields(doc: dict) -> dict:
-    """The fields a matrix sidecar holds, its ``shape`` among them."""
+    """The fields a matrix sidecar holds, its ``shape`` among them; each
+    failure is [run, instance, message], two integers and a string."""
     fields = artifacts.typed(doc, source=str, config_hash=str, dataset_hash=str, seed=int,
                              shape=list, failures=list)
     if len(fields["shape"]) != 3 or not all(type(v) is int and v >= 0 for v in fields["shape"]):
         raise ValueError(f"shape must be three non-negative integers, got {fields['shape']}")
-    fields["failures"] = [(int(r), int(i), str(msg)) for r, i, msg in fields["failures"]]
+    for f in fields["failures"]:
+        if type(f) is not list or [type(v) for v in f] != [int, int, str]:
+            raise TypeError(f"failure entry {f!r} is not [run, instance, message]")
+    fields["failures"] = [tuple(f) for f in fields["failures"]]
     return fields
 
 

@@ -16,10 +16,9 @@ class Series:
     color: str
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from ``lo`` to ``hi``."""
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _fmt(v: float) -> str:
@@ -43,11 +42,10 @@ def line_chart(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 900,
-    height: int = 420,
 ) -> str:
     if not series:
         raise ValueError("at least one series required")
+    width, height = 900, 420
     ml, mr, mt, mb = 60, 160, 40, 50  # margins: left/right/top/bottom
     pw, ph = width - ml - mr, height - mt - mb
 

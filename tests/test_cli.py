@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -736,6 +737,31 @@ class TestRejectedInputs:
         (quick / "e.csv.meta.json").write_text(json.dumps(meta))
         assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 2
         self._one_error_line(capsys, "e.csv.meta.json", "source")
+
+    @pytest.mark.parametrize("failures, words", [
+        # 3.5 would load as id 3 and align the wrong row
+        (None, ("e.csv:", "instance_id 3.5 of data row 4 is not an integer")),
+        ([[0.7, "1", 42]], ("e.csv.meta.json:", "failure entry [0.7, '1', 42]")),
+        ([[0, True, "x"]], ("e.csv.meta.json:", "failure entry [0, True, 'x']")),
+    ], ids=["instance-id-3.5", "failure-floats-and-strings", "failure-bool"])
+    def test_matrix_not_as_written_exit_2(self, quick, capsys, failures, words):
+        """A matrix file the pipeline cannot have written is refused, not
+        read as the nearest matrix it could have written: each edit below
+        loads otherwise, once cell (0, 1) failed for a failures entry."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        text = (quick / "e.csv").read_text()
+        if failures is None:
+            text = text.replace("\n0,3,", "\n0,3.5,", 1)
+        else:
+            text = re.sub(r"\n0,1,[^\n]*", "\n0,1,nan,nan,nan,nan", text, count=1)
+            meta = json.loads((quick / "e.csv.meta.json").read_text())
+            (quick / "e.csv.meta.json").write_text(json.dumps({**meta, "failures": failures}))
+        (quick / "e.csv").write_text(text)
+        capsys.readouterr()
+        assert run("align", "loan.csv", "--num-samples", "5", "--instances-from", "e.csv",
+                   "--out-prefix", "g") == 2
+        self._one_error_line(capsys, *words)
+        assert not (quick / "g_ns5.csv").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}),

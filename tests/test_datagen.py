@@ -64,6 +64,14 @@ class TestGenerateLoan:
         with pytest.raises(ConfigError):
             generate_loan(((9, 9, 9),))
 
+    @pytest.mark.parametrize("entry", [(2.9, 3, 0), (2.0, 3, 0), ("2", 3, 0), (True, 3, 0),
+                                       (np.int64(2), 3, 0), (2, 3), (2, 3, 0, 0), 5])
+    def test_removal_not_three_ints(self, entry):
+        """A removal is three ints: 2.9 is not truncated to 2, nor a bool, a
+        string or a numpy integer read as an int."""
+        with pytest.raises(ConfigError, match="is not three integers"):
+            generate_loan((entry,))
+
     def test_labels_match_brute_force(self, loan_dataset):
         # re-evaluate the scoring rule independently over the full grid
         for x1, x2, x3 in product(range(2, 6), range(0, 4), range(0, 4)):

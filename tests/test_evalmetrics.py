@@ -265,6 +265,23 @@ class TestFailedCells:
         assert rep.invariance == want.invariance
         assert (rep.failed_cells, rep.failure_kinds) == (12, {"SingularSystemError": 24})
 
+    def test_nan_intercept_cell_is_failed(self, tmp_path):
+        """A cell with finite coefficients but a NaN intercept failed: the
+        loader and build_report read failures from the same ``ok`` mask, so
+        the cell its sidecar lists is left out of the scores and counted."""
+        e, g = make_rng(9).normal(size=(2, 1, 3, 2))
+        exp = _matrix(e)
+        exp.intercepts[0, 1] = np.nan
+        exp.failures.append((0, 1, "NonFiniteFitError: injected"))
+        exp.save_csv(tmp_path / "e.csv")
+        exp = CoefficientMatrix.load_csv(tmp_path / "e.csv")
+        rep = build_report(exp, _matrix(g, source="gte"))
+        assert (rep.failed_cells, rep.failure_kinds) == (1, {"NonFiniteFitError": 1})
+        assert [s.instance_id for s in rep.instance_scores] == [0, 2]
+        want = build_report(_matrix(e[:, [0, 2]]), _matrix(g[:, [0, 2]], source="gte"))
+        assert [s.mean_ed for s in rep.instance_scores] == [s.mean_ed for s in want.instance_scores]
+        assert exp.ok.tolist() == [[True, False, True]]
+
     def test_all_failed_is_numeric_failure(self):
         exp = _fail(_matrix(np.ones((1, 2, 3))), [(0, 0)])
         gte = _fail(_matrix(np.ones((1, 2, 3)), source="gte"), [(0, 1)])
