@@ -9,7 +9,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import secrets
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 
 CHUNK_ROWS = 65_536
+MAX_DIGITS = 15  # of a fixed-point field; 10**15 < 2**53
 T = TypeVar("T")
 
 
@@ -58,31 +58,34 @@ def publish(files: dict[Path, bytes | Iterable]) -> dict[Path, str]:
 def write_csv(path: str | Path, header: list[str], fmts: list[str], columns,
               meta: dict | None = None) -> dict[Path, str]:
     """``publish`` equal-length ``columns`` under ``header``, each cell
-    %-formatted with its column's entry of ``fmts``, and then ``meta`` as the
-    sidecar when given; the CSV replaces its target first.
-
-    ``CHUNK_ROWS`` rows at a time; a chunk of numeric array columns whose
-    formats are all ``%d`` or ``%.{p}f`` takes the exact fixed-point encoder
-    when every cell passes its guard, and the %-formatter otherwise. A cell
-    that cannot be formatted raises a ConfigError that names the file, the
-    column and the row."""
-    path = Path(path)
+    %-formatted with its column's entry of ``fmts``, ``CHUNK_ROWS`` rows at a
+    time, and then ``meta`` as the sidecar when given; the CSV replaces its
+    target first."""
     line = ",".join(fmts) + "\n"
-    specs = [_FIXED.fullmatch(f) for f in fmts]
-    fixed = all(specs) and all(isinstance(c, np.ndarray) and c.dtype.kind in "biuf" for c in columns)
 
+    def encode(chunk, start):
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+        return "".join(line % row for row in rows).encode("utf-8")
+
+    return _publish_csv(Path(path), header, columns, encode, meta)
+
+
+def write_fixed_csv(path: str | Path, header: list[str], precisions: list[int], columns,
+                    meta: dict | None = None) -> dict[Path, str]:
+    """``write_csv`` for numeric array ``columns``, column j printed as by
+    ``%.{p}f``, p = ``precisions[j]`` < MAX_DIGITS, through ``_fixed_point``:
+    the one format ``read_fixed_csv`` reads."""
+    path = Path(path)
+    return _publish_csv(path, header, columns, lambda chunk, start: _fixed_point(
+        path, header, precisions, chunk, start), meta)
+
+
+def _publish_csv(path: Path, header: list[str], columns, encode, meta: dict | None):
+    """``publish`` the CSV, ``encode(chunk, start)`` per chunk, and ``meta``."""
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
         for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
-            chunk = [c[start:start + CHUNK_ROWS] for c in columns]
-            data = _fixed_point(chunk, specs) if fixed else None
-            if data is None:
-                rows = [*zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))]
-                try:
-                    data = "".join(line % row for row in rows).encode("utf-8")
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise _format_error(path, header, fmts, rows, start) from exc
-            yield data
+            yield encode([c[start:start + CHUNK_ROWS] for c in columns], start)
 
     files = {path: chunks()}
     if meta is not None:
@@ -97,52 +100,42 @@ def check_text_cell(value: str, what: str) -> None:
         raise ConfigError(f"{what} {value!r} holds a ',', '\\r' or '\\n', which no CSV cell can")
 
 
-def _format_error(path, header, fmts, rows, start) -> ConfigError:
-    """The ConfigError for the first cell of ``rows`` that its format refuses."""
-    for i, row in enumerate(rows):
-        for name, fmt, value in zip(header, fmts, row):
-            try:
-                fmt % (value,)
-            except (TypeError, ValueError, OverflowError) as exc:
-                return ConfigError(f"{path}: cannot write {name} {value!r} of data row "
-                                   f"{start + i + 1} as {fmt}: {exc}")
-    return ConfigError(f"{path}: a row does not fit {','.join(fmts)}")
-
-
-_FIXED = re.compile(r"%(?:d|\.(\d)f)")
-
-
-def _fixed_point(chunk: list[np.ndarray], specs: list[re.Match]) -> np.ndarray | None:
-    """The bytes of the rows of ``chunk`` printed as by ``%d`` / ``%.{p}f``,
-    or None if a cell fails the guard. Guard: with k = rint(x * 10**p),
-    |k| < 2**52 and k / 10**p == x. IEEE division rounds correctly, so x is
-    then the double nearest k * 10**-p, whose ulp is below 10**-p: %.{p}f
-    prints the digits of k. Only ``%.{p}f`` keeps the sign of -0.0, so it
-    rejects -0.0.
+def _fixed_point(path: Path, header: list[str], precisions: list[int],
+                 chunk: list[np.ndarray], start: int) -> np.ndarray:
+    """The bytes of the rows of ``chunk``, the data rows from ``start + 1``
+    on, printed as by ``%.{p}f``; a ConfigError for the first cell, row by
+    row, that fails the guard. Guard: with k = rint(x * 10**p),
+    |k| < 10**MAX_DIGITS and k / 10**p == x. IEEE division rounds correctly,
+    so x is then the double nearest k * 10**-p, whose ulp is below 10**-p:
+    %.{p}f prints the digits of k, and the sign of k, which is that of x,
+    -0.0 too.
 
     A cell is an optional '-', the digits of |k| (at least p + 1, so that
     0.080 keeps its leading zero) with a '.' before the last p, and a ',' or
     the row's '\n'. The cells' widths give every byte's position in one
     buffer per chunk."""
-    cells = []
-    width = np.zeros(len(chunk[0]), np.int64)
-    for x, spec in zip(chunk, specs):
-        p = int(spec[1] or 0)
-        x = x.astype(float)  # integers below 2**52 convert exactly
-        scale = 10.0 ** p
-        with np.errstate(over="ignore", invalid="ignore"):
+    cells, oks = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a refused cell's k may be inf or NaN
+        for x, p in zip(chunk, precisions):
+            scale = 10.0 ** p
+            x = np.asarray(x, float)  # integers below 10**MAX_DIGITS convert exactly
             k = np.rint(x * scale)
-            ok = (np.abs(k) < 2.0 ** 52) & (k / scale == x)
-        if spec[1] is not None:
-            ok &= (k != 0) | ~np.signbit(x)
-        if not ok.all():
-            return None
-        neg = k < 0
-        a = np.abs(k).astype(np.int64)
+            oks.append((np.abs(k) < 10.0 ** MAX_DIGITS) & (k / scale == x))
+            cells.append([p, np.signbit(k), np.abs(k).astype(np.int64)])
+    bad = ~np.array(oks).T
+    if bad.any():
+        i, j = divmod(int(bad.argmax()), len(oks))  # the first, row by row
+        p = precisions[j]
+        raise ConfigError(f"{path}: cannot write {header[j]} {chunk[j][i].item()!r} of data row "
+                          f"{start + i + 1} as %.{p}f: only finite multiples of 1e-{p} below "
+                          f"1e{MAX_DIGITS - p} in magnitude are written")
+    width = np.zeros(len(chunk[0]), np.int64)
+    for cell in cells:
+        p, neg, a = cell
         nd = np.full(len(a), p + 1)
         for t in range(p + 1, len(str(a.max()))):
             nd += a >= 10 ** t
-        cells.append((p, neg, a, nd))
+        cell.append(nd)
         width += neg + nd + (p > 0) + 1
     end = np.cumsum(width)
     buf = np.empty(int(end[-1]), np.uint8)
@@ -197,32 +190,39 @@ def typed(doc: dict, **kinds) -> dict:
 
 
 def read_csv(path: str | Path, header: list[str]) -> np.ndarray:
-    """The rows of a CSV under ``header`` as an (n, len(header)) float array.
+    """The rows of a CSV under ``header`` as an (n, len(header)) float array,
+    parsed by np.loadtxt.
 
     Raises ConfigError for another header, a blank or malformed row, or a
     file that does not end in a newline (a truncated write)."""
-    return _loadtxt(path, _checked_bytes(path, header), len(header))
+    raw = _checked_bytes(path, header)
+    if raw.index(b"\n") + 1 == len(raw):
+        return np.empty((0, len(header)))
+    try:
+        # parsing the bytes in place keeps a single copy of the file in memory
+        data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
+                          encoding="utf-8")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: {data.shape[1]} columns, header has {len(header)}")
+    return data
 
 
 def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],
                    lead: int) -> tuple[np.ndarray, np.ndarray]:
     """(the first ``lead`` columns, the other columns) of a CSV under
-    ``header``, each a C-contiguous float array holding read_csv's values;
-    any file that read_csv refuses raises read_csv's ConfigError.
-
-    Column j is expected as ``%.{p}f`` prints it, p = ``precisions[j]``, or
-    as ``%d`` for p = 0. When every field is ``-?[0-9]+`` followed, for p >
-    0, by '.' and p digits, with at most 15 digits, the fields are parsed
-    here: the digits give an integer k < 10**15, exact in a double, and
-    k / 10**p rounds correctly, as strtod does, since 10**p is exact too
-    (Clinger's fast path). Any other file goes through read_csv."""
+    ``header`` as ``write_fixed_csv`` writes it, each a C-contiguous float
+    array. Every field of column j is ``-?[0-9]+`` followed, for p =
+    ``precisions[j]`` > 0, by '.' and p digits, with at most MAX_DIGITS
+    digits: they give an integer k < 10**15, exact in a double, and k / 10**p
+    rounds correctly, as strtod does, since 10**p is exact too (Clinger's fast
+    path). Any other field, or a file that read_csv refuses, raises a
+    ConfigError naming the file, and the column, field and row if any."""
     raw = _checked_bytes(path, header)
     n = raw.count(b"\n") - 1
     blocks = np.empty((n, lead)), np.empty((n, len(header) - lead))
-    columns = [*blocks[0].T, *blocks[1].T]
-    if not _parse_fixed(raw, precisions, columns):
-        data = _loadtxt(path, raw, len(header))
-        blocks = np.ascontiguousarray(data[:, :lead]), np.ascontiguousarray(data[:, lead:])
+    _parse_fixed(path, raw, header, precisions, [*blocks[0].T, *blocks[1].T])
     return blocks
 
 
@@ -241,33 +241,13 @@ def _checked_bytes(path: str | Path, header: list[str]) -> bytes:
     return raw
 
 
-def _loadtxt(path: str | Path, raw: bytes, width: int) -> np.ndarray:
-    """The data rows of ``raw``, checked by ``_checked_bytes``, through np.loadtxt."""
-    if raw.index(b"\n") + 1 == len(raw):
-        return np.empty((0, width))
-    try:
-        # parsing the bytes in place keeps a single copy of the file in memory
-        data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
-                          encoding="utf-8")
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if data.shape[1] != width:
-        raise ConfigError(f"{path}: {data.shape[1]} columns, header has {width}")
-    return data
-
-
-_MAX_DIGITS = 15  # 10**15 < 2**53
-
-
-def _parse_fixed(raw: bytes, precisions: list[int], columns: list[np.ndarray]) -> bool:
+def _parse_fixed(path: str | Path, raw: bytes, header: list[str], precisions: list[int],
+                 columns: list[np.ndarray]) -> None:
     """Fill ``columns`` with the data rows of ``raw``, column j parsed as
     fixed-point with ``precisions[j]`` decimals, about ``CHUNK_ROWS`` rows at
-    a time. False, with ``columns`` partly filled, at the first field or
-    separator that is not canonical."""
+    a time; ``_parse_error`` at the first chunk that holds a field or a
+    separator outside the grammar."""
     width = len(columns)
-    if len(precisions) != width or not all(isinstance(p, int) and 0 <= p < _MAX_DIGITS
-                                           for p in precisions):
-        return False
     separators = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
     start = raw.index(b"\n") + 1
     # chunks of CHUNK_ROWS rows as long as the first, each cut after a newline
@@ -276,10 +256,10 @@ def _parse_fixed(raw: bytes, precisions: list[int], columns: list[np.ndarray]) -
     while start < len(raw):
         stop = raw.index(b"\n", min(start + step, len(raw)) - 1) + 1
         b = np.frombuffer(raw, np.uint8, stop - start, start)
-        # ',' and '\n' are the only bytes <= 44 a canonical field leaves
+        # ',' and '\n' are the only bytes <= 44 a field in the grammar leaves
         at = np.flatnonzero(b <= ord(","))
         if at.size % width or not (b[at].reshape(-1, width) == separators).all():
-            return False
+            raise _parse_error(path, raw[start:stop], header, precisions, row)
         ends = at.reshape(-1, width).T.copy()
         begins = np.empty_like(ends)
         begins[1:] = ends[:-1] + 1
@@ -287,21 +267,38 @@ def _parse_fixed(raw: bytes, precisions: list[int], columns: list[np.ndarray]) -
         for p, end, begin, out in zip(precisions, ends, begins, columns):
             value = _fixed_field(b, p, begin, end)
             if value is None:
-                return False
+                raise _parse_error(path, raw[start:stop], header, precisions, row)
             out[row:row + len(value)] = value
         row += ends.shape[1]
         start = stop
-    return True
+
+
+def _parse_error(path: str | Path, chunk: bytes, header: list[str], precisions: list[int],
+                 row: int) -> ConfigError:
+    """The ConfigError for the first field of ``chunk``, data row ``row + 1``
+    on, outside the grammar; it only locates the field and parses nothing."""
+    for i, line in enumerate(chunk.split(b"\n")[:-1], row + 1):
+        # a row of too many fields ends in a field with a ',', one of too few in empty fields
+        fields = line.split(b",", len(header) - 1) + [b""] * len(header)
+        for name, p, field in zip(header, precisions, fields):
+            digits = field.removeprefix(b"-")
+            if p:
+                digits = digits[:-p - 1] + digits[-p:] if digits[-p - 1:-p] == b"." else b""
+            if not (p < len(digits) <= MAX_DIGITS and digits.isdigit()):
+                grammar = "-?[0-9]+" + (rf"\.[0-9]{{{p}}}" if p else "")
+                return ConfigError(f"{path}: {name} {field.decode('utf-8', 'replace')!r} of data "
+                                   f"row {i} is not {grammar} with at most {MAX_DIGITS} digits")
+    return ConfigError(f"{path}: data rows {row + 1} on do not parse")
 
 
 def _fixed_field(b: np.ndarray, p: int, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The values of the fields ``b[begin:end]``, each ``-?[0-9]+`` followed,
-    if p > 0, by '.' and p digits, with at most ``_MAX_DIGITS`` digits; None
+    if p > 0, by '.' and p digits, with at most MAX_DIGITS digits; None
     if any field is not."""
     neg = b[begin] == ord("-")
     first = begin + neg
     nd = end - first - (p > 0)  # digits, '.' aside
-    if not ((nd > p) & (nd <= _MAX_DIGITS)).all():
+    if not ((nd > p) & (nd <= MAX_DIGITS)).all():
         return None
     if p and not (b[end - p - 1] == ord(".")).all():
         return None

@@ -97,10 +97,18 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
-        return FeatureSchema(tuple(
-            Feature(**{**_drop_removed(it, "mode_table"),
-                       "mode_values": tuple(it.get("mode_values") or ())})
-            for it in items))
+        """Checks each feature's ``kind``, and that its ``precision`` is an
+        integer that leaves a field room for a digit before the point."""
+        features = tuple(Feature(**{**_drop_removed(it, "mode_table"),
+                                    "mode_values": tuple(it.get("mode_values") or ())})
+                         for it in items)
+        for f in features:
+            if (f.kind not in ("continuous", "ordinal", "mode") or type(f.precision) is not int
+                    or not 0 <= f.precision < artifacts.MAX_DIGITS):
+                raise ConfigError(f"feature {f.name!r} needs kind continuous, ordinal or mode and "
+                                  f"an integer precision in [0, {artifacts.MAX_DIGITS - 1}], got "
+                                  f"{f.kind!r} and {f.precision!r}")
+        return FeatureSchema(features)
 
 
 @dataclass
@@ -121,11 +129,8 @@ class Dataset:
         return self.X.shape[1]
 
     def save_csv(self, path: str | Path) -> dict[Path, str]:
-        """Write the rows and the sidecar; returns the sha256 of each file written."""
-        fmts = [f"%.{f.precision}f" if f.kind == "continuous" else "%d"
-                for f in self.schema.features]
-        cols = [self.X[:, j] if f.kind == "continuous" else np.round(self.X[:, j])
-                for j, f in enumerate(self.schema.features)]
+        """Write the rows and the sidecar; returns the sha256 of each file
+        written. A value off its column's grid is a ConfigError."""
         # an equation dataset's variation is its class; loan has none
         variation_ids = np.zeros_like(self.labels) if self.equation == "loan" else self.labels
         meta = {
@@ -136,14 +141,13 @@ class Dataset:
             "schema": self.schema.to_dict(),
             "rows": len(self),
         }
-        return artifacts.write_csv(path, self.schema.names + ["label", "variation_id"],
-                                   fmts + ["%d", "%d"], cols + [self.labels, variation_ids],
-                                   meta)
+        return artifacts.write_fixed_csv(path, *_csv_columns(self.schema),
+                                         [*self.X.T, self.labels, variation_ids], meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
         """The rows and the sidecar; the CSV must hold the sidecar's number of
-        rows, every feature value must be finite, every label a class id below
+        rows, as ``save_csv`` writes them, every label a class id below
         n_classes and every variation id what ``save_csv`` writes. ``X`` is a
         C-contiguous (n, d) float array and ``labels`` an int array."""
         def build(doc):
@@ -153,32 +157,29 @@ class Dataset:
 
         fields = artifacts.read_json(artifacts.sidecar_path(path), build)
         rows = fields.pop("rows")
-        features = fields["schema"].features
-        # the precisions save_csv writes with: a feature's own, 0 for %d
-        precisions = [f.precision if f.kind == "continuous" else 0 for f in features] + [0, 0]
-        X, ids = artifacts.read_fixed_csv(path, fields["schema"].names + ["label", "variation_id"],
-                                          precisions, len(features))
+        X, ids = artifacts.read_fixed_csv(path, *_csv_columns(fields["schema"]),
+                                          len(fields["schema"].features))
         if len(X) != rows:
             raise ConfigError(f"{path}: {len(X)} rows, sidecar records {rows}")
+        # the parser reads integers only in these columns
         labels, variation_ids, n = ids[:, 0], ids[:, 1], fields["n_classes"]
-        # min and max propagate NaN: both are finite iff every value of the column is
-        bad = np.flatnonzero(~(np.isfinite(X.min(axis=0)) & np.isfinite(X.max(axis=0)))
-                             if len(X) else [])
-        if bad.size:
-            j = bad[0]
-            i = np.flatnonzero(~np.isfinite(X[:, j]))[0]
-            raise ConfigError(f"{path}: {fields['schema'].names[j]} {X[i, j]:g} of data row "
-                              f"{i + 1} is not finite")
-        bad = np.flatnonzero(~((labels >= 0) & (labels < n) & (np.floor(labels) == labels)))
+        bad = np.flatnonzero(~((labels >= 0) & (labels < n)))
         if bad.size:
             raise ConfigError(f"{path}: label {labels[bad[0]]:g} of data row {bad[0] + 1} is "
-                              f"not an integer in [0, {n})")
+                              f"not in [0, {n})")
         loan = fields["equation"] == "loan"
         bad = np.flatnonzero(variation_ids != (0 if loan else labels))
         if bad.size:
             raise ConfigError(f"{path}: variation_id {variation_ids[bad[0]]:g} of data row "
                               f"{bad[0] + 1} is not {'0' if loan else 'its label'}")
         return Dataset(X=X, labels=labels.astype(int), **fields)
+
+
+def _csv_columns(schema: FeatureSchema) -> tuple[list[str], list[int]]:
+    """The header of a dataset CSV and each column's number of decimals: a
+    continuous feature's precision, 0 for any other column."""
+    return (schema.names + ["label", "variation_id"],
+            [f.precision if f.kind == "continuous" else 0 for f in schema.features] + [0, 0])
 
 
 def config_hash(obj) -> str:

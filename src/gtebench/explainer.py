@@ -114,8 +114,8 @@ class CoefficientMatrix:
     def load_csv(path: str | Path) -> "CoefficientMatrix":
         """The rows and the sidecar; the CSV must hold the sidecar's runs x
         instances rows in run-major order, the same integer instance ids in
-        every run, and failed cells (``ok`` false) exactly where the sidecar
-        records failures."""
+        every run, and the failed cells (``ok`` false) as the sidecar's
+        failures list them: each once, in run-major order."""
         fields = artifacts.read_json(artifacts.sidecar_path(path), _sidecar_fields)
         runs, n, d = fields.pop("shape")
         data = artifacts.read_csv(path, _csv_header(d))
@@ -134,11 +134,10 @@ class CoefficientMatrix:
         mat = CoefficientMatrix(coefficients=np.ascontiguousarray(data[:, 3:]).reshape(runs, n, d),
                                 intercepts=np.ascontiguousarray(data[:, 2]).reshape(runs, n),
                                 instance_ids=data[:n, 1].astype(int), **fields)
-        cells = {(int(r), int(i)) for r, i in np.argwhere(~mat.ok)}
-        failed = {(r, i) for r, i, _ in mat.failures}
+        cells, failed = np.argwhere(~mat.ok).tolist(), [[r, i] for r, i, _ in mat.failures]
         if cells != failed:
-            raise ConfigError(f"{path}: non-finite cells {sorted(cells ^ failed)[:5]} "
-                              f"disagree with the recorded failures")
+            raise ConfigError(f"{path}: the recorded failures {failed[:5]} are not the non-finite "
+                              f"cells {cells[:5]}, each once in run-major order")
         return mat
 
 

@@ -2,6 +2,8 @@
 code paths.  Kept deliberately naive: direct normal equations, quadrature,
 finite differences."""
 
+import math
+
 import numpy as np
 
 
@@ -75,10 +77,12 @@ def csv_oracle(header, fmts, columns) -> str:
 
 
 def dataset_csv_oracle(ds) -> str:
+    """Each feature value as ``%.{p}f`` prints it, p a continuous feature's
+    precision and 0 for any other kind."""
     lines = [",".join(ds.schema.names + ["label", "variation_id"])]
     for i in range(len(ds)):
         vals = [
-            f"{ds.X[i, j]:.{f.precision}f}" if f.kind == "continuous" else str(int(round(ds.X[i, j])))
+            f"{ds.X[i, j]:.{f.precision if f.kind == 'continuous' else 0}f}"
             for j, f in enumerate(ds.schema.features)
         ]
         # an equation dataset's variation is its class; loan has none
@@ -86,6 +90,13 @@ def dataset_csv_oracle(ds) -> str:
         vals += [str(int(ds.labels[i])), str(variation)]
         lines.append(",".join(vals))
     return "\n".join(lines) + "\n"
+
+
+def fixed_point_writable(x, p: int) -> bool:
+    """Whether ``%.{p}f`` prints ``x`` in a field of at most 15 digits that
+    reads back as ``x``: the cells ``artifacts.write_fixed_csv`` takes."""
+    field = "%.*f" % (p, x)
+    return math.isfinite(x) and float(field) == x and sum(c.isdigit() for c in field) <= 15
 
 
 def csv_rows_oracle(text: str) -> np.ndarray:

@@ -9,14 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gtebench import artifacts, cli
-from gtebench.artifacts import publish, read_csv, read_fixed_csv, sidecar_path, write_csv
+from gtebench.artifacts import (publish, read_csv, read_fixed_csv, sidecar_path, write_csv,
+                                write_fixed_csv)
 from gtebench.datagen import Dataset, FeatureSchema, generate_loan
 from gtebench.errors import ConfigError
 from gtebench.evalmetrics import build_report
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import sha256_file
 from conftest import LOAN_REMOVALS
-from oracles import csv_oracle, csv_rows_oracle, dataset_csv_oracle, matrix_csv_oracle
+from oracles import (csv_oracle, csv_rows_oracle, dataset_csv_oracle, fixed_point_writable,
+                     matrix_csv_oracle)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -30,10 +32,15 @@ def assert_written(written, paths):
     assert all(digest == sha256_file(p) for p, digest in written.items())
 
 
+def decimals(f) -> int:
+    """The number of decimals a dataset file holds for feature ``f``."""
+    return f.precision if f.kind == "continuous" else 0
+
+
 @st.composite
-def datasets(draw, rounded=False):
-    """``rounded``: every value already on its feature's grid, as the
-    generator leaves it, so that the writer's fixed-point path runs."""
+def datasets(draw):
+    """Every value already on its column's grid, as the generator leaves it:
+    k / 10**p for p decimals, -0.0 among them."""
     kinds = draw(st.lists(st.sampled_from(["continuous", "ordinal", "mode"]), min_size=1, max_size=4))
     schema = FeatureSchema.from_dict([
         {"name": f"f{j}", "kind": k, "lo": -1e12, "hi": 1e12,
@@ -41,55 +48,63 @@ def datasets(draw, rounded=False):
         for j, k in enumerate(kinds)
     ])
     n = draw(st.integers(0, 12))
-    if rounded:
-        scales = [10.0 ** f.precision if f.kind == "continuous" else 1.0 for f in schema.features]
-        X = np.array([[draw(st.integers(-10**9, 10**9)) / s for s in scales] for _ in range(n)])
-    else:
-        X = np.array(draw(st.lists(st.lists(st.floats(-1e12, 1e12), min_size=len(kinds),
-                                            max_size=len(kinds)), min_size=n, max_size=n)))
+    X = np.array([[draw(st.integers(-10**9, 10**9).map(lambda k, p=decimals(f): k / 10.0**p)
+                        | st.just(-0.0)) for f in schema.features] for _ in range(n)])
     labels = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)), dtype=int)
     # the variation_id column is the label for an equation dataset and 0 for loan
     equation = draw(st.sampled_from(["time", "loan"]))
     return Dataset(schema, X.reshape(n, len(kinds)), labels, 10, 1, "h", equation)
 
 
-FIXED_FORMATS = ["%d"] + [f"%.{p}f" for p in range(7)]
-# values the fixed-point guard must send to the %-formatter, or pass exactly
+# values the writer must write exactly or refuse
 SPECIALS = [-0.0, 0.0, -0.0004, 0.0004, 0.0005, -0.0005, 2.675, 0.5, 1.5, 2.5, -2.5,
-            0.1 + 0.2, 1e-7, 1e15, 1e300, -1e300]
-NON_FINITE = [np.inf, -np.inf, np.nan]
+            0.1 + 0.2, 1e-7, 1e15, 1e300, -1e300, np.inf, -np.inf, np.nan]
+
+
+def off_grid(p):
+    """Values ``write_fixed_csv`` refuses at p decimals, with some it takes."""
+    scale = 10.0 ** p
+    edge = 10.0 ** 15 / scale
+    return st.one_of(
+        st.sampled_from(SPECIALS + [edge, -edge, np.nextafter(edge, 0), (10**15 - 1) / scale]),
+        st.integers(-10**6, 10**6).map(lambda k: (k + 0.5) / scale),  # halfway
+        st.integers(-10**6, 10**6).map(lambda k: (k + 0.7) / scale),  # off the grid
+        st.integers(-2**62, 2**62).map(lambda k: k / scale),  # past 15 digits, mostly
+    )
 
 
 @st.composite
 def fixed_point_columns(draw):
-    """(formats, columns): numeric columns under %d / %.{p}f, mostly values
-    already rounded to p decimals, with guard failures and edge cases mixed in
-    at a few rows."""
+    """(precisions, columns): integer or float columns of values on their
+    grid, -0.0 among them, with values off it or past 15 digits mixed in
+    at a few rows of some columns."""
     n = draw(st.integers(0, 12))
-    fmts = draw(st.lists(st.sampled_from(FIXED_FORMATS), min_size=1, max_size=4))
+    precisions = draw(st.lists(st.integers(0, 6) | st.just(0), min_size=1, max_size=4))
     columns = []
-    for fmt in fmts:
-        p = 0 if fmt == "%d" else int(fmt[2])
+    for p in precisions:
         if draw(st.booleans()):
-            ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**63, 2**63 - 1),
-                             st.sampled_from([2**52 - 1, 2**52, 1 - 2**52, -2**52]))
-            columns.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64))
-            continue
-        scale = 10.0 ** p
-        k = st.one_of(st.integers(-10**6, 10**6), st.integers(1 - 2**52, 2**52 - 1))
-        col = np.array(draw(st.lists(k, min_size=n, max_size=n)), dtype=float) / scale
-        edge = 2.0 ** 52 / scale
-        fixed = SPECIALS + [edge, -edge, np.nextafter(edge, 0), (2**52 - 1) / scale]
-        odd = st.one_of(
-            st.sampled_from(fixed + NON_FINITE if fmt != "%d" else fixed),  # "%d" fails on those
-            st.integers(-10**6, 10**6).map(lambda k: (k + 0.5) / scale),  # halfway
-            st.integers(-10**6, 10**6).map(lambda k: (k + 0.7) / scale),  # off the grid
-            st.integers(-2**62, 2**62).map(lambda k: k / scale),  # past the guard's bound
-        )
-        for i in draw(st.sets(st.integers(0, n - 1), max_size=3)) if n else ():
+            ints = st.integers(-10**6, 10**6) | st.integers(1 - 10**(15 - p), 10**(15 - p) - 1)
+            col = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+            odd = st.sampled_from([10**(15 - p), -10**(15 - p), 2**53 + 1, 2**63 - 1, -2**63])
+        else:
+            k = st.integers(-10**6, 10**6) | st.integers(1 - 10**15, 10**15 - 1) | st.just(0)
+            col = np.array(draw(st.lists(k, min_size=n, max_size=n)), dtype=float) / 10.0 ** p
+            col[col == 0] *= draw(st.sampled_from([1, -1]))  # -0.0 is written "-0" or "-0.000"
+            odd = off_grid(p)
+        rows = st.sets(st.integers(0, n - 1), max_size=2) if n else st.just(())
+        for i in draw(rows) if draw(st.booleans()) else ():
             col[i] = draw(odd)
         columns.append(col)
-    return fmts, columns
+    return precisions, columns
+
+
+def first_unwritable(precisions, columns):
+    """(row, column) of the first cell, row by row, that the writer refuses, or None."""
+    for i in range(len(columns[0])):
+        for j, (p, c) in enumerate(zip(precisions, columns)):
+            if not fixed_point_writable(c[i].item(), p):
+                return i, j
+    return None
 
 
 @st.composite
@@ -152,6 +167,10 @@ def matrices(draw, min_runs=1, min_n=0):
                              [(r, i, "NumericFailure: x") for r, i in failed])
 
 
+def _files(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()}
+
+
 class TestDatasetFiles:
     @SETTINGS
     @given(ds=datasets())
@@ -166,70 +185,107 @@ class TestDatasetFiles:
             expect = csv_rows_oracle(text)
             d = ds.n_features
             assert back.X.tobytes() == np.ascontiguousarray(expect[:, :d]).tobytes()
+        assert back.X.tobytes() == np.ascontiguousarray(ds.X).tobytes()
         assert np.array_equal(back.labels, ds.labels)
+
+    @SETTINGS
+    @given(ds=datasets().filter(len), data=st.data())
+    def test_value_off_grid_refused(self, ds, data, tmp_path):
+        """A value that its column's ``%.{p}f`` field cannot hold exactly, in
+        at most 15 digits, is refused, naming its column and row, and the
+        old files stay."""
+        p = tmp_path / "d.csv"
+        ds.save_csv(p)
+        before = _files(tmp_path)
+        i = data.draw(st.integers(0, len(ds) - 1))
+        j = data.draw(st.integers(0, ds.n_features - 1))
+        f = ds.schema.features[j]
+        x = float(data.draw(off_grid(decimals(f)).filter(
+            lambda x: not fixed_point_writable(x, decimals(f)))))
+        ds.X[i, j] = x
+        with pytest.raises(ConfigError) as exc:
+            ds.save_csv(p)
+        assert str(exc.value).startswith(
+            f"{p}: cannot write {f.name} {x!r} of data row {i + 1} as %.{decimals(f)}f: ")
+        assert _files(tmp_path) == before
 
 
 class TestFixedPointWriter:
-    """The exact fixed-point path of ``write_csv`` writes the bytes of the
-    per-row %-formatter, a chunk at a time, whether its guard passes or not."""
+    """``write_fixed_csv`` writes the bytes of the per-row ``%.{p}f``
+    formatter, a chunk at a time, for every cell it takes, and refuses the
+    others."""
 
     @SETTINGS
-    @given(case=fixed_point_columns(), chunk=st.integers(1, 5))
-    def test_bytes_equal_per_row_formatter(self, case, chunk, tmp_path, monkeypatch):
-        fmts, columns = case
+    @given(case=fixed_point_columns(), chunk=st.integers(1, 5), data=st.data())
+    def test_bytes_equal_per_row_formatter(self, case, chunk, data, tmp_path, monkeypatch):
+        """Any table the writer takes reads back bit for bit, -0.0 included;
+        for any other, the error names the first cell that the per-row
+        formatter cannot write exactly, and the old files stay."""
+        precisions, columns = case
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
-        header = [f"c{j}" for j in range(len(fmts))]
-        p, = write_csv(tmp_path / "x.csv", header, fmts, columns)
-        assert p.read_text() == csv_oracle(header, fmts, columns)
+        header = [f"c{j}" for j in range(len(precisions))]
+        p = tmp_path / "x.csv"
+        write_fixed_csv(p, header, [0] * len(header), [np.arange(3)] * len(header), {"v": 1})
+        before = _files(tmp_path)
+        bad = first_unwritable(precisions, columns)
+        if bad is not None:
+            i, j = bad
+            with pytest.raises(ConfigError) as exc:
+                write_fixed_csv(p, header, precisions, columns, {"v": 2})
+            assert str(exc.value).startswith(
+                f"{p}: cannot write c{j} {columns[j][i].item()!r} of data row {i + 1} "
+                f"as %.{precisions[j]}f: ")
+            assert _files(tmp_path) == before
+            return
+        assert_written(write_fixed_csv(p, header, precisions, columns, {"v": 2}),
+                       [p, sidecar_path(p)])
+        assert p.read_text() == csv_oracle(header, [f"%.{q}f" for q in precisions], columns)
+        lead = data.draw(st.integers(0, len(header)))
+        got = read_fixed_csv(p, header, precisions, lead)
+        expect = np.column_stack([np.asarray(c, float) for c in columns]).reshape(-1, len(header))
+        assert got[0].tobytes() == np.ascontiguousarray(expect[:, :lead]).tobytes()
+        assert got[1].tobytes() == np.ascontiguousarray(expect[:, lead:]).tobytes()
 
     @SETTINGS
-    @given(ds=datasets(rounded=True), chunk=st.integers(1, 5))
+    @given(ds=datasets(), chunk=st.integers(1, 5))
     def test_rounded_dataset_bytes_match_oracle(self, ds, chunk, tmp_path, monkeypatch):
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
         p = tmp_path / "d.csv"
         ds.save_csv(p)
         assert p.read_text() == dataset_csv_oracle(ds)
 
-    def test_guard_failure_falls_back_for_its_chunk_only(self, tmp_path, monkeypatch):
-        encoded = []
-        real = artifacts._fixed_point
+    def test_signed_zero_keeps_its_sign(self, tmp_path, monkeypatch):
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", 2)
-        monkeypatch.setattr(artifacts, "_fixed_point",
-                            lambda *a: encoded.append(real(*a)) or encoded[-1])
         x = np.array([0.08, -1.5, -0.0, 2.0, 10.25, 123456.789])
-        columns = [x, np.arange(6) - 3]
-        p, = write_csv(tmp_path / "x.csv", ["x", "n"], ["%.3f", "%d"], columns)
-        assert p.read_text() == csv_oracle(["x", "n"], ["%.3f", "%d"], columns)
-        assert p.read_text().split("\n")[1:4] == ["0.080,-3", "-1.500,-2", "-0.000,-1"]
-        assert [e is None for e in encoded] == [False, True, False]
+        columns = [x, np.arange(6) - 3, -np.abs(np.arange(6.0))]
+        p, = write_fixed_csv(tmp_path / "x.csv", ["x", "n", "z"], [3, 0, 0], columns)
+        assert p.read_text() == csv_oracle(["x", "n", "z"], ["%.3f", "%.0f", "%.0f"], columns)
+        assert p.read_text().split("\n")[1:4] == ["0.080,-3,-0", "-1.500,-2,-1", "-0.000,-1,-2"]
+        X, rest = read_fixed_csv(p, ["x", "n", "z"], [3, 0, 0], 1)
+        assert np.hstack([X, rest]).tobytes() == np.column_stack(columns).astype(float).tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 65_536])
     def test_mixed_widths_and_signs(self, chunk, tmp_path, monkeypatch):
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
-        k = np.array([0, 5, -5, 12, -123, 1234, 99999, -100000, 7, 2**52 - 1, 1 - 2**52, 10, -1])
+        k = np.array([0, 5, -5, 12, -123, 1234, 99999, -100000, 7, 10**15 - 1, 1 - 10**15, 10,
+                      -1])
         columns = [k / 1000, k, k / 10, np.abs(k) / 1e6, k.astype(float)]
-        fmts = ["%.3f", "%d", "%.1f", "%.6f", "%.0f"]
-        header = [f"c{j}" for j in range(len(fmts))]
-        p, = write_csv(tmp_path / "x.csv", header, fmts, columns)
-        assert p.read_text() == csv_oracle(header, fmts, columns)
+        precisions = [3, 0, 1, 6, 0]
+        header = [f"c{j}" for j in range(len(precisions))]
+        p, = write_fixed_csv(tmp_path / "x.csv", header, precisions, columns)
+        assert p.read_text() == csv_oracle(header, [f"%.{q}f" for q in precisions], columns)
 
     @settings(SETTINGS, max_examples=200)
     @given(p=st.integers(0, 4), n=st.integers(1, 40), chunk=st.integers(1, 8), data=st.data())
     def test_fuzz_takes_fixed_point_path(self, p, n, chunk, data, tmp_path, monkeypatch):
-        """Values on the p-decimal grid up to 1e8 in magnitude all pass the
-        guard, and come out as the per-row formatter prints them."""
-        encoded = []
-        real = artifacts._fixed_point
+        """Values on the p-decimal grid up to 1e8 in magnitude are all
+        taken, and come out as the per-row formatter prints them."""
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
-        monkeypatch.setattr(artifacts, "_fixed_point",
-                            lambda *a: encoded.append(real(*a)) or encoded[-1])
         bound = 10**8 * 10**p
         k = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
         columns = [np.array(k, dtype=float) / 10.0**p, np.array(k[::-1]) // 10**p]
-        fmts = [f"%.{p}f", "%d"]
-        path, = write_csv(tmp_path / "x.csv", ["x", "n"], fmts, columns)
-        assert path.read_text() == csv_oracle(["x", "n"], fmts, columns)
-        assert encoded and all(e is not None for e in encoded)
+        path, = write_fixed_csv(tmp_path / "x.csv", ["x", "n"], [p, 0], columns)
+        assert path.read_text() == csv_oracle(["x", "n"], [f"%.{p}f", "%d"], columns)
 
 
 class _FullDisk(io.FileIO):
@@ -253,10 +309,6 @@ class TestAtomicWrite:
     ``report.json`` and the SVGs are written the same way, so a failed write
     leaves the old files."""
 
-    @staticmethod
-    def _files(tmp_path):
-        return {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-
     def test_publish_makes_directories_and_hashes_chunks(self, tmp_path):
         a, b = tmp_path / "new" / "dir" / "a", tmp_path / "b"
         assert publish({a: iter([b"x,", b"y\n"]), b: b""}) == {
@@ -273,7 +325,7 @@ class TestAtomicWrite:
 
         with pytest.raises(KeyboardInterrupt):
             publish({a: b"new a", b: interrupted()})
-        assert self._files(tmp_path) == {"a": b"old a", "b": b"old b"}
+        assert _files(tmp_path) == {"a": b"old a", "b": b"old b"}
 
     @pytest.mark.parametrize("failure", ["disk-full", "interrupt"])
     @pytest.mark.parametrize("artifact", ["model", "report", "svg"])
@@ -296,7 +348,7 @@ class TestAtomicWrite:
                 return cli.main(["report", str(tmp_path / f"ev{version}"), "--out-dir", str(out)])
 
         assert not write(0)
-        before = self._files(out)
+        before = _files(out)
         if failure == "disk-full":
             monkeypatch.setattr(artifacts, "open", lambda path, mode: _FullDisk(path, mode[0]),
                                 raising=False)
@@ -312,23 +364,23 @@ class TestAtomicWrite:
             with pytest.raises(OSError if disk_full else KeyboardInterrupt,
                                match="No space left" if disk_full else None):
                 write(1)
-        assert self._files(out) == before
+        assert _files(out) == before
 
     def test_unformattable_cell_keeps_old_files(self, tmp_path):
         p = tmp_path / "loan.csv"
         generate_loan(LOAN_REMOVALS).save_csv(p)
-        before = self._files(tmp_path)
+        before = _files(tmp_path)
         bad = generate_loan(LOAN_REMOVALS)
         bad.X[3, 0] = np.inf  # x1 is written with %d
         with pytest.raises(ConfigError, match=r"loan\.csv: cannot write x1 inf of data row 4"):
             bad.save_csv(p)
-        assert self._files(tmp_path) == before
+        assert _files(tmp_path) == before
 
     @pytest.mark.parametrize("failure", ["interrupt", "sidecar"])
     def test_failure_keeps_old_files(self, failure, tmp_path, monkeypatch):
         p = tmp_path / "x.csv"
-        write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1})
-        before = self._files(tmp_path)
+        write_fixed_csv(p, ["a"], [0], [np.arange(3)], {"v": 1})
+        before = _files(tmp_path)
         meta = {"v": 2}
         if failure == "interrupt":
             def interrupted(*a):
@@ -337,8 +389,8 @@ class TestAtomicWrite:
         else:
             meta = {"v": {2}}  # not JSON: refused before either file is written
         with pytest.raises(KeyboardInterrupt if failure == "interrupt" else TypeError):
-            write_csv(p, ["a"], ["%d"], [np.arange(5)], meta)
-        assert self._files(tmp_path) == before
+            write_fixed_csv(p, ["a"], [0], [np.arange(5)], meta)
+        assert _files(tmp_path) == before
 
     def test_csv_replaced_before_sidecar(self, tmp_path, monkeypatch):
         moved = []
@@ -351,22 +403,17 @@ class TestAtomicWrite:
 
 
 class TestFixedPointReader:
-    """``read_fixed_csv`` parses canonical fixed-point fields itself, bit for
-    bit as ``np.loadtxt`` (``read_csv``) does, and hands any other file to
-    ``read_csv``."""
+    """``read_fixed_csv`` parses fixed-point fields, bit for bit as
+    ``np.loadtxt`` (``read_csv``) does, and refuses any other field, naming
+    it with its column and row."""
 
     @staticmethod
-    def _read(path, header, precisions, lead, monkeypatch):
-        """(blocks or the ConfigError's message, whether np.loadtxt ran)."""
-        calls = []
-        real = artifacts._loadtxt
-        monkeypatch.setattr(artifacts, "_loadtxt", lambda *a: calls.append(1) or real(*a))
+    def _read(path, header, precisions, lead):
+        """The blocks, or the ConfigError's message."""
         try:
-            got = read_fixed_csv(path, header, precisions, lead)
+            return read_fixed_csv(path, header, precisions, lead)
         except ConfigError as exc:
-            got = str(exc)
-        monkeypatch.setattr(artifacts, "_loadtxt", real)
-        return got, bool(calls)
+            return str(exc)
 
     @staticmethod
     def _loadtxt(path, header):
@@ -384,8 +431,7 @@ class TestFixedPointReader:
         p = tmp_path / "x.csv"
         p.write_text(text)
         lead = data.draw(st.integers(0, len(header)))
-        got, fell_back = self._read(p, header, precisions, lead, monkeypatch)
-        assert not fell_back
+        got = read_fixed_csv(p, header, precisions, lead)
         expect = read_csv(p, header)
         assert all(b.flags.c_contiguous and b.dtype == float for b in got)
         assert got[0].tobytes() == np.ascontiguousarray(expect[:, :lead]).tobytes()
@@ -395,44 +441,47 @@ class TestFixedPointReader:
     @given(table=fixed_point_tables().filter(lambda t: t[1]), chunk=st.integers(1, 5),
            kind=st.sampled_from(sorted(NON_CANONICAL) + ["crlf", "precision"]), data=st.data())
     def test_non_canonical_falls_back(self, table, chunk, kind, data, tmp_path, monkeypatch):
+        """A field outside the grammar is refused, named with its column and
+        row, not handed to np.loadtxt; a file that read_csv refuses before
+        parsing a field is refused with read_csv's message."""
         precisions, rows = table
         monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(0, len(precisions) - 1))
         newline = "\n"
         if kind == "crlf":
-            newline = "\r\n"
+            newline, i, j = "\r\n", 0, len(precisions) - 1
+            rows[i][j] += "\r"
         elif kind == "precision":  # the sidecar expects another number of decimals
             precisions = [*precisions[:j], precisions[j] + 1, *precisions[j + 1:]]
+            i = 0
         else:
             rows[i][j] = NON_CANONICAL[kind](rows[i][j], precisions[j])
         header, text = _table_text(precisions, rows, newline)
         p = tmp_path / "x.csv"
         p.write_text(text, newline="")
-        got, fell_back = self._read(p, header, precisions, 1, monkeypatch)
-        if not fell_back:  # refused before any field is parsed, as by read_csv
-            with pytest.raises(ConfigError):
-                artifacts._checked_bytes(p, header)
-        expect = self._loadtxt(p, header)
-        if isinstance(expect, str):
-            assert got == expect
-        else:
-            assert got[0].tobytes() == np.ascontiguousarray(expect[:, :1]).tobytes()
-            assert got[1].tobytes() == np.ascontiguousarray(expect[:, 1:]).tobytes()
+        got = self._read(p, header, precisions, 1)
+        try:
+            artifacts._checked_bytes(p, header)
+        except ConfigError as exc:
+            assert got == str(exc)
+            return
+        assert got.startswith(f"{p}: ") and f" of data row {i + 1} is not -?[0-9]+" in got
+        if kind != "extra-field":  # whose ',' shifts the fields after it
+            assert f"{header[j]} {rows[i][j]!r} of data row" in got
 
-    def test_signed_zeros_and_leading_zeros(self, tmp_path, monkeypatch):
+    def test_signed_zeros_and_leading_zeros(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("c0,c1\n-0.000,-0\n0.000,0\n-000.001,007\n")
-        (X, rest), fell_back = self._read(p, ["c0", "c1"], [3, 0], 1, monkeypatch)
-        assert not fell_back
+        X, rest = read_fixed_csv(p, ["c0", "c1"], [3, 0], 1)
         assert np.hstack([X, rest]).tobytes() == read_csv(p, ["c0", "c1"]).tobytes()
         assert np.signbit(X[0, 0]) and np.signbit(rest[0, 0]) and not np.signbit(X[1, 0])
 
     @pytest.mark.parametrize("text", ["c0\n", "c0\n1\n", "c1\n1\n", "c0\n1", "c0\n1\n\n"])
-    def test_header_only_and_malformed(self, text, tmp_path, monkeypatch):
+    def test_header_only_and_malformed(self, text, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text(text)
-        got, _ = self._read(p, ["c0"], [0], 0, monkeypatch)
+        got = self._read(p, ["c0"], [0], 0)
         expect = self._loadtxt(p, ["c0"])
         if isinstance(expect, str):
             assert got == expect
@@ -441,26 +490,48 @@ class TestFixedPointReader:
             assert got[1].tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("text", ["c0\n1 1\n", "c0\n1\r2\n", "c0,c1\n1 2\n", "c0,c1\n1\t2\n3,4\n"])
-    def test_other_separator_falls_back(self, text, tmp_path, monkeypatch):
+    def test_other_separator_falls_back(self, text, tmp_path):
         """Each row has as many bytes <= ',' as the header has columns, but
-        not all of them are ',' and a last '\n'."""
+        not all of them are ',' and a last '\\n': the first field, the
+        separator inside it, is refused, not handed to np.loadtxt."""
         p = tmp_path / "x.csv"
         p.write_text(text, newline="")
         header = text.split("\n")[0].split(",")
-        got, fell_back = self._read(p, header, [0] * len(header), 1, monkeypatch)
-        assert fell_back
-        expect = self._loadtxt(p, header)
-        assert got == expect if isinstance(expect, str) else np.hstack(got).tobytes() == expect.tobytes()
+        field = text.split("\n")[1].split(",")[0]
+        assert self._read(p, header, [0] * len(header), 1) == (
+            f"{p}: c0 {field!r} of data row 1 is not -?[0-9]+ with at most 15 digits")
+
+    @pytest.mark.parametrize("text, words", [
+        ("c0,c1\n1,2\n3\n", "c1 '' of data row 2"),
+        ("c0,c1\n1,2,3\n", "c1 '2,3' of data row 1"),
+        ("c0,c1\n1.5,2\n", "c0 '1.5' of data row 1"),
+        ("c0,c1\n1,2\n4,+5\n", "c1 '+5' of data row 2"),
+        ("c0,c1\n1,5e0\n", "c1 '5e0' of data row 1"),
+        ("c0,c1\n1,1234567890123456\n", "c1 '1234567890123456' of data row 1"),
+    ], ids=["short-row", "long-row", "decimals", "plus", "exponent", "sixteen-digits"])
+    def test_refusal_names_field_and_row(self, text, words, tmp_path):
+        """A row of too few fields reads as empty fields after its last, one
+        of too many as a last field holding a ','."""
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        assert self._read(p, ["c0", "c1"], [0, 0], 1) == (
+            f"{p}: {words} is not -?[0-9]+ with at most 15 digits")
 
     @pytest.mark.parametrize("edit", [False, True])
     def test_dataset_arrays(self, edit, tmp_path):
-        """``Dataset.load_csv`` gives a C-contiguous float X and int labels,
-        on the fixed-point path and through np.loadtxt alike."""
+        """``Dataset.load_csv`` gives a C-contiguous float X and int labels;
+        a field that ``save_csv`` cannot have written, such as '+5', is
+        refused."""
         p = tmp_path / "loan.csv"
         ds = generate_loan(LOAN_REMOVALS)
         ds.save_csv(p)
-        if edit:  # a '+' is not canonical
+        if edit:
             p.write_text(p.read_text().replace("\n5,", "\n+5,", 1))
+            # line k of the file is data row k
+            row = next(k for k, line in enumerate(p.read_text().split("\n")) if line[0] == "+")
+            with pytest.raises(ConfigError, match=rf"loan\.csv: x1 '\+5' of data row {row} is not"):
+                Dataset.load_csv(p)
+            return
         back = Dataset.load_csv(p)
         assert back.X.flags.c_contiguous and back.X.dtype == float
         assert back.labels.dtype.kind == "i"

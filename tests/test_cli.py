@@ -657,10 +657,19 @@ class TestRejectedInputs:
         ("loan", lambda doc: doc.update(removals=[["2", 3, 1]]), ("['2', 3, 1]",)),
         ("loan", lambda doc: doc.update(removals=[[True, 3, 2]]), ("[True, 3, 2]",)),
         ("loan", lambda doc: doc.update(removals=[[2, 3]]), ("[2, 3]",)),
+        # a kind is one of three words: "Continuous" would write TT as integers
+        ("time", lambda doc: doc["schema"][0].update(kind="Continuous"), ("'TT'", "'Continuous'")),
+        # a precision is an integer that leaves a field of at most 15 digits a digit before its
+        # point: 2.5 fails deep in the writer, and 15 writes 16-digit fields
+        ("time", lambda doc: doc["schema"][0].update(precision=2.5), ("'TT'", "2.5")),
+        ("time", lambda doc: doc["schema"][0].update(precision=15), ("'TT'", "15")),
+        ("time", lambda doc: doc["schema"][0].update(precision=-1), ("'TT'", "-1")),
+        ("time", lambda doc: doc["schema"][3].update(precision=True), ("'m'", "True")),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
-            "loan-removal-bool", "loan-removal-two-values"])
+            "loan-removal-bool", "loan-removal-two-values", "kind-capitalised",
+            "precision-float", "precision-15", "precision-negative", "precision-bool"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
@@ -669,6 +678,17 @@ class TestRejectedInputs:
         assert run("generate", dataset, "--config", workdir / "cfg.json", "--out", "o.csv") == 2
         self._one_error_line(capsys, "cfg.json", *words)
         assert not (workdir / "o.csv").exists()
+
+    def test_generate_value_past_15_digits_exit_2(self, workdir, capsys):
+        """A value that no field of its precision holds in 15 digits is
+        refused as the dataset is written, and no file is left."""
+        doc = json.loads((CFG / "time_desk.json").read_text())
+        doc["rows_per_class"] = 5
+        doc["schema"][1].update(lo=5e12, hi=5e12)  # Speed, at 3 decimals
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        assert run("generate", "time", "--config", workdir / "cfg.json", "--out", "o.csv") == 2
+        self._one_error_line(capsys, "o.csv", "cannot write Speed 5000000000000.0 of data row 1")
+        assert not list(workdir.glob("*o.csv*"))
 
     @pytest.mark.parametrize("feature, key, value", [
         (0, "lo", float("nan")),
@@ -763,6 +783,27 @@ class TestRejectedInputs:
         self._one_error_line(capsys, *words)
         assert not (quick / "g_ns5.csv").exists()
 
+    @pytest.mark.parametrize("failures", [
+        [[0, 1, "NumericFailure: x"], [0, 1, "NumericFailure: x"]],
+        [[0, 2, "NumericFailure: x"], [0, 1, "NumericFailure: x"]],
+    ], ids=["duplicated", "swapped"])
+    def test_matrix_failures_not_as_written_exit_2(self, quick, capsys, failures):
+        """The pipeline records each failed cell once, run-major: a failure
+        listed twice, which the report would count twice, or out of order
+        is refused."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        text = (quick / "e.csv").read_text()
+        for r, i, _ in failures:
+            text = re.sub(rf"\n{r},{i},[^\n]*", f"\n{r},{i},nan,nan,nan,nan", text, count=1)
+        (quick / "e.csv").write_text(text)
+        meta = json.loads((quick / "e.csv.meta.json").read_text())
+        (quick / "e.csv.meta.json").write_text(json.dumps({**meta, "failures": failures}))
+        capsys.readouterr()
+        assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 2
+        self._one_error_line(capsys, "e.csv:", "recorded failures")
+        assert not (quick / "ev").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}),
         lambda text: text[: len(text) // 2],
@@ -781,10 +822,12 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("fields, words", [
         ("7,0", "label 7 of data row 5"),
-        ("nan,0", "label nan of data row 5"),
-        ("0,nan", "variation_id nan of data row 5 is not 0"),
+        ("nan,0", "label 'nan' of data row 5 is not -?[0-9]+"),
+        ("0,nan", "variation_id 'nan' of data row 5 is not -?[0-9]+"),
         ("1,1", "variation_id 1 of data row 5 is not 0"),
-    ], ids=["7", "nan", "variation_id-nan", "variation_id-not-0"])
+        # a label is written as an integer, so 1.0 is refused, not read as 1
+        ("1.0,0", "label '1.0' of data row 5 is not -?[0-9]+"),
+    ], ids=["7", "nan", "variation_id-nan", "variation_id-not-0", "label-1.0"])
     def test_dataset_label_exit_2(self, quick, capsys, fields, words):
         lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
         lines[5] = lines[5][: lines[5].rindex(",", 0, lines[5].rindex(","))] + f",{fields}\n"
@@ -805,7 +848,7 @@ class TestRejectedInputs:
         lines[5] = ",".join(fields)
         (quick / "loan.csv").write_text("".join(lines))
         assert run(*argv) == 2
-        self._one_error_line(capsys, "loan.csv", f"x2 {value} of data row 5 is not finite")
+        self._one_error_line(capsys, "loan.csv", f"x2 '{value}' of data row 5 is not -?[0-9]+")
         assert not list(quick.glob("o*"))
 
     @pytest.mark.parametrize("argv, bad", [
