@@ -55,13 +55,12 @@ def publish(files: dict[Path, bytes | Iterable]) -> dict[Path, str]:
     return digests
 
 
-def write_csv(path: str | Path, header: list[str], fmts: list[str], columns,
+def write_csv(path: str | Path, header: list[str], columns,
               meta: dict | None = None) -> dict[Path, str]:
-    """``publish`` equal-length ``columns`` under ``header``, each cell
-    %-formatted with its column's entry of ``fmts``, ``CHUNK_ROWS`` rows at a
-    time, and then ``meta`` as the sidecar when given; the CSV replaces its
-    target first."""
-    line = ",".join(fmts) + "\n"
+    """``publish`` equal-length ``columns`` under ``header``, each cell as
+    ``str`` writes its Python value, ``CHUNK_ROWS`` rows at a time, and then
+    ``meta`` as the sidecar when given; the CSV replaces its target first."""
+    line = ",".join(["%s"] * len(header)) + "\n"
 
     def encode(chunk, start):
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
@@ -189,24 +188,24 @@ def typed(doc: dict, **kinds) -> dict:
     return {key: doc[key] for key in kinds}
 
 
-def read_csv(path: str | Path, header: list[str]) -> np.ndarray:
-    """The rows of a CSV under ``header`` as an (n, len(header)) float array,
-    parsed by np.loadtxt.
+def read_csv(path: str | Path, header: list[str], dtype: np.dtype) -> np.ndarray:
+    """The rows of a CSV under ``header`` as a 1-D array of the structured
+    ``dtype``, whose fields span the header's columns in order, parsed by
+    np.loadtxt. An integer field refuses ``2e0``, ``1.0``, ``nan`` or a value
+    past int64, though it reads ``+1`` and `` 1`` as 1.
 
-    Raises ConfigError for another header, a blank or malformed row, or a
-    file that does not end in a newline (a truncated write)."""
+    Raises ConfigError for another header, a blank or malformed row, a row of
+    another number of fields, or a file that does not end in a newline (a
+    truncated write)."""
     raw = _checked_bytes(path, header)
     if raw.index(b"\n") + 1 == len(raw):
-        return np.empty((0, len(header)))
+        return np.empty(0, dtype)
     try:
         # parsing the bytes in place keeps a single copy of the file in memory
-        data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, skiprows=1, ndmin=2,
-                          encoding="utf-8")
+        return np.loadtxt(io.BytesIO(raw), dtype, delimiter=",", comments=None, skiprows=1,
+                          ndmin=1, encoding="utf-8")
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: {data.shape[1]} columns, header has {len(header)}")
-    return data
 
 
 def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],

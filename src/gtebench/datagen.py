@@ -212,10 +212,8 @@ def load_loan_removals(path: str | Path) -> tuple[list, ...]:
 
 
 def loan_score(x1: int, x2: int, x3: int) -> float:
-    """Loan applicant score; the no-job tier (x1 = 2) uses its own branch."""
-    for name, v, lo, hi in (("x1", x1, 2, 5), ("x2", x2, 0, 3), ("x3", x3, 0, 3)):
-        if not (float(v).is_integer() and lo <= v <= hi):
-            raise ConfigError(f"{name}={v} outside integer interval [{lo}, {hi}]")
+    """Loan applicant score at a point of the 4x4x4 grid; the no-job tier
+    (x1 = 2) uses its own branch."""
     if x1 == 2:
         return 3 * x2**3 + x3**4 + 12
     return 8 * (x1 - 2) ** 2 + 3 * x2**3 - x3**4 + 4
@@ -255,17 +253,17 @@ def generate_loan(removals, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # Energy equations
 
-def base_energy_distance(TF, TD, TO, EI):
-    """Travel energy from distance: TF * TD / TO * EI."""
-    TO = np.asarray(TO, dtype=float)
+def base_energy_distance(TF: np.ndarray, TD: np.ndarray, TO: np.ndarray,
+                         EI: np.ndarray) -> np.ndarray:
+    """Travel energy from distance, per element of the float columns: TF * TD / TO * EI."""
     if np.any(TO == 0):
         raise NumericFailure("transportation occupancy must be nonzero")
-    return np.asarray(TF, dtype=float) * np.asarray(TD, dtype=float) / TO * np.asarray(EI, dtype=float)
+    return TF * TD / TO * EI
 
 
-def base_energy_time(TT, Speed, FE):
-    """Travel energy from time: TT * Speed * FE."""
-    return np.asarray(TT, dtype=float) * np.asarray(Speed, dtype=float) * np.asarray(FE, dtype=float)
+def base_energy_time(TT: np.ndarray, Speed: np.ndarray, FE: np.ndarray) -> np.ndarray:
+    """Travel energy from time, per element of the float columns: TT * Speed * FE."""
+    return TT * Speed * FE
 
 
 _ENERGY_FNS = {
@@ -336,17 +334,25 @@ class EquationConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EquationConfig":
-        """Checks that every number of every feature is finite, that ``lo <=
-        hi``, and that every feature but the mode has numbers ``mu``, ``sigma
-        >= 0`` and ``trunc_lo <= trunc_hi``."""
+        """Checks that every variation is an integer ``class_id`` and ``ops``
+        of [variable, op, number], that every number of every feature is
+        finite, that ``lo <= hi``, that every mode code is an integer, and
+        that every feature but the mode has numbers ``mu``, ``sigma >= 0``
+        and ``trunc_lo <= trunc_hi``."""
         f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
                             schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in _ENERGY_FNS:
             raise ConfigError(f"equation must be one of {sorted(_ENERGY_FNS)}: {f['equation']!r}")
-        f["variations"] = tuple(
-            VariationSpec(int(v["class_id"]), tuple((str(a), str(b), float(c)) for a, b, c in v["ops"]))
-            for v in f["variations"]
-        )
+        variations = []
+        for doc in f["variations"]:
+            class_id, ops = artifacts.typed(doc, class_id=int, ops=list).values()
+            if not all(type(op) is list and [*map(type, op)] in ([str, str, int], [str, str, float])
+                       for op in ops):
+                raise TypeError(f"variation {class_id}: each op must be [variable, op, number], "
+                                f"got {ops!r}")
+            # the parameter stays a float, as every dataset config hash so far was taken with
+            variations.append(VariationSpec(class_id, tuple((a, b, float(c)) for a, b, c in ops)))
+        f["variations"] = tuple(variations)
         ids = sorted(v.class_id for v in f["variations"])
         if ids != list(range(len(ids))):
             raise ConfigError(f"variation class ids must be contiguous from 0, got {ids}")
@@ -357,9 +363,12 @@ class EquationConfig:
             keys = ("lo", "hi") + (("mu", "sigma", "trunc_lo", "trunc_hi") if feat.kind != "mode"
                                    else ())
             numbers = artifacts.typed(vars(feat), **dict.fromkeys(keys, float))
-            for key, v in [*numbers.items(), *(("mode_values", v) for v in feat.mode_values)]:
+            for key, v in numbers.items():
                 if not math.isfinite(v):
                     raise ConfigError(f"feature {feat.name!r}: {key} must be finite, got {v}")
+            if not all(type(v) is int for v in feat.mode_values):
+                raise ConfigError(f"feature {feat.name!r}: mode_values must be integers, got "
+                                  f"{list(feat.mode_values)}")
             if not feat.lo <= feat.hi:
                 raise ConfigError(f"feature {feat.name!r} needs lo <= hi: {feat.lo}, {feat.hi}")
             if feat.kind != "mode":

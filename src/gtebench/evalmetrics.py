@@ -31,13 +31,12 @@ def c_of_ed(distances: np.ndarray) -> np.ndarray:
     one dataset + parameter setting), so 1.0 marks the best distance seen in
     the evaluation and 0.0 the worst.  A constant tensor maps to all 1.0.
     """
-    distances = np.asarray(distances, dtype=float)
     return (1.0 - minmax_normalize(distances.ravel())).reshape(distances.shape)
 
 
-def rank_features(coeffs) -> np.ndarray:
-    """Feature indices by descending absolute value; ties by ascending index."""
-    c = np.asarray(coeffs, dtype=float)
+def rank_features(c: np.ndarray) -> np.ndarray:
+    """Feature indices of a 1-D float array by descending absolute value;
+    ties by ascending index."""
     if c.size == 0:
         raise ValueError("empty coefficient vector")
     if not np.all(np.isfinite(c)):
@@ -45,9 +44,8 @@ def rank_features(coeffs) -> np.ndarray:
     return np.lexsort((np.arange(c.size), -np.abs(c)))
 
 
-def order_correct(gte_rank, exp_rank) -> tuple[int, int]:
-    g = np.asarray(gte_rank)
-    e = np.asarray(exp_rank)
+def order_correct(g: np.ndarray, e: np.ndarray) -> tuple[int, int]:
+    """(Second Correct, All Correct) of two :func:`rank_features` rankings."""
     if g.shape != e.shape or sorted(g) != list(range(g.size)) or sorted(e) != list(range(e.size)):
         raise ValueError("rankings must be equal-length permutations of 0..d-1")
     all_c = int(np.array_equal(g, e))
@@ -88,7 +86,6 @@ class EvalReport:
     ave_second: float
     ave_all: float
     invariance: TTestResult | None
-    invariance_not_rejected: bool | None
     zero_counts_exp: list[int]
     zero_rates_exp: list[float]
     zero_counts_gte: list[int]
@@ -101,11 +98,16 @@ class EvalReport:
     failed_cells: int  # (run, instance) cells left out: exp or gte failed there
     failure_kinds: dict[str, int]  # exception -> recorded failures
 
+    @property
+    def invariance_not_rejected(self) -> bool | None:
+        """Whether the invariance hypothesis survives the t-test: p above
+        INVARIANCE_P_THRESHOLD; None without a second model."""
+        return None if self.invariance is None else self.invariance.p_value > INVARIANCE_P_THRESHOLD
+
     def to_dict(self) -> dict:
         """report.json: every field but the scores in declaration order, the
         t-test with its verdict folded in, then the per-instance scores."""
         d = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
-        del d["invariance_not_rejected"]
         if self.invariance is not None:
             d["invariance"] = {**vars(self.invariance), "not_rejected": self.invariance_not_rejected}
         d["instances"] = [vars(s) for s in self.instance_scores]
@@ -118,7 +120,7 @@ class EvalReport:
             {out / "report.json": (json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8")})
         names = [f.name for f in fields(InstanceScore)]
         written |= artifacts.write_csv(
-            out / "per_instance.csv", names, ["%d"] + ["%r"] * (len(names) - 1),
+            out / "per_instance.csv", names,
             [[getattr(s, k) for s in self.instance_scores] for k in names],
         )
         return written | write_summary(out / "summary.csv", "dataset", [(dataset_name, self)])
@@ -129,27 +131,39 @@ class EvalReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvalReport":
-        """Inverse of ``to_dict``; a report without instance scores is rejected."""
+        """Inverse of ``to_dict``; a report without instance scores, a score or
+        t-test value of another JSON type, or a verdict its p-value does not
+        give is rejected."""
         f = artifacts.typed(
             doc, instances=list, ave_c_of_ed=float, ave_second=float, ave_all=float,
             invariance=(dict, type(None)), zero_counts_exp=list, zero_rates_exp=list,
             zero_counts_gte=list, zero_rates_gte=list, exp_config_hash=str,
             gte_config_hash=str, dataset_hash=str, runs=int, n_features=int, failed_cells=int,
             failure_kinds=dict)
-        scores = [InstanceScore(**s) for s in f.pop("instances")]
+        kinds = {k.name: int if k.name == "instance_id" else float for k in fields(InstanceScore)}
+        scores = []
+        for s in f.pop("instances"):
+            artifacts.typed(s, **kinds)  # and InstanceScore refuses a missing or extra key
+            scores.append(InstanceScore(**s))
         if not scores:
             raise ValueError("no instance scores")
-        inv = dict(f["invariance"] or {"not_rejected": None})
-        f["invariance_not_rejected"] = inv.pop("not_rejected")
-        f["invariance"] = None if f["invariance"] is None else TTestResult(**inv)
-        return EvalReport(scores, **f)
+        inv = f["invariance"]
+        if inv is not None:
+            verdict = artifacts.typed(inv, t_statistic=float, degrees_of_freedom=float,
+                                      p_value=float, kind=str, not_rejected=bool)["not_rejected"]
+            f["invariance"] = TTestResult(**{k: v for k, v in inv.items() if k != "not_rejected"})
+        report = EvalReport(scores, **f)
+        if inv is not None and verdict != report.invariance_not_rejected:
+            raise ValueError(f"not_rejected {verdict} disagrees with p_value "
+                             f"{inv['p_value']!r} and the threshold {INVARIANCE_P_THRESHOLD}")
+        return report
 
 
 def write_summary(path: str | Path, first_column: str,
                   reports: list[tuple[str, EvalReport]]) -> dict[Path, str]:
     """One row of averages per (name, report)."""
     return artifacts.write_csv(
-        path, [first_column, *SUMMARY], ["%s"] + ["%r"] * len(SUMMARY),
+        path, [first_column, *SUMMARY],
         [[name for name, _ in reports], *([getattr(r, k) for _, r in reports] for k in SUMMARY)],
     )
 
@@ -212,13 +226,12 @@ def build_report(
         ))
 
     invariance = None
-    not_rejected = None
     if second_exp is not None:
         ed_b = np.linalg.norm(second_exp.coefficients - gte.coefficients, axis=2)
         mean_a = _run_means(ed, ok)
         mean_b = _run_means(ed_b, second_exp.ok & gte.ok)
         both = ~np.isnan(mean_a) & ~np.isnan(mean_b)
-        invariance, not_rejected = implementation_invariance(mean_a[both], mean_b[both])
+        invariance, _ = implementation_invariance(mean_a[both], mean_b[both])
 
     kinds = Counter(msg.split(":", 1)[0] for m in (exp, gte, second_exp) if m is not None
                     for *_, msg in m.failures)
@@ -230,7 +243,6 @@ def build_report(
         ave_second=float(np.mean([s.second_correct for s in scores])),
         ave_all=float(np.mean([s.all_correct for s in scores])),
         invariance=invariance,
-        invariance_not_rejected=not_rejected,
         zero_counts_exp=zc_e.tolist(),
         zero_rates_exp=zr_e.tolist(),
         zero_counts_gte=zc_g.tolist(),

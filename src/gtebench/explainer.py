@@ -105,10 +105,9 @@ class CoefficientMatrix:
             "failures": [list(f) for f in self.failures],
         }
         columns = [np.repeat(np.arange(runs), n),
-                   np.tile(np.asarray(self.instance_ids, dtype=int), runs),
+                   np.tile(self.instance_ids, runs),
                    self.intercepts.ravel(), *self.coefficients.reshape(runs * n, d).T]
-        return artifacts.write_csv(path, _csv_header(d), ["%d", "%d"] + ["%r"] * (d + 1),
-                                   columns, meta)
+        return artifacts.write_csv(path, _csv_header(d), columns, meta)
 
     @staticmethod
     def load_csv(path: str | Path) -> "CoefficientMatrix":
@@ -118,22 +117,19 @@ class CoefficientMatrix:
         failures list them: each once, in run-major order."""
         fields = artifacts.read_json(artifacts.sidecar_path(path), _sidecar_fields)
         runs, n, d = fields.pop("shape")
-        data = artifacts.read_csv(path, _csv_header(d))
+        data = artifacts.read_csv(path, _csv_header(d), np.dtype(
+            [("run", np.int64), ("instance_id", np.int64), ("intercept", float),
+             ("coef", float, (d,))]))
         if data.shape[0] != runs * n:
             raise ConfigError(f"{path}: {data.shape[0]} rows, sidecar shape needs {runs * n}")
-        if not np.array_equal(data[:, 0], np.repeat(np.arange(runs), n)):
+        if not np.array_equal(data["run"], np.repeat(np.arange(runs), n)):
             raise ConfigError(f"{path}: run column out of canonical order")
-        ids = data[:, 1].reshape(runs, n)
-        # NaN fails both tests, and the bound keeps every id exact in a double
-        bad = np.flatnonzero(~((np.floor(ids) == ids) & (np.abs(ids) < 2.0 ** 53)))
-        if bad.size:
-            raise ConfigError(f"{path}: instance_id {ids.flat[bad[0]]:g} of data row "
-                              f"{bad[0] + 1} is not an integer below 2**53 in magnitude")
+        ids = data["instance_id"].reshape(runs, n)
         if not (ids == ids[:1]).all():
             raise ConfigError(f"{path}: instance ids differ between runs")
-        mat = CoefficientMatrix(coefficients=np.ascontiguousarray(data[:, 3:]).reshape(runs, n, d),
-                                intercepts=np.ascontiguousarray(data[:, 2]).reshape(runs, n),
-                                instance_ids=data[:n, 1].astype(int), **fields)
+        mat = CoefficientMatrix(coefficients=np.ascontiguousarray(data["coef"]).reshape(runs, n, d),
+                                intercepts=np.ascontiguousarray(data["intercept"]).reshape(runs, n),
+                                instance_ids=ids[0].copy(), **fields)
         cells, failed = np.argwhere(~mat.ok).tolist(), [[r, i] for r, i, _ in mat.failures]
         if cells != failed:
             raise ConfigError(f"{path}: the recorded failures {failed[:5]} are not the non-finite "
@@ -170,13 +166,7 @@ def perturb_instance(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
-    per-feature std ``stds``."""
-    instance = np.asarray(instance, dtype=float)
-    if n < 1:
-        raise ConfigError(f"perturbation count must be positive, got {n}")
-    stds = np.asarray(stds, dtype=float)
-    if stds.shape != instance.shape:
-        stds = np.broadcast_to(stds, instance.shape)
+    per-feature std ``stds``, both 1-D float arrays."""
     if not stds.any():
         raise DegenerateSampleError("all perturbation scales are zero")
     # instance + draws * stds, in place: the sum is the same either way round
@@ -199,7 +189,6 @@ def explain(
     ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stds``
     are the per-feature standard deviations of the training data.
     """
-    instance = np.asarray(instance, dtype=float)
     points = perturb_instance(instance, stds, pool_size(num_samples), rng)
     sims = cosine_similarity_rows(points, instance)
     # a zero-norm (or non-finite) perturbation has no similarity to rank by
@@ -222,13 +211,13 @@ def batch_explain(
     num_samples: int,
     runs: int,
     base_seed: int,
-    dataset_hash: str = "",
-    instance_ids: np.ndarray | None = None,
+    dataset_hash: str,
+    instance_ids: np.ndarray,
 ) -> CoefficientMatrix:
-    """``runs`` independent repetitions over all instances; child rng per
-    (run, instance) so results are independent of execution order."""
-    instances = np.atleast_2d(np.asarray(instances, dtype=float))
-    n, d = instances.shape
+    """``runs`` independent repetitions over all ``instances`` (n x d), the
+    rows ``instance_ids`` of the dataset; child rng per (run, instance) so
+    results are independent of execution order."""
+    d = instances.shape[1]
     pool_size(num_samples)  # checked before the first cell
     [mat] = CoefficientMatrix.fill(
         lambda r, i: [lambda: explain(model, instances[i], stds, num_samples,
@@ -243,7 +232,6 @@ def batch_explain(
                                        "kernel_width": 0.25}),
               dataset_hash=dataset_hash,
               seed=base_seed,
-              instance_ids=(np.arange(n) if instance_ids is None
-                            else np.asarray(instance_ids, dtype=int)))],
+              instance_ids=instance_ids)],
     )
     return mat

@@ -19,18 +19,11 @@ from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, neighbourhood, row_n
                        weighted_ridge)
 
 
-def _check_num_samples(k: int, dataset: Dataset) -> None:
-    if k < 1:
-        raise ConfigError(f"num_samples must be positive, got {k}")
-    if k >= len(dataset):
-        raise ConfigError(f"num_samples ({k}) must be below dataset size ({len(dataset)})")
-
-
 def gte_design(
     dataset: Dataset,
     index: int,
     k: int,
-    norms: np.ndarray | None = None,
+    norms: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Neighbourhood design ``(X, y, w)`` of the instance at row ``index``:
     the target, then the ``k`` other rows most similar to it, with the
@@ -38,10 +31,9 @@ def gte_design(
 
     Deterministic for fixed (dataset, index, k); ties in similarity are broken
     by ascending row id, so the first ``j + 1`` rows are the design at any
-    ``j`` < ``k``. ``norms`` are the row norms of ``dataset.X``, computed here
-    when not given.
+    ``j`` < ``k``. ``norms`` are the row norms of ``dataset.X``; ``1 <= k <
+    len(dataset)``, which ``batch_gte`` checks.
     """
-    _check_num_samples(k, dataset)
     target = dataset.X[index]
     sims = cosine_similarity_rows(dataset.X, target, norms)
     # zero-vector rows cannot be ranked: they go to the end, the target after them
@@ -77,14 +69,16 @@ def batch_gte(
     data, so run 0 is computed and every other run is a copy of it;
     ``base_seed`` only labels the sidecars.
     """
-    indices = np.asarray(indices, dtype=int)
     for ns in num_samples:  # also when there is no target to rank
-        _check_num_samples(ns, dataset)
+        if ns < 1:
+            raise ConfigError(f"num_samples must be positive, got {ns}")
+        if ns >= len(dataset):
+            raise ConfigError(f"num_samples ({ns}) must be below dataset size ({len(dataset)})")
     norms = row_norms(dataset.X)
     k = max(num_samples)
 
     def cell(r, i):
-        design = gte_design(dataset, int(indices[i]), k, norms)
+        design = gte_design(dataset, indices[i], k, norms)
         return [functools.partial(gte_explain, design, ns) for ns in num_samples]
 
     return CoefficientMatrix.fill(

@@ -61,8 +61,8 @@ class TrainedModel:
 
     # -- inference ---------------------------------------------------------
 
-    def predict_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities of the rows of the (n, d) float array ``X``."""
         if X.shape[1] != self.config.layers[0]:
             raise IncompatibilityError(
                 f"model expects {self.config.layers[0]} features, got {X.shape[1]}"
@@ -261,9 +261,7 @@ def train(
     return model
 
 
-def accuracy(model: TrainedModel, X, labels) -> float:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    labels = np.asarray(labels)
+def accuracy(model: TrainedModel, X: np.ndarray, labels: np.ndarray) -> float:
     if len(labels) == 0:
         raise ValueError("accuracy of an empty instance list is undefined")
     pred = model.predict_batch(X).argmax(axis=1)

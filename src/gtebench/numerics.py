@@ -47,11 +47,8 @@ def truncated_normal(
     """``size`` draws of normal(mu, sigma) restricted to [lo, hi], by inverse-CDF
     on the truncated interval.  One uniform draw is consumed per sample, which
     keeps seeded streams aligned regardless of how narrow the interval is.
+    Needs ``sigma >= 0`` and ``lo <= hi``, which ``EquationConfig.from_dict`` checks.
     """
-    if lo > hi:
-        raise ConfigError(f"invalid truncation range: lo={lo} > hi={hi}")
-    if sigma < 0:
-        raise ConfigError(f"sigma must be non-negative, got {sigma}")
     if sigma == 0:
         if not (lo <= mu <= hi):
             raise ConfigError(f"sigma=0 with mu={mu} outside [{lo}, {hi}]")
@@ -167,11 +164,9 @@ def _logs(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.tolist()), dtype=float, count=v.size)
 
 
-def ndtri(y0) -> np.ndarray:
-    """Standard normal quantile of each element of ``y0``; equals
-    ``scipy.special.ndtri(y0)``. Each branch is evaluated on its own elements."""
-    shape = np.shape(y0)
-    y0 = np.asarray(y0, dtype=float).ravel()
+def ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each element of the 1-D float array ``y0``;
+    equals ``scipy.special.ndtri(y0)``. Each branch is evaluated on its own elements."""
     upper = y0 > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - y0, y0)
     x = np.full(y0.size, np.nan)
@@ -192,7 +187,7 @@ def ndtri(y0) -> np.ndarray:
     x[tail] = np.negative(x0, out=x0, where=~upper[tail])
     x[y0 == 0.0] = -np.inf
     x[y0 == 1.0] = np.inf
-    return x.reshape(shape)
+    return x
 
 
 # Row norms in this range are computed directly: their squares neither underflow
@@ -232,7 +227,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     rows so small or large that squaring their entries would underflow or
     overflow are scaled by a power of two (which is exact) before squaring.
     """
-    rows = np.asarray(rows, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         norms = _unscaled_row_norms(rows)
     lo, hi = _NORM_SAFE
@@ -256,8 +250,6 @@ def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.nd
     are unchanged for ordinary inputs, while tiny or huge ``v`` no longer
     underflow or overflow in the dot products.
     """
-    rows = np.asarray(rows, dtype=float)
-    v = np.asarray(v, dtype=float)
     v = np.ldexp(v, -_power_of_two_exponent(v))
     nv = math.sqrt(v.dot(v))  # np.linalg.norm(v), which takes the same steps
     if nv == 0:
@@ -302,13 +294,10 @@ def neighbourhood(target, y_target, pool, y_pool, sims, k: int):
 RIDGE_ALPHA = 1.0
 
 
-def weighted_ridge(X, y, w) -> tuple[np.ndarray, float]:
+def weighted_ridge(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     """``(beta, b)`` minimizing sum_i w_i (y_i - beta.x_i - b)^2 + RIDGE_ALPHA *
     ||beta||^2 (b unpenalized), via the weighted-centered normal equations.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
     n, d = X.shape
     if n < 1 or y.shape != (n,) or w.shape != (n,):
         raise ValueError(f"inconsistent shapes: X {X.shape}, y {y.shape}, w {w.shape}")
@@ -385,13 +374,11 @@ class TTestResult:
     kind: str = "paired"
 
 
-def paired_t_test(a, b) -> TTestResult:
-    """Two-sided paired Student's t-test on equal-length samples.
+def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
+    """Two-sided paired Student's t-test on equal-length float arrays.
 
     Raises DegenerateSampleError when the statistic is undefined: fewer than
     two pairs, or differences of zero variance with a nonzero mean."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     n = a.size
@@ -408,9 +395,8 @@ def paired_t_test(a, b) -> TTestResult:
     return TTestResult(t, float(n - 1), _t_two_sided_p(t, n - 1), "paired")
 
 
-def minmax_normalize(values) -> np.ndarray:
-    """Affine map to [0, 1]; a degenerate range (max == min) maps to all 0."""
-    v = np.asarray(values, dtype=float)
+def minmax_normalize(v: np.ndarray) -> np.ndarray:
+    """Affine map of a float array to [0, 1]; a degenerate range (max == min) maps to all 0."""
     if v.size < 1:
         raise ValueError("need at least one value")
     lo = v.min()

@@ -39,9 +39,9 @@ def _text(x: str, y: str, size: int, body: str, anchor: str | None = "middle",
 
 def line_chart(
     series: list[Series],
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> str:
     if not series:
         raise ValueError("at least one series required")
@@ -69,8 +69,7 @@ def line_chart(
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    if title:
-        out.append(_text(_fmt(ml + pw / 2), "24", 16, title))
+    out.append(_text(_fmt(ml + pw / 2), "24", 16, title))
     # axes
     out.append(_line(ml, mt + ph, ml + pw, mt + ph))
     out.append(_line(ml, mt, ml, mt + ph))
@@ -80,11 +79,9 @@ def line_chart(
     for ty in _ticks(y_lo, y_hi):
         out.append(_line(ml - 5, py(ty), ml, py(ty)))
         out.append(_text(_fmt(ml - 8), _fmt(py(ty) + 4), 11, _fmt(ty), "end"))
-    if xlabel:
-        out.append(_text(_fmt(ml + pw / 2), _fmt(height - 10), 13, xlabel))
-    if ylabel:
-        out.append(_text("16", _fmt(mt + ph / 2), 13, ylabel,
-                         extra=f' transform="rotate(-90 16 {_fmt(mt + ph / 2)})"'))
+    out.append(_text(_fmt(ml + pw / 2), _fmt(height - 10), 13, xlabel))
+    out.append(_text("16", _fmt(mt + ph / 2), 13, ylabel,
+                     extra=f' transform="rotate(-90 16 {_fmt(mt + ph / 2)})"'))
     # series + legend
     for k, s in enumerate(series):
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in enumerate(s.ys))

@@ -39,8 +39,8 @@ def loan_pipeline():
     nn1 = train(ds, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
     nn2 = train(ds, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
     stds = ds.X.std(axis=0)
-    exp1 = batch_explain(nn1, ds.X, stds, 25, 100, SEED, ds.config_hash)
-    exp2 = batch_explain(nn2, ds.X, stds, 25, 100, SEED, ds.config_hash)
+    exp1 = batch_explain(nn1, ds.X, stds, 25, 100, SEED, ds.config_hash, np.arange(len(ds)))
+    exp2 = batch_explain(nn2, ds.X, stds, 25, 100, SEED, ds.config_hash, np.arange(len(ds)))
     [gte25] = batch_gte(ds, np.arange(len(ds)), [25], 100, SEED)
     report = build_report(exp1, gte25, exp2)
     elapsed = time.time() - t0
@@ -85,7 +85,7 @@ def test_criterion_2_zero_coefficient_phenomenon(loan_pipeline):
     ds, stds = p["ds"], p["stds"]
     idx = np.arange(len(ds))
     gte5, gte50 = batch_gte(ds, idx, [5, 50], 1, SEED)
-    exp5 = batch_explain(p["nn1"], ds.X, stds, 5, 50, SEED, ds.config_hash)
+    exp5 = batch_explain(p["nn1"], ds.X, stds, 5, 50, SEED, ds.config_hash, np.arange(len(ds)))
     _, r5 = zero_census(gte5)
     _, r50 = zero_census(gte50)
     _, re5 = zero_census(exp5)
@@ -101,7 +101,8 @@ def test_criterion_3_metric_consistency(loan_pipeline):
     ds, stds = p["ds"], p["stds"]
     reports = [p["report"]]
     for ns in (5, 50):
-        exp = batch_explain(p["nn1"], ds.X, stds, ns, 25, SEED, ds.config_hash)
+        exp = batch_explain(p["nn1"], ds.X, stds, ns, 25, SEED, ds.config_hash,
+                            np.arange(len(ds)))
         [gte_m] = batch_gte(ds, np.arange(len(ds)), [ns], 25, SEED)
         reports.append(build_report(exp, gte_m))
     ok = True
@@ -189,11 +190,12 @@ def test_criterion_7_determinism(tmp_path, loan_pipeline):
     e1, e2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
     for p in (e1, e2):
         batch_explain(loan_pipeline["nn1"], ds.X[:10], stds, 10, 2, 5,
-                      ds.config_hash).save_csv(p)
+                      ds.config_hash, np.arange(10)).save_csv(p)
     exp_ok = e1.read_bytes() == e2.read_bytes()
 
     series = [Series("s", tuple(s.mean_c_of_ed for s in loan_pipeline["report"].instance_scores), "red")]
-    svg_ok = line_chart(series) == line_chart(series)
+    svg_ok = line_chart(series, "c_of_ed", "instance", "c_of_ed") == line_chart(
+        series, "c_of_ed", "instance", "c_of_ed")
     _report("7 (determinism)", csv_ok and exp_ok and svg_ok)
 
 

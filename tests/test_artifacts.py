@@ -26,6 +26,11 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def read_floats(path, header):
+    """``read_csv`` of every column as a float: an (n, len(header)) array."""
+    return read_csv(path, header, np.dtype([("v", float, (len(header),))]))["v"]
+
+
 def assert_written(written, paths):
     """``written`` names ``paths`` in order, each with the sha256 of the file on disk."""
     assert list(written) == paths
@@ -397,7 +402,7 @@ class TestAtomicWrite:
         real = os.replace
         monkeypatch.setattr(os, "replace", lambda a, b: moved.append(b) or real(a, b))
         p = tmp_path / "x.csv"
-        assert_written(write_csv(p, ["a"], ["%d"], [np.arange(3)], {"v": 1}), [p, sidecar_path(p)])
+        assert_written(write_csv(p, ["a"], [np.arange(3)], {"v": 1}), [p, sidecar_path(p)])
         assert [str(m) for m in moved] == [str(p), str(sidecar_path(p))]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["x.csv", "x.csv.meta.json"]
 
@@ -418,7 +423,7 @@ class TestFixedPointReader:
     @staticmethod
     def _loadtxt(path, header):
         try:
-            return read_csv(path, header)
+            return read_floats(path, header)
         except ConfigError as exc:
             return str(exc)
 
@@ -432,7 +437,7 @@ class TestFixedPointReader:
         p.write_text(text)
         lead = data.draw(st.integers(0, len(header)))
         got = read_fixed_csv(p, header, precisions, lead)
-        expect = read_csv(p, header)
+        expect = read_floats(p, header)
         assert all(b.flags.c_contiguous and b.dtype == float for b in got)
         assert got[0].tobytes() == np.ascontiguousarray(expect[:, :lead]).tobytes()
         assert got[1].tobytes() == np.ascontiguousarray(expect[:, lead:]).tobytes()
@@ -474,7 +479,7 @@ class TestFixedPointReader:
         p = tmp_path / "x.csv"
         p.write_text("c0,c1\n-0.000,-0\n0.000,0\n-000.001,007\n")
         X, rest = read_fixed_csv(p, ["c0", "c1"], [3, 0], 1)
-        assert np.hstack([X, rest]).tobytes() == read_csv(p, ["c0", "c1"]).tobytes()
+        assert np.hstack([X, rest]).tobytes() == read_floats(p, ["c0", "c1"]).tobytes()
         assert np.signbit(X[0, 0]) and np.signbit(rest[0, 0]) and not np.signbit(X[1, 0])
 
     @pytest.mark.parametrize("text", ["c0\n", "c0\n1\n", "c1\n1\n", "c0\n1", "c0\n1\n\n"])
@@ -596,8 +601,8 @@ class TestReadCsv:
         return p
 
     def test_header_only_is_zero_rows(self, tmp_path):
-        p, = write_csv(tmp_path / "x.csv", ["a", "b"], ["%d", "%r"], [[], []])
-        assert read_csv(p, ["a", "b"]).shape == (0, 2)
+        p, = write_csv(tmp_path / "x.csv", ["a", "b"], [[], []])
+        assert read_floats(p, ["a", "b"]).shape == (0, 2)
 
     @pytest.mark.parametrize("text", [
         "a,b\n1,2",          # no final newline
@@ -610,4 +615,4 @@ class TestReadCsv:
     ])
     def test_malformed(self, tmp_path, text):
         with pytest.raises(ConfigError):
-            read_csv(self._write(tmp_path, text), ["a", "b"])
+            read_floats(self._write(tmp_path, text), ["a", "b"])

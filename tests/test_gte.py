@@ -8,7 +8,7 @@ from gtebench import gte
 from gtebench.errors import ConfigError
 from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import batch_gte, gte_design, gte_explain
-from gtebench.numerics import make_rng
+from gtebench.numerics import make_rng, row_norms
 from oracles import fit_outcome, gte_explain_oracle, ridge_oracle
 
 
@@ -27,7 +27,7 @@ def _linear_threshold_dataset(n=80, seed=4):
 
 def _explain(ds, index, num_samples):
     """The GTE fit of one (target, num_samples) pair on its own design."""
-    return gte_explain(gte_design(ds, index, num_samples), num_samples)
+    return gte_explain(gte_design(ds, index, num_samples, row_norms(ds.X)), num_samples)
 
 
 def _draw_dataset(data, d, n, scale):
@@ -83,11 +83,6 @@ class TestGteExplain:
         # with every other instance selected the similarity ordering cannot
         # change the member set
         assert np.all(np.isfinite(coef))
-
-    def test_num_samples_too_large(self):
-        ds = _linear_threshold_dataset(n=30)
-        with pytest.raises(ConfigError, match=r"num_samples \(30\) must be below dataset size"):
-            gte_design(ds, 0, 30)
 
     def test_deterministic(self, loan_dataset):
         a = _explain(loan_dataset, 7, 25)
@@ -168,7 +163,7 @@ class TestBatchGte:
     def test_num_samples_too_large_before_any_fit(self, monkeypatch, targets):
         ds = _linear_threshold_dataset(n=30)
         monkeypatch.setattr(gte, "weighted_ridge", lambda *a: pytest.fail("fitted"))
-        with pytest.raises(ConfigError, match=r"num_samples \(30\)"):
+        with pytest.raises(ConfigError, match=r"num_samples \(30\) must be below dataset size"):
             batch_gte(ds, np.arange(targets), [5, 30], runs=1, base_seed=0)
 
     def test_failures_copied_with_runs(self, tmp_path):

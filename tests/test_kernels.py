@@ -95,7 +95,7 @@ def test_predict_batch_leaves_a_one_row_input_alone():
     got = model.predict_batch(X)
     assert X.tolist() == [[0.5, -1.0, 2.0]]
     assert _same_bits(got, predict_batch_oracle(model, X))
-    assert _same_bits(model.predict_batch(X[0]), got)
+    assert _same_bits(model.predict_batch(X[0][None, :]), got)
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -131,7 +131,7 @@ def test_perturb_instance_equals_oracle(n):
         stds = rng.uniform(0.0, 3.0, size=d)
         if d > 1:
             stds[seed % d] = 0.0  # one feature is not perturbed
-        for std_arg in (stds, 0.25 * stds, 3.0):
+        for std_arg in (stds, 0.25 * stds, np.full(d, 3.0)):
             before = instance.copy(), np.copy(std_arg)
             got_rng, want_rng = make_rng(seed, 1), make_rng(seed, 1)
             got = perturb_instance(instance, std_arg, n, got_rng)
@@ -145,6 +145,6 @@ def test_perturb_instance_equals_oracle(n):
     assert _same_bits(perturb_instance(pool[2], np.ones(3), 5, make_rng(4)),
                       perturb_instance_oracle(pool[2], np.ones(3), 5, make_rng(4)))
     assert _same_bits(pool, make_rng(3).normal(size=(4, 3)))
-    for zero in (np.zeros(3), -0.0):
+    for zero in (np.zeros(3), np.full(3, -0.0)):
         with pytest.raises(DegenerateSampleError):
             perturb_instance(pool[0], zero, 5, make_rng(0))

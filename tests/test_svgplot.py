@@ -19,14 +19,14 @@ def test_basic_structure():
 
 def test_deterministic_bytes():
     args = [Series("x", (1.0, 3.0, 2.0), "black")]
-    assert line_chart(args) == line_chart(args)
+    assert line_chart(args, "t", "x", "y") == line_chart(args, "t", "x", "y")
 
 
 def test_constant_series_ok():
-    svg = line_chart([Series("flat", (0.5, 0.5, 0.5), "red")])
+    svg = line_chart([Series("flat", (0.5, 0.5, 0.5), "red")], "t", "x", "y")
     assert "<polyline" in svg
 
 
 def test_empty_rejected():
     with pytest.raises(ValueError):
-        line_chart([])
+        line_chart([], "t", "x", "y")

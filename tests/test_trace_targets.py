@@ -11,6 +11,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from gtebench import explainer
 from gtebench.model import TrainedModel
 
@@ -43,7 +45,7 @@ def test_each_explainer_cell_calls_every_traced_step(monkeypatch, loan_nn1, loan
     monkeypatch.setattr(TrainedModel, "predict_batch",
                         counted("predict_batch", TrainedModel.predict_batch))
     mat = explainer.batch_explain(loan_nn1, loan_dataset.X[:3], loan_dataset.X.std(axis=0),
-                                  25, 2, 100)
+                                  25, 2, 100, loan_dataset.config_hash, np.arange(3))
     assert not mat.failures
     cells = 2 * 3
     assert calls == {**{name: cells for name in steps}, "predict_batch": 2 * cells}
