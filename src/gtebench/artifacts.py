@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import secrets
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
@@ -180,12 +181,25 @@ def typed(doc: dict, **kinds) -> dict:
     for it: a type or a tuple of types, where float takes an int too and no
     type but bool takes a bool. KeyError or TypeError otherwise."""
     for key, kind in kinds.items():
-        kind = kind if isinstance(kind, tuple) else (kind,)
-        ok = isinstance(doc[key], kind + (int,) * (float in kind))
-        if not ok or isinstance(doc[key], bool) != (bool in kind):
-            raise TypeError(f"{key!r} must be {' or '.join(k.__name__ for k in kind)}, "
-                            f"not {type(doc[key]).__name__}")
+        _check_type(repr(key), doc[key], kind)
     return {key: doc[key] for key in kinds}
+
+
+def typed_items(doc: dict, **kinds) -> None:
+    """Each element of the list, or value of the dict, ``doc[key]`` of the
+    JSON type given for key, as ``typed`` takes it; TypeError otherwise."""
+    for key, kind in kinds.items():
+        items = doc[key].items() if isinstance(doc[key], dict) else enumerate(doc[key])
+        for at, value in items:
+            _check_type(f"{key}[{at!r}]", value, kind)
+
+
+def _check_type(what: str, value, kind) -> None:
+    kind = kind if isinstance(kind, tuple) else (kind,)
+    ok = isinstance(value, kind + (int,) * (float in kind))
+    if not ok or isinstance(value, bool) != (bool in kind):
+        raise TypeError(f"{what} must be {' or '.join(k.__name__ for k in kind)}, "
+                        f"not {type(value).__name__}")
 
 
 def read_csv(path: str | Path, header: list[str], dtype: np.dtype) -> np.ndarray:
@@ -198,6 +212,8 @@ def read_csv(path: str | Path, header: list[str], dtype: np.dtype) -> np.ndarray
     another number of fields, or a file that does not end in a newline (a
     truncated write)."""
     raw = _checked_bytes(path, header)
+    if b"\n\n" in raw:
+        raise ConfigError(f"{path}: blank row")
     if raw.index(b"\n") + 1 == len(raw):
         return np.empty(0, dtype)
     try:
@@ -205,7 +221,12 @@ def read_csv(path: str | Path, header: list[str], dtype: np.dtype) -> np.ndarray
         return np.loadtxt(io.BytesIO(raw), dtype, delimiter=",", comments=None, skiprows=1,
                           ndmin=1, encoding="utf-8")
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # np.loadtxt counts data rows from 0 in a conversion error and from 1
+        # in a column-count error; the advice after a ';' is about its options
+        first = 0 if str(exc).startswith("could not convert") else 1
+        message = re.sub(r"at row (\d+)", lambda m: f"at data row {int(m[1]) + 1 - first}",
+                         str(exc).partition(";")[0])
+        raise ConfigError(f"{path}: {message}") from exc
 
 
 def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],
@@ -216,8 +237,9 @@ def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],
     ``precisions[j]`` > 0, by '.' and p digits, with at most MAX_DIGITS
     digits: they give an integer k < 10**15, exact in a double, and k / 10**p
     rounds correctly, as strtod does, since 10**p is exact too (Clinger's fast
-    path). Any other field, or a file that read_csv refuses, raises a
-    ConfigError naming the file, and the column, field and row if any."""
+    path). Any other field, a blank row's too, or a file that does not end
+    in a newline or start with ``header``, raises a ConfigError naming the
+    file, and the column, field and row if any."""
     raw = _checked_bytes(path, header)
     n = raw.count(b"\n") - 1
     blocks = np.empty((n, lead)), np.empty((n, len(header) - lead))
@@ -226,8 +248,7 @@ def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],
 
 
 def _checked_bytes(path: str | Path, header: list[str]) -> bytes:
-    """The bytes of a CSV that ends in a newline, has no blank row and starts
-    with ``header``."""
+    """The bytes of a CSV that ends in a newline and starts with ``header``."""
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
         raise ConfigError(f"{path}: does not end in a newline (truncated?)")
@@ -235,8 +256,6 @@ def _checked_bytes(path: str | Path, header: list[str]) -> bytes:
     found = raw[:first].decode("utf-8", "replace").split(",")
     if found != header:
         raise ConfigError(f"{path}: header {found} does not match {header}")
-    if b"\n\n" in raw:
-        raise ConfigError(f"{path}: blank row")
     return raw
 
 

@@ -131,15 +131,17 @@ class EvalReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvalReport":
-        """Inverse of ``to_dict``; a report without instance scores, a score or
-        t-test value of another JSON type, or a verdict its p-value does not
-        give is rejected."""
+        """Inverse of ``to_dict``; a report without instance scores, a score,
+        count, rate or t-test value of another JSON type, or a verdict its
+        p-value does not give is rejected."""
         f = artifacts.typed(
             doc, instances=list, ave_c_of_ed=float, ave_second=float, ave_all=float,
             invariance=(dict, type(None)), zero_counts_exp=list, zero_rates_exp=list,
             zero_counts_gte=list, zero_rates_gte=list, exp_config_hash=str,
             gte_config_hash=str, dataset_hash=str, runs=int, n_features=int, failed_cells=int,
             failure_kinds=dict)
+        artifacts.typed_items(f, zero_counts_exp=int, zero_rates_exp=float, zero_counts_gte=int,
+                              zero_rates_gte=float, failure_kinds=int)
         kinds = {k.name: int if k.name == "instance_id" else float for k in fields(InstanceScore)}
         scores = []
         for s in f.pop("instances"):

@@ -8,6 +8,7 @@ are stored as IEEE hex strings).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,7 +123,7 @@ def _forward(weights, biases, activation, X, inputs: list | None = None) -> np.n
     for i, (W, b) in enumerate(zip(weights, biases)):
         if inputs is not None:
             inputs.append(a)
-        a = a @ W
+        a = a.dot(W)
         a += b
         if i == len(weights) - 1:
             return _softmax(a)
@@ -162,39 +163,54 @@ _unhex = np.vectorize(float.fromhex, otypes=[float])
 # Training
 
 
-def init_params(mcfg: ModelConfig, rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(mcfg.layers[:-1], mcfg.layers[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+def param_views(layers: tuple[int, ...], flat: np.ndarray):
+    """Each layer's weight matrix and bias vector as views into the vector
+    ``flat`` of all their floats, in the order W0, b0, W1, b1, ..."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(layers[:-1], layers[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
     return weights, biases
 
 
-def forward_backward(weights, biases, activation, X, y_onehot):
-    """Mean cross-entropy loss and parameter gradients for one batch."""
+def init_params(mcfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
+    """Glorot-uniform weights and zero biases, as one vector laid out by
+    ``param_views``."""
+    layers = mcfg.layers
+    theta = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layers, layers[1:])))
+    for W in param_views(layers, theta)[0]:
+        fan_in, fan_out = W.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return theta
+
+
+def forward_backward(weights, biases, activation, X, y_onehot, dW, db) -> float:
+    """Mean cross-entropy loss of one batch. Its gradients are written into
+    ``dW`` and ``db``, arrays shaped as ``weights`` and ``biases``."""
     acts: list[np.ndarray] = []
     probs = _forward(weights, biases, activation, X, acts)
-    L = len(weights)
     n = X.shape[0]
-    loss = float(-np.sum(y_onehot * np.log(np.clip(probs, 1e-300, None))) / n)
+    loss = -(y_onehot * np.log(np.maximum(probs, 1e-300))).sum() / n
 
-    dW = [None] * L
-    db = [None] * L
-    delta = (probs - y_onehot) / n  # softmax + cross-entropy
-    for i in range(L - 1, -1, -1):
-        dW[i] = acts[i].T @ delta
-        db[i] = delta.sum(axis=0)
+    # softmax + cross-entropy: (probs - y) / n, written over probs
+    delta = probs
+    delta -= y_onehot
+    delta /= n
+    for i in range(len(weights) - 1, -1, -1):
+        np.dot(acts[i].T, delta, out=dW[i])
+        delta.sum(axis=0, out=db[i])
         if i > 0:
-            delta = delta @ weights[i].T
+            delta = delta.dot(weights[i].T)
             # the activation's derivative from its output: relu(z) > 0 iff
             # z > 0, and tanh' = 1 - tanh^2
             if activation == "relu":
-                delta = delta * (acts[i] > 0)
+                delta *= acts[i] > 0
             else:
-                delta = delta * (1.0 - acts[i] ** 2)
-    return loss, dW, db
+                delta *= 1.0 - acts[i] ** 2
+    return float(loss)
 
 
 def train(
@@ -205,6 +221,11 @@ def train(
 ) -> TrainedModel:
     """Mini-batch SGD on cross-entropy.  ``split`` is the train fraction;
     split = 1 keeps no held-out test set.
+
+    Every weight and bias is a view into one vector, and each batch's
+    gradients into a second one of the same layout, so that one step updates
+    all of them in two operations. Raises DivergenceError when a batch's loss
+    or the trained model's output on a training row is not finite.
     """
     n = len(dataset)
     if n == 0:
@@ -228,34 +249,45 @@ def train(
     span = X_train_raw.max(axis=0) - lo
     span = np.where(span == 0, 1.0, span)
     X_train = (X_train_raw - lo) / span
-    onehot = np.eye(dataset.n_classes)[y_train]
+    eye = np.eye(dataset.n_classes)
 
     rng = make_rng(tcfg.seed, 2)
-    weights, biases = init_params(mcfg, rng)
-    for epoch in range(tcfg.epochs):
-        order = rng.permutation(n_train)
-        for start in range(0, n_train, tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            loss, dW, db = forward_backward(
-                weights, biases, mcfg.activation, X_train[batch], onehot[batch]
-            )
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            for i in range(len(weights)):
-                weights[i] -= tcfg.learning_rate * dW[i]
-                biases[i] -= tcfg.learning_rate * db[i]
+    theta = init_params(mcfg, rng)
+    grad = np.empty_like(theta)
+    weights, biases = param_views(mcfg.layers, theta)
+    dW, db = param_views(mcfg.layers, grad)
+    # each epoch's rows in its order, gathered into buffers that every epoch reuses
+    X_epoch, y_epoch = np.empty_like(X_train), np.empty((n_train, dataset.n_classes))
+    # a diverging step overflows; the DivergenceError below is its report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(tcfg.epochs):
+            order = rng.permutation(n_train)
+            np.take(X_train, order, axis=0, out=X_epoch)
+            np.take(eye, y_train[order], axis=0, out=y_epoch)
+            for start in range(0, n_train, tcfg.batch_size):
+                stop = start + tcfg.batch_size
+                loss = forward_backward(weights, biases, mcfg.activation, X_epoch[start:stop],
+                                        y_epoch[start:stop], dW, db)
+                if not math.isfinite(loss):
+                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
+                grad *= tcfg.learning_rate
+                theta -= grad
 
-    model = TrainedModel(
-        config=mcfg,
-        weights=weights,
-        biases=biases,
-        norm_lo=lo,
-        norm_span=span,
-        train_accuracy=0.0,
-        test_accuracy=None,
-        seed=tcfg.seed,
-    )
-    model.train_accuracy = accuracy(model, dataset.X[train_idx], y_train)
+        model = TrainedModel(
+            config=mcfg,
+            weights=weights,
+            biases=biases,
+            norm_lo=lo,
+            norm_span=span,
+            train_accuracy=0.0,
+            test_accuracy=None,
+            seed=tcfg.seed,
+        )
+        probs = model.predict_batch(X_train_raw)
+    # the last step's loss was taken before its update
+    if not np.isfinite(probs).all():
+        raise DivergenceError(f"non-finite output on a training row after epoch {epoch}")
+    model.train_accuracy = float((probs.argmax(axis=1) == y_train).mean())
     if len(test_idx):
         model.test_accuracy = accuracy(model, dataset.X[test_idx], dataset.labels[test_idx])
     return model

@@ -273,3 +273,59 @@ def perturb_instance_oracle(instance, stds, n, rng):
     if np.all(eff == 0):
         raise DegenerateSampleError("all perturbation scales are zero")
     return instance + rng.standard_normal((n, instance.size)) * eff
+
+
+# ---------------------------------------------------------------------------
+# Mini-batch SGD as first written: fresh arrays per layer and per step, the
+# bit-for-bit reference for gtebench.model.train's flat parameter vector.
+
+
+def sgd_oracle(dataset, split, mcfg, tcfg):
+    """(weights, biases) of ``train``, from per-layer lists of gradients, a
+    fresh ``X_train[batch]`` per step and ``weights[i] -= lr * dW[i]``."""
+    from gtebench.numerics import make_rng
+
+    n = len(dataset)
+    perm = make_rng(tcfg.seed, 1).permutation(n)
+    n_train = max(1, int(round(split * n)))
+    X_raw = dataset.X[perm[:n_train]]
+    lo = X_raw.min(axis=0)
+    span = X_raw.max(axis=0) - lo
+    span = np.where(span == 0, 1.0, span)
+    X_train = (X_raw - lo) / span
+    onehot = np.eye(dataset.n_classes)[dataset.labels[perm[:n_train]]]
+
+    rng = make_rng(tcfg.seed, 2)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(mcfg.layers[:-1], mcfg.layers[1:]):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        biases.append(np.zeros(fan_out))
+    for _ in range(tcfg.epochs):
+        order = rng.permutation(n_train)
+        for start in range(0, n_train, tcfg.batch_size):
+            batch = order[start:start + tcfg.batch_size]
+            dW, db = _gradients_oracle(weights, biases, mcfg.activation, X_train[batch],
+                                       onehot[batch])
+            for i in range(len(weights)):
+                weights[i] -= tcfg.learning_rate * dW[i]
+                biases[i] -= tcfg.learning_rate * db[i]
+    return weights, biases
+
+
+def _gradients_oracle(weights, biases, activation, X, y_onehot):
+    """Per-layer lists of the mean cross-entropy gradients of one batch."""
+    acts = forward_oracle(weights, biases, activation, X)
+    L = len(weights)
+    dW, db = [None] * L, [None] * L
+    delta = (acts[-1] - y_onehot) / X.shape[0]
+    for i in range(L - 1, -1, -1):
+        dW[i] = acts[i].T @ delta
+        db[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = delta @ weights[i].T
+            if activation == "relu":
+                delta = delta * (acts[i] > 0)
+            else:
+                delta = delta * (1.0 - acts[i] ** 2)
+    return dW, db

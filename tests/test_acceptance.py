@@ -15,7 +15,8 @@ from gtebench.datagen import (
 from gtebench.evalmetrics import build_report, zero_census
 from gtebench.explainer import batch_explain
 from gtebench.gte import batch_gte
-from gtebench.model import ModelConfig, TrainConfig, forward_backward, init_params, train
+from gtebench.model import (ModelConfig, TrainConfig, forward_backward, init_params, param_views,
+                            train)
 from gtebench.numerics import RIDGE_ALPHA, _t_two_sided_p, make_rng, weighted_ridge
 from conftest import LOAN_NN1, LOAN_NN2, LOAN_REMOVALS
 from oracles import numeric_gradients, ridge_oracle
@@ -144,17 +145,19 @@ def test_criterion_5_oracle_suites():
     for activation in ("relu", "tanh"):
         prng = make_rng(23)
         mcfg = ModelConfig((3, 6, 4, 2), activation)
-        weights, biases = init_params(mcfg, prng)
+        theta = init_params(mcfg, prng)
+        weights, biases = param_views(mcfg.layers, theta)
         Xb = prng.normal(size=(5, 3))
         yb = np.eye(2)[prng.integers(0, 2, size=5)]
-        _, dW, db = forward_backward(weights, biases, activation, Xb, yb)
-        num = numeric_gradients(
-            lambda: forward_backward(weights, biases, activation, Xb, yb)[0],
-            weights + biases, eps=1e-4,
+        grad = np.empty_like(theta)
+        forward_backward(weights, biases, activation, Xb, yb, *param_views(mcfg.layers, grad))
+        scratch = param_views(mcfg.layers, np.empty_like(theta))
+        num, = numeric_gradients(
+            lambda: forward_backward(weights, biases, activation, Xb, yb, *scratch),
+            [theta], eps=1e-4,
         )
-        for analytic, numeric in zip(dW + db, num):
-            denom = np.maximum(np.abs(numeric), 1e-6)
-            grad_ok &= float(np.max(np.abs(analytic - numeric) / denom)) < 1e-4
+        denom = np.maximum(np.abs(num), 1e-6)
+        grad_ok &= float(np.max(np.abs(grad - num) / denom)) < 1e-4
 
     # published t-table values, as two-sided p
     table_ok = (

@@ -484,11 +484,16 @@ class TestFixedPointReader:
 
     @pytest.mark.parametrize("text", ["c0\n", "c0\n1\n", "c1\n1\n", "c0\n1", "c0\n1\n\n"])
     def test_header_only_and_malformed(self, text, tmp_path):
+        """As np.loadtxt reads the file, or with read_csv's message; but a
+        blank row is refused as an empty field, with its row."""
         p = tmp_path / "x.csv"
         p.write_text(text)
         got = self._read(p, ["c0"], [0], 0)
         expect = self._loadtxt(p, ["c0"])
-        if isinstance(expect, str):
+        if "\n\n" in text:
+            assert expect == f"{p}: blank row"
+            assert got == f"{p}: c0 '' of data row 2 is not -?[0-9]+ with at most 15 digits"
+        elif isinstance(expect, str):
             assert got == expect
         else:
             assert got[0].shape == (len(expect), 0)
@@ -616,3 +621,17 @@ class TestReadCsv:
     def test_malformed(self, tmp_path, text):
         with pytest.raises(ConfigError):
             read_floats(self._write(tmp_path, text), ["a", "b"])
+
+    @pytest.mark.parametrize("row, words", [
+        ("0,2e0,0.5", "could not convert string '2e0' to int64 at data row 2, column 2."),
+        ("0,2", "the dtype passed requires 3 columns but 2 were found at data row 2"),
+        ("0,2,0.5,1", "the dtype passed requires 3 columns but 4 were found at data row 2"),
+    ], ids=["field", "short-row", "long-row"])
+    def test_error_names_its_data_row(self, tmp_path, row, words):
+        """np.loadtxt's row, 0-based in a conversion error and 1-based in a
+        column-count error, is reported as the 1-based data row."""
+        p = self._write(tmp_path, f"a,b,c\n0,1,0.5\n{row}\n")
+        dtype = np.dtype([("a", np.int64), ("b", np.int64), ("c", float)])
+        with pytest.raises(ConfigError) as exc:
+            read_csv(p, ["a", "b", "c"], dtype)
+        assert str(exc.value) == f"{p}: {words}"

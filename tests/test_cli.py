@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -840,8 +841,12 @@ class TestRejectedInputs:
         _json_edit(lambda doc: doc["instances"][0].update(mean_c_of_ed="0.5")),
         _json_edit(lambda doc: doc["invariance"].update(p_value="high")),
         _json_edit(lambda doc: doc["invariance"].update(not_rejected=False)),
+        # the lists and failure_kinds were typed, but not their elements
+        _json_edit(lambda doc: doc.update(zero_counts_exp=["x", None])),
+        _json_edit(lambda doc: doc.update(zero_rates_gte=[True])),
+        _json_edit(lambda doc: doc.update(failure_kinds={"A": "many"})),
     ], ids=["without-runs", "truncated", "no-instances", "score-str", "p-value-str",
-            "verdict-flipped"])
+            "verdict-flipped", "zero-count-str", "zero-rate-bool", "failure-kind-str"])
     def test_report_json_exit_2(self, quick, capsys, edit):
         run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
         run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
@@ -867,6 +872,15 @@ class TestRejectedInputs:
         (quick / "loan.csv").write_text("".join(lines))
         assert run("train", "loan.csv", "--out", "o.json", "--epochs", 2) == 2
         self._one_error_line(capsys, "loan.csv", words)
+        assert not (quick / "o.json").exists()
+
+    @pytest.mark.parametrize("row", [1, 2, 30, 55])
+    def test_dataset_blank_row_exit_2(self, quick, capsys, row):
+        lines = (quick / "loan.csv").read_text().splitlines(keepends=True)
+        lines.insert(row, "\n")  # data row 55 follows loan's last
+        (quick / "loan.csv").write_text("".join(lines))
+        assert run("train", "loan.csv", "--out", "o.json", "--epochs", 2) == 2
+        self._one_error_line(capsys, "loan.csv", f"x1 '' of data row {row} is not -?[0-9]+")
         assert not (quick / "o.json").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -912,6 +926,24 @@ class TestRejectedInputs:
         assert run("explain", "m1.json", "d.csv", "--num-samples", 5, "--out", "o.csv") == 3
         self._one_error_line(capsys, "model expects 3 features, got 5")
         assert not (quick / "o.csv").exists()
+
+
+@pytest.mark.parametrize("epochs, words", [
+    (1, "non-finite output on a training row after epoch 0"),
+    (3, "non-finite loss at epoch 1"),
+], ids=["last-step", "later-batch"])
+def test_diverging_training_exit_4(workdir, capsys, epochs, words):
+    """A step that overflows the weights is reported once, as a
+    DivergenceError, and no model is written; on the last step too, where no
+    later batch's loss shows it."""
+    run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings are not the report
+        assert run("train", "loan.csv", "--out", "div.json", "--epochs", epochs,
+                   "--lr", "1e308", "--batch-size", 64, "--seed", 11) == 4
+    assert capsys.readouterr().err == f"error: {words}\n"
+    assert not (workdir / "div.json").exists()
 
 
 def test_stray_value_error_propagates(workdir, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 from gtebench.errors import DegenerateSampleError, ZeroVectorError
 from gtebench.explainer import perturb_instance
-from gtebench.model import ModelConfig, TrainedModel, _forward, init_params
+from gtebench.model import ModelConfig, TrainedModel, _forward, init_params, param_views
 from gtebench.numerics import cosine_similarity_rows, make_rng, row_norms
 from oracles import (
     cosine_similarity_rows_oracle,
@@ -51,7 +51,7 @@ def _model(d: int, c: int, activation: str, seed: int) -> TrainedModel:
     rng = make_rng(seed)
     hidden = (5 + seed % 12,) if activation == "tanh" else (4 + seed % 9, 3 + seed % 14)
     mcfg = ModelConfig((d, *hidden, c), activation)
-    weights, _ = init_params(mcfg, rng)
+    weights, _ = param_views(mcfg.layers, init_params(mcfg, rng))
     # a wide logit range, so that some rows saturate the softmax
     weights[-1] *= 40.0
     biases = [rng.normal(size=w.shape[1]) for w in weights]

@@ -12,10 +12,11 @@ from gtebench.model import (
     accuracy,
     forward_backward,
     init_params,
+    param_views,
     train,
 )
 from gtebench.numerics import make_rng
-from oracles import numeric_gradients
+from oracles import numeric_gradients, sgd_oracle
 
 
 def _toy_dataset(X, labels, n_classes):
@@ -69,23 +70,45 @@ class TestTrain:
         assert a.test_accuracy == b.test_accuracy
 
 
+class TestSgdOracle:
+    """``train``'s flat parameter vector gives the weights of the per-layer
+    loop bit for bit: loan's 54 rows and 33 random rows at batch 16 leave a
+    short last batch (of 1 row for the 33), and 2 and 10 classes take both
+    paths of ``_softmax``."""
+
+    RANDOM = _toy_dataset(make_rng(31).normal(size=(33, 3)),
+                          make_rng(32).integers(0, 10, size=33), 10)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("hidden", [(16,), (16, 8)], ids=["1-hidden", "2-hidden"])
+    @pytest.mark.parametrize("classes", [2, 10])
+    def test_weights_equal_oracle(self, loan_dataset, activation, hidden, classes):
+        ds = loan_dataset if classes == 2 else self.RANDOM
+        mcfg = ModelConfig((3, *hidden, classes), activation)
+        tcfg = TrainConfig(epochs=30, learning_rate=0.3, batch_size=16, seed=4)
+        model = train(ds, 1.0, mcfg, tcfg)
+        weights, biases = sgd_oracle(ds, 1.0, mcfg, tcfg)
+        for got, want in zip(model.weights + model.biases, weights + biases):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestGradients:
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_matches_finite_differences(self, activation):
         rng = make_rng(13)
         mcfg = ModelConfig((4, 5, 3, 2), activation)
-        weights, biases = init_params(mcfg, rng)
+        theta = init_params(mcfg, rng)
+        weights, biases = param_views(mcfg.layers, theta)
         X = rng.normal(size=(6, 4))
         y = np.eye(2)[rng.integers(0, 2, size=6)]
-        loss, dW, db = forward_backward(weights, biases, activation, X, y)
+        grad = np.empty_like(theta)
+        forward_backward(weights, biases, activation, X, y, *param_views(mcfg.layers, grad))
 
-        def loss_fn():
-            return forward_backward(weights, biases, activation, X, y)[0]
-
-        num = numeric_gradients(loss_fn, weights + biases, eps=1e-4)
-        for analytic, numeric in zip(dW + db, num):
-            denom = np.maximum(np.abs(numeric), 1e-6)
-            assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+        scratch = param_views(mcfg.layers, np.empty_like(theta))
+        num, = numeric_gradients(
+            lambda: forward_backward(weights, biases, activation, X, y, *scratch), [theta], eps=1e-4)
+        denom = np.maximum(np.abs(num), 1e-6)
+        assert np.max(np.abs(grad - num) / denom) < 1e-4
 
 
 class TestPredict:
