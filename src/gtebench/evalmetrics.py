@@ -53,13 +53,6 @@ def order_correct(g: np.ndarray, e: np.ndarray) -> tuple[int, int]:
     return second_c, all_c
 
 
-def implementation_invariance(ed_a, ed_b) -> tuple[TTestResult, bool]:
-    """Paired t-test on per-instance mean distances of two models; the
-    invariance hypothesis survives when p exceeds 0.1."""
-    res = paired_t_test(ed_a, ed_b)
-    return res, res.p_value > INVARIANCE_P_THRESHOLD
-
-
 def zero_census(matrix: CoefficientMatrix):
     """Per-feature counts of exactly-zero coefficients over the cells that
     did not fail, and their rates among those cells."""
@@ -233,7 +226,7 @@ def build_report(
         mean_a = _run_means(ed, ok)
         mean_b = _run_means(ed_b, second_exp.ok & gte.ok)
         both = ~np.isnan(mean_a) & ~np.isnan(mean_b)
-        invariance, _ = implementation_invariance(mean_a[both], mean_b[both])
+        invariance = paired_t_test(mean_a[both], mean_b[both])
 
     kinds = Counter(msg.split(":", 1)[0] for m in (exp, gte, second_exp) if m is not None
                     for *_, msg in m.failures)

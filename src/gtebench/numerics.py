@@ -190,18 +190,9 @@ def ndtri(y0: np.ndarray) -> np.ndarray:
     return x
 
 
-# Row norms in this range are computed directly: their squares neither underflow
-# nor overflow, so np.linalg.norm is exact to rounding there.
-_NORM_SAFE = (2.0**-500, 2.0**500)
-
-
-def _power_of_two_exponent(a: np.ndarray) -> np.ndarray:
-    """Exponent e with max|a| in [2**(e-1), 2**e), along the last axis (0 for zero rows)."""
-    return np.frexp(np.abs(a).max(axis=-1, initial=0.0))[1]
-
-
-def _unscaled_row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(rows, axis=1)``, bit for bit.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``rows``: ``np.linalg.norm(rows, axis=1)``,
+    bit for bit.
 
     numpy sums fewer than 8 contiguous elements left to right, so below 8
     columns the squares are summed left to right a column at a time. That
@@ -220,37 +211,13 @@ def _unscaled_row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(sums, out=sums)
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of ``rows``.
-
-    Equals ``np.linalg.norm(rows, axis=1)`` wherever that is exact to rounding;
-    rows so small or large that squaring their entries would underflow or
-    overflow are scaled by a power of two (which is exact) before squaring.
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        norms = _unscaled_row_norms(rows)
-    lo, hi = _NORM_SAFE
-    # NaN fails both comparisons, so rows with NaN take the scaled path too
-    if not (norms.min(initial=lo) >= lo and norms.max(initial=hi) <= hi):
-        bad = np.flatnonzero(~((norms >= lo) & (norms <= hi)))
-        e = _power_of_two_exponent(rows[bad])
-        norms[bad] = np.ldexp(_unscaled_row_norms(np.ldexp(rows[bad], -e[:, None])), e)
-    return norms
-
-
 def cosine_similarity_rows(rows: np.ndarray, v: np.ndarray, norms=None) -> np.ndarray:
     """Cosine similarity of each row of ``rows`` against ``v``.
 
     Rows with zero norm get similarity NaN. ``norms`` are the rows'
     :func:`row_norms`, computed here when not given, so that a caller ranking
     many targets against the same rows computes them once.
-
-    ``v`` is first scaled by a power of two to a largest entry in [0.5, 1):
-    cosine similarity is scale-invariant and the scaling is exact, so results
-    are unchanged for ordinary inputs, while tiny or huge ``v`` no longer
-    underflow or overflow in the dot products.
     """
-    v = np.ldexp(v, -_power_of_two_exponent(v))
     nv = math.sqrt(v.dot(v))  # np.linalg.norm(v), which takes the same steps
     if nv == 0:
         raise ZeroVectorError("cosine similarity undefined for a zero vector")

@@ -33,6 +33,8 @@ def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = "black", wid
 def _text(x: str, y: str, size: int, body: str, anchor: str | None = "middle",
           extra: str = "") -> str:
     anchor = f' text-anchor="{anchor}"' if anchor else ""
+    # xml.sax.saxutils.escape, whose import would load urllib.request into every CLI run
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="{size}"{extra}>'
             f'{body}</text>')
 

@@ -3,11 +3,17 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gtebench.datagen import generate_loan, load_loan_removals
 from gtebench.model import ModelConfig, TrainConfig, train
+
+# Every property test draws the same examples on every run, with no time limit
+# and no example database.
+settings.register_profile("gtebench", deadline=None, derandomize=True, database=None)
+settings.load_profile("gtebench")
 
 # the removals of the shipped loan config, which leave the 54-row grid
 LOAN_REMOVALS = load_loan_removals(resources.files("gtebench.configs") / "loan_default.json")

@@ -20,8 +20,7 @@ from conftest import LOAN_REMOVALS
 from oracles import (csv_oracle, csv_rows_oracle, dataset_csv_oracle, fixed_point_writable,
                      matrix_csv_oracle)
 
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+SETTINGS = settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -1044,8 +1044,7 @@ def artifacts_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("reader", READERS)
-@settings(max_examples=50, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_artifact_is_one_error_line(artifacts_dir, tmp_path, data, reader):
     """Dropping or retyping one top-level key of a JSON artifact, or

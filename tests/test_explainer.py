@@ -84,7 +84,7 @@ class TestExplain:
         assert pool_size(25) == 500
         assert pool_size(5_000) == pool_size(10_000) == pool_size(100_000) == 100_000
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(data=st.data(), d=st.integers(2, 4), k=st.integers(1, 8),
            spread=st.sampled_from([0.5, 1.0, 4.0]), seed=st.integers(0, 2**32 - 1))
     def test_equals_per_module_oracle(self, data, d, k, spread, seed):

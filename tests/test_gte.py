@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from gtebench.datagen import Dataset, FeatureSchema
 from gtebench import gte
-from gtebench.errors import ConfigError
+from gtebench.errors import ConfigError, NonFiniteFitError
 from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import batch_gte, gte_design, gte_explain
-from gtebench.numerics import make_rng, row_norms
+from gtebench.numerics import make_rng, row_norms, weighted_ridge
 from oracles import fit_outcome, gte_explain_oracle, ridge_oracle
 
 
@@ -90,7 +90,7 @@ class TestGteExplain:
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
            scale=st.sampled_from([0.5, 2.0, 3.0]))
     def test_equals_np_delete_oracle(self, data, d, n, scale):
@@ -180,20 +180,22 @@ class TestBatchGte:
             assert back.failures == mat.failures
         assert mats[0].failures == mats[1].failures
 
-    def test_fit_failure_stays_in_its_matrix(self):
-        # rows on an arc, one of them scaled to 1e200: the ten-row fit of either
-        # target selects it and squares it past the float range, the one-row fit
-        # selects a nearer row
+    def test_fit_failure_stays_in_its_matrix(self, monkeypatch):
+        # the ten-row fit of either target fails, the one-row fit of the same
+        # design succeeds
+        def ridge(X, y, w):
+            if len(X) > 2:
+                raise NonFiniteFitError("non-finite ridge solution")
+            return weighted_ridge(X, y, w)
+
+        monkeypatch.setattr(gte, "weighted_ridge", ridge)
         ds = _linear_threshold_dataset(n=30)
-        angles = np.linspace(0.0, 1.0, 30)
-        ds.X[:] = np.column_stack([np.cos(angles), np.sin(angles)])
-        ds.X[4] *= 1e200
         few, many = batch_gte(ds, np.array([1, 2]), [1, 10], runs=2, base_seed=0)
         assert [f[:2] for f in many.failures] == [(0, 0), (0, 1), (1, 0), (1, 1)]
         assert all(f[2].startswith("NonFiniteFitError") for f in many.failures)
         assert few.failures == [] and np.isfinite(few.coefficients).all()
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(data=st.data(), d=st.integers(2, 4), n=st.integers(3, 20),
            scale=st.sampled_from([0.5, 2.0, 3.0]))
     def test_shared_design_equals_per_pair_oracle(self, data, d, n, scale):

@@ -4,14 +4,15 @@ were.
 
 Inputs cross numpy's 8-element boundary both ways (below 8 it sums a
 contiguous axis left to right, from 8 on in pairwise blocks): 2-12 classes
-and 1-10 features, on 1, 2, 16 and 500 rows. Rows are scaled across the
-2**-500 and 2**500 limits of row_norms' direct path, and include zero rows,
-all-NaN rows and rows with one NaN entry.
+and 1-10 features, on 1, 2, 16 and 500 rows. Rows are scaled by 1 and by
+the smallest and largest magnitudes that the dataset codec admits, and
+include zero rows, all-NaN rows and rows with one NaN entry.
 """
 
 import numpy as np
 import pytest
 
+from gtebench.artifacts import MAX_DIGITS
 from gtebench.errors import DegenerateSampleError, ZeroVectorError
 from gtebench.explainer import perturb_instance
 from gtebench.model import ModelConfig, TrainedModel, _forward, init_params, param_views
@@ -27,9 +28,12 @@ from oracles import (
 ROWS = (1, 2, 16, 500)
 FEATURES = range(1, 11)
 CLASSES = range(2, 13)
+# The extreme magnitudes of a dataset value: 1e-14 at the finest precision, and
+# 10**15 - 1 at precision 0. The fixed-point reader gives them these doubles.
+TINY = float(f"1e-{MAX_DIGITS - 1}")
+HUGE = float(10**MAX_DIGITS - 1)
 # Row scales, rotated by seed so that 1- and 2-row inputs meet each of them too.
-SCALES = (1.0, 2.0**-500, 1.0, 2.0**-501, 2.0**-520, 1.0, 2.0**499, 2.0**500, 2.0**520,
-          0.0, np.nan, 1.0)
+SCALES = (1.0, TINY, 1.0, HUGE, 0.0, np.nan, 1.0)
 
 
 def _rows(n: int, d: int, seed: int) -> np.ndarray:
@@ -120,6 +124,20 @@ def test_row_norms_and_cosine_equal_oracle(n):
                     with pytest.raises(ZeroVectorError):
                         cosine_similarity_rows(rows, v)
             assert _same_bits(rows, before) and _same_bits(v, v_before)
+
+
+def test_codec_extreme_rows_equal_oracle():
+    # every row of +-HUGE and +-TINY entries, and random mixes of them
+    values = np.array([HUGE, -HUGE, TINY, -TINY])
+    for d in FEATURES:
+        rows = np.vstack([np.full((len(values), d), values[:, None]),
+                          make_rng(d).choice(values, size=(60, d))])
+        norms = row_norms(rows)
+        assert _same_bits(norms, row_norms_oracle(rows)), d
+        for v in rows:
+            for given in (None, norms):
+                got = cosine_similarity_rows(rows, v, given)
+                assert _same_bits(got, cosine_similarity_rows_oracle(rows, v, given)), (d, v)
 
 
 @pytest.mark.parametrize("n", ROWS)

@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import pytest
 
 from gtebench.svgplot import Series, line_chart
@@ -30,3 +32,10 @@ def test_constant_series_ok():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         line_chart([], "t", "x", "y")
+
+
+def test_markup_in_a_name_is_escaped():
+    name = "R&D <1>"
+    svg = line_chart([Series(name, (0.1, 0.2), "red")], "t & <u>", "x", "y")
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert name in texts and "t & <u>" in texts
