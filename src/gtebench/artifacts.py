@@ -84,7 +84,7 @@ def _publish_csv(path: Path, header: list[str], columns, encode, meta: dict | No
     """``publish`` the CSV, ``encode(chunk, start)`` per chunk, and ``meta``."""
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
-        for start in range(0, len(columns[0]) if columns else 0, CHUNK_ROWS):
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
             yield encode([c[start:start + CHUNK_ROWS] for c in columns], start)
 
     files = {path: chunks()}

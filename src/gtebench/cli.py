@@ -138,27 +138,16 @@ def cmd_explain(args) -> StageResult:
     return "explain", mat.config_hash, written
 
 
-def _load_matrix(args, path: str) -> CoefficientMatrix:
-    """A coefficient matrix file that holds at least one cell."""
-    mat = CoefficientMatrix.load_csv(_input(args, path))
-    if not mat.instance_ids.size:
-        raise ConfigError(f"{path}: the matrix holds no cells (shape {mat.shape})")
-    return mat
-
-
 def cmd_align(args) -> StageResult:
     ds = Dataset.load_csv(_input(args, args.dataset))
     if args.instances_from:
-        idx = _load_matrix(args, args.instances_from).instance_ids
+        idx = CoefficientMatrix.load_csv(_input(args, args.instances_from)).instance_ids
         bad = idx[(idx < 0) | (idx >= len(ds))]
         if bad.size:
             raise ConfigError(f"instance id {bad[0]} from {args.instances_from} is outside "
                               f"the dataset's rows [0, {len(ds)})")
     else:
         idx = np.arange(len(ds))
-    repeated = [ns for k, ns in enumerate(args.num_samples) if ns in args.num_samples[:k]]
-    if repeated:
-        raise ConfigError(f"--num-samples lists {repeated[0]} more than once")
     outputs = {}
     for ns, mat in zip(args.num_samples, batch_gte(ds, idx, args.num_samples, args.runs,
                                                    args.seed)):
@@ -172,9 +161,9 @@ def cmd_align(args) -> StageResult:
 
 def cmd_evaluate(args) -> StageResult:
     check_text_cell(args.dataset_name, "--dataset-name")
-    exp = _load_matrix(args, args.exp)
-    gte_mat = _load_matrix(args, args.gte)
-    second = _load_matrix(args, args.second) if args.second else None
+    exp = CoefficientMatrix.load_csv(_input(args, args.exp))
+    gte_mat = CoefficientMatrix.load_csv(_input(args, args.gte))
+    second = CoefficientMatrix.load_csv(_input(args, args.second)) if args.second else None
     for path, mat, source in ((args.exp, exp, "explainer"), (args.gte, gte_mat, "gte"),
                               (args.second, second, "explainer")):
         if mat is not None and mat.source != source:

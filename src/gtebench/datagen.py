@@ -97,8 +97,11 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
-        """Checks each feature's ``kind``, and that its ``precision`` is an
-        integer that leaves a field room for a digit before the point."""
+        """Checks that there is at least one feature, each feature's ``kind``,
+        and that its ``precision`` is an integer that leaves a field room for
+        a digit before the point."""
+        if not items:
+            raise ConfigError("the schema lists no feature")
         features = tuple(Feature(**{**_drop_removed(it, "mode_table"),
                                     "mode_values": tuple(it.get("mode_values") or ())})
                          for it in items)
@@ -147,12 +150,14 @@ class Dataset:
     @staticmethod
     def load_csv(path: str | Path) -> "Dataset":
         """The rows and the sidecar; the CSV must hold the sidecar's number of
-        rows, as ``save_csv`` writes them, every label a class id below
-        n_classes and every variation id what ``save_csv`` writes. ``X`` is a
-        C-contiguous (n, d) float array and ``labels`` an int array."""
+        rows, at least 1, as ``save_csv`` writes them, every label a class id
+        below n_classes and every variation id what ``save_csv`` writes. ``X``
+        is a C-contiguous (n, d) float array and ``labels`` an int array."""
         def build(doc):
             fields = artifacts.typed(doc, equation=str, seed=int, config_hash=str, n_classes=int,
                                      schema=list, rows=int)
+            if fields["rows"] < 1:
+                raise ConfigError(f"rows must be positive, got {fields['rows']}")
             return {**fields, "schema": FeatureSchema.from_dict(fields["schema"])}
 
         fields = artifacts.read_json(artifacts.sidecar_path(path), build)
@@ -253,23 +258,9 @@ def generate_loan(removals, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # Energy equations
 
-def base_energy_distance(TF: np.ndarray, TD: np.ndarray, TO: np.ndarray,
-                         EI: np.ndarray) -> np.ndarray:
-    """Travel energy from distance, per element of the float columns: TF * TD / TO * EI."""
-    if np.any(TO == 0):
-        raise NumericFailure("transportation occupancy must be nonzero")
-    return TF * TD / TO * EI
-
-
-def base_energy_time(TT: np.ndarray, Speed: np.ndarray, FE: np.ndarray) -> np.ndarray:
-    """Travel energy from time, per element of the float columns: TT * Speed * FE."""
-    return TT * Speed * FE
-
-
-_ENERGY_FNS = {
-    "time": (base_energy_time, ("TT", "Speed", "FE")),
-    "distance": (base_energy_distance, ("TF", "TD", "TO", "EI")),
-}
+# the variables of each base equation, which its schema must have: the travel
+# energy TT * Speed * FE from time, and TF * TD / TO * EI from distance
+EQUATION_VARIABLES = {"time": ("TT", "Speed", "FE"), "distance": ("TF", "TD", "TO", "EI")}
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +325,17 @@ class EquationConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EquationConfig":
-        """Checks that every variation is an integer ``class_id`` and ``ops``
-        of [variable, op, number], that every number of every feature is
-        finite, that ``lo <= hi``, that every mode code is an integer, and
-        that every feature but the mode has numbers ``mu``, ``sigma >= 0``
-        and ``trunc_lo <= trunc_hi``."""
+        """Checks that there is at least one variation, each an integer
+        ``class_id`` and ``ops`` of [variable, op, number], that the schema
+        has every variable of the equation, that every number of every
+        feature is finite, that ``lo <= hi``, that every mode code is an
+        integer, and that every feature but the mode has numbers ``mu``,
+        ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
         f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
                             schema=list, variations=list, rows_per_class=int)
-        if f["equation"] not in _ENERGY_FNS:
-            raise ConfigError(f"equation must be one of {sorted(_ENERGY_FNS)}: {f['equation']!r}")
+        if f["equation"] not in EQUATION_VARIABLES:
+            raise ConfigError(f"equation must be one of {sorted(EQUATION_VARIABLES)}: "
+                              f"{f['equation']!r}")
         variations = []
         for doc in f["variations"]:
             class_id, ops = artifacts.typed(doc, class_id=int, ops=list).values()
@@ -354,11 +347,15 @@ class EquationConfig:
             variations.append(VariationSpec(class_id, tuple((a, b, float(c)) for a, b, c in ops)))
         f["variations"] = tuple(variations)
         ids = sorted(v.class_id for v in f["variations"])
-        if ids != list(range(len(ids))):
-            raise ConfigError(f"variation class ids must be contiguous from 0, got {ids}")
+        if not ids or ids != list(range(len(ids))):
+            raise ConfigError(f"variation class ids must be contiguous from 0, at least one, "
+                              f"got {ids}")
         if f["rows_per_class"] < 1:
             raise ConfigError("rows_per_class must be >= 1")
         f["schema"] = FeatureSchema.from_dict(f["schema"])
+        missing = [v for v in EQUATION_VARIABLES[f["equation"]] if v not in f["schema"].names]
+        if missing:
+            raise ConfigError(f"the {f['equation']} equation needs {missing}, not in the schema")
         for feat in f["schema"].features:
             keys = ("lo", "hi") + (("mu", "sigma", "trunc_lo", "trunc_hi") if feat.kind != "mode"
                                    else ())
@@ -395,9 +392,9 @@ def _draw_base_rows(cfg: EquationConfig, rng: np.random.Generator) -> np.ndarray
 
 def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
     base_raw = _draw_base_rows(cfg, make_rng(seed, 0))
-    # the base equation must be defined on every base row (distance rejects TO == 0)
-    energy_fn, var_names = _ENERGY_FNS[cfg.equation]
-    energy_fn(*(base_raw[:, cfg.schema.index(v)] for v in var_names))
+    # the distance equation divides by TO, so it is undefined on a base row where TO is 0
+    if cfg.equation == "distance" and not base_raw[:, cfg.schema.index("TO")].all():
+        raise NumericFailure("transportation occupancy must be nonzero")
 
     # rounding is elementwise, so the stacked classes are rounded and clamped at once
     specs = sorted(cfg.variations, key=lambda v: v.class_id)

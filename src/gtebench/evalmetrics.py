@@ -37,8 +37,6 @@ def c_of_ed(distances: np.ndarray) -> np.ndarray:
 def rank_features(c: np.ndarray) -> np.ndarray:
     """Feature indices of a 1-D float array by descending absolute value;
     ties by ascending index."""
-    if c.size == 0:
-        raise ValueError("empty coefficient vector")
     if not np.all(np.isfinite(c)):
         raise ValueError(f"non-finite coefficient in {c}")
     return np.lexsort((np.arange(c.size), -np.abs(c)))

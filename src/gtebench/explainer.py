@@ -146,12 +146,14 @@ def _failure_message(exc: NumericFailure) -> str:
 
 
 def _sidecar_fields(doc: dict) -> dict:
-    """The fields a matrix sidecar holds, its ``shape`` among them; each
-    failure is [run, instance, message], two integers and a string."""
+    """The fields a matrix sidecar holds, its ``shape`` among them, at least
+    1 in every dimension; each failure is [run, instance, message], two
+    integers and a string."""
     fields = artifacts.typed(doc, source=str, config_hash=str, dataset_hash=str, seed=int,
                              shape=list, failures=list)
-    if len(fields["shape"]) != 3 or not all(type(v) is int and v >= 0 for v in fields["shape"]):
-        raise ValueError(f"shape must be three non-negative integers, got {fields['shape']}")
+    if len(fields["shape"]) != 3 or not all(type(v) is int and v >= 1 for v in fields["shape"]):
+        raise ValueError(f"shape must be three positive integers, got {fields['shape']}: a "
+                         f"matrix of no cells or no features is refused")
     for f in fields["failures"]:
         if type(f) is not list or [type(v) for v in f] != [int, int, str]:
             raise TypeError(f"failure entry {f!r} is not [run, instance, message]")

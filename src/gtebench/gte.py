@@ -69,11 +69,13 @@ def batch_gte(
     data, so run 0 is computed and every other run is a copy of it;
     ``base_seed`` only labels the sidecars.
     """
-    for ns in num_samples:  # also when there is no target to rank
+    for j, ns in enumerate(num_samples):  # also when there is no target to rank
         if ns < 1:
             raise ConfigError(f"num_samples must be positive, got {ns}")
         if ns >= len(dataset):
             raise ConfigError(f"num_samples ({ns}) must be below dataset size ({len(dataset)})")
+        if ns in num_samples[:j]:
+            raise ConfigError(f"--num-samples lists {ns} more than once")
     norms = row_norms(dataset.X)
     k = max(num_samples)
 

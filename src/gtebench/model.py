@@ -228,8 +228,6 @@ def train(
     or the trained model's output on a training row is not finite.
     """
     n = len(dataset)
-    if n == 0:
-        raise ConfigError("cannot train on an empty dataset")
     if not (0 < split <= 1):
         raise ConfigError(f"split must be in (0, 1], got {split}")
     if mcfg.layers[0] != dataset.n_features or mcfg.layers[-1] != dataset.n_classes:

@@ -189,7 +189,6 @@ class TestTrainExplainAlignEvaluate:
                    if json.loads(line)["stage"] == "report"] for d in (workdir, other)]
         assert hashes[0] == hashes[1] and len(hashes[0]) == 1
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_predictions_are_recorded_failures(self, loan_artifacts, workdir, capsys):
         # last-layer weights near the float limit: every logit overflows and
         # every probability is NaN, so every fit is non-finite; each failure
@@ -481,6 +480,30 @@ class TestOnlyCorrectSample:
         assert not (loan / "e.csv").exists()
 
 
+def _zero_size_matrices(work, shape):
+    """An explainer matrix z.csv and a GTE matrix zg.csv, both of ``shape``."""
+    runs, n, _ = shape
+    for name, source in (("z.csv", "explainer"), ("zg.csv", "gte")):
+        CoefficientMatrix(coefficients=np.zeros(shape), intercepts=np.zeros((runs, n)),
+                          source=source, config_hash="c", dataset_hash="d", seed=0,
+                          instance_ids=np.arange(n)).save_csv(work / name)
+
+
+def _loan_sidecar_copy(work, **meta):
+    """z.csv: the header of loan.csv, with loan.csv's sidecar updated by ``meta``."""
+    (work / "z.csv").write_text((work / "loan.csv").read_text().partition("\n")[0] + "\n")
+    doc = json.loads((work / "loan.csv.meta.json").read_text())
+    (work / "z.csv.meta.json").write_text(json.dumps({**doc, **meta}))
+
+
+def _time_config(work, edit):
+    """cfg.json: the shipped desk time config at 5 rows per class, changed by ``edit``."""
+    doc = json.loads((CFG / "time_desk.json").read_text())
+    doc["rows_per_class"] = 5
+    edit(doc)
+    (work / "cfg.json").write_text(json.dumps(doc))
+
+
 class TestRejectedInputs:
     """Arguments and artifacts that cannot be used stop the subcommand with
     exit 2 and one ``error:`` line, not a traceback or a silent default."""
@@ -562,6 +585,50 @@ class TestRejectedInputs:
             assert run("evaluate", *argv, "--out-dir", "ev") == 2
             self._one_error_line(capsys, "none.csv", "no cells")
             assert not (quick / "ev").exists()
+
+    @pytest.mark.parametrize("prepare, argv, words", [
+        (lambda w: _zero_size_matrices(w, (0, 5, 3)),
+         ("align", "loan.csv", "--num-samples", "5", "--instances-from", "z.csv",
+          "--out-prefix", "o"), ("z.csv.meta.json", "[0, 5, 3]", "no cells")),
+        (lambda w: _zero_size_matrices(w, (1, 2, 0)),
+         ("evaluate", "z.csv", "zg.csv", "--out-dir", "o"),
+         ("z.csv.meta.json", "[1, 2, 0]", "no features")),
+        (lambda w: _loan_sidecar_copy(w, rows=0),
+         ("train", "z.csv", "--out", "o.json", "--epochs", 2),
+         ("z.csv.meta.json", "rows must be positive, got 0")),
+        (lambda w: _loan_sidecar_copy(w, rows=0),
+         ("explain", "m1.json", "z.csv", "--num-samples", 5, "--out", "o.csv"),
+         ("z.csv.meta.json", "rows must be positive, got 0")),
+        (lambda w: _loan_sidecar_copy(w, rows=0),
+         ("align", "z.csv", "--num-samples", "5", "--out-prefix", "o"),
+         ("z.csv.meta.json", "rows must be positive, got 0")),
+        (lambda w: _loan_sidecar_copy(w, schema=[]),
+         ("align", "z.csv", "--num-samples", "5", "--out-prefix", "o"),
+         ("z.csv.meta.json", "the schema lists no feature")),
+        (lambda w: _time_config(w, lambda doc: doc.update(variations=[])),
+         ("generate", "time", "--config", "{dir}/cfg.json", "--out", "o.csv"),
+         ("cfg.json", "at least one, got []")),
+        (lambda w: _time_config(w, lambda doc: doc.update(schema=[])),
+         ("generate", "time", "--config", "{dir}/cfg.json", "--out", "o.csv"),
+         ("cfg.json", "the schema lists no feature")),
+        (lambda w: _time_config(w, lambda doc: doc["schema"].pop(2)),
+         ("generate", "time", "--config", "{dir}/cfg.json", "--out", "o.csv"),
+         ("cfg.json", "the time equation needs ['FE'], not in the schema")),
+    ], ids=["matrix-no-runs", "matrix-no-features", "dataset-no-row-train",
+            "dataset-no-row-explain", "dataset-no-row-align", "dataset-no-feature",
+            "config-no-variation", "config-no-feature", "config-without-FE"])
+    def test_zero_size_or_incomplete_input_exit_2(self, quick, capsys, prepare, argv, words):
+        """Each input's shape is checked as its file is read: a matrix of no
+        cells or no features, a dataset of no row or no feature, an equation
+        config of no variation or without a variable of its equation is one
+        ``error:`` line naming the file, with no numpy warning and nothing
+        written."""
+        prepare(quick)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*(str(a).format(dir=quick) for a in argv)) == 2
+        self._one_error_line(capsys, *words)
+        assert not list(quick.glob("o*"))
 
     @pytest.mark.parametrize("doc", [
         '{"hidden": 5, "activation": "relu"}',

@@ -9,8 +9,6 @@ from gtebench.datagen import (
     EquationConfig,
     VariationSpec,
     apply_variation_raw,
-    base_energy_distance,
-    base_energy_time,
     config_hash,
     generate_equation_dataset,
     generate_loan,
@@ -83,21 +81,6 @@ class TestGenerateLoan:
         assert np.all(X == np.round(X))
         assert np.all((X[:, 0] >= 2) & (X[:, 0] <= 5))
         assert np.all((X[:, 1:] >= 0) & (X[:, 1:] <= 3))
-
-
-class TestEnergyEquations:
-    def test_distance_basic(self):
-        TF, TD, TO, EI = np.array([[2.0, 0.0, 1.0], [10.0, 5.0, 1.0], [2.0, 2.0, 1.0],
-                                   [1.0, 1.0, 1.0]])
-        assert base_energy_distance(TF, TD, TO, EI).tolist() == [10.0, 0.0, 1.0]
-
-    def test_distance_zero_occupancy(self):
-        with pytest.raises(NumericFailure):
-            base_energy_distance(np.ones(2), np.ones(2), np.array([1.0, 0.0]), np.ones(2))
-
-    def test_time_basic(self):
-        TT, Speed, FE = np.array([[2.0, 0.0, 1.0], [30.0, 30.0, 1.0], [0.5, 0.5, 1.0]])
-        assert base_energy_time(TT, Speed, FE).tolist() == [30.0, 0.0, 1.0]
 
 
 def _vary(row, spec):
@@ -212,10 +195,12 @@ class TestCsvRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_only(self, loan_dataset, tmp_path):
+        """A dataset of no row is written as its header alone, and refused
+        where it is read."""
         empty = Dataset(loan_dataset.schema, np.empty((0, 3)), np.empty(0, int), 2, 0, "h", "loan")
         p = tmp_path / "empty.csv"
         empty.save_csv(p)
         assert p.read_text() == "x1,x2,x3,label,variation_id\n"
-        back = Dataset.load_csv(p)
-        assert len(back) == 0 and back.X.shape == (0, 3) and back.labels.shape == (0,)
+        with pytest.raises(ConfigError, match="rows must be positive, got 0"):
+            Dataset.load_csv(p)
 
