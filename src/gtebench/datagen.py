@@ -327,10 +327,10 @@ class EquationConfig:
     def from_dict(d: dict) -> "EquationConfig":
         """Checks that there is at least one variation, each an integer
         ``class_id`` and ``ops`` of [variable, op, number], that the schema
-        has every variable of the equation, that every number of every
-        feature is finite, that ``lo <= hi``, that every mode code is an
-        integer, and that every feature but the mode has numbers ``mu``,
-        ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
+        has every variable of the equation and of the ops, that every number
+        of every feature is finite, that ``lo <= hi``, that every mode code
+        is an integer, and that every feature but the mode has numbers
+        ``mu``, ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
         f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
                             schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in EQUATION_VARIABLES:
@@ -356,6 +356,8 @@ class EquationConfig:
         missing = [v for v in EQUATION_VARIABLES[f["equation"]] if v not in f["schema"].names]
         if missing:
             raise ConfigError(f"the {f['equation']} equation needs {missing}, not in the schema")
+        for var, _, _ in (op for spec in f["variations"] for op in spec.ops):
+            f["schema"].index(var)  # ConfigError for a variable outside the schema
         for feat in f["schema"].features:
             keys = ("lo", "hi") + (("mu", "sigma", "trunc_lo", "trunc_hi") if feat.kind != "mode"
                                    else ())

@@ -22,7 +22,7 @@ class NumericFailure(ArithmeticError):
 
 
 class SingularSystemError(NumericFailure):
-    """Unpenalized normal equations are singular."""
+    """A fit's penalized normal matrix is singular: the penalty is lost in rounding."""
 
 
 class NonFiniteFitError(NumericFailure):

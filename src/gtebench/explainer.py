@@ -169,8 +169,6 @@ def perturb_instance(
 ) -> np.ndarray:
     """Draw ``n`` points feature-wise normal around the instance with
     per-feature std ``stds``, both 1-D float arrays."""
-    if not stds.any():
-        raise DegenerateSampleError("all perturbation scales are zero")
     # instance + draws * stds, in place: the sum is the same either way round
     points = rng.standard_normal((n, instance.size))
     points *= stds
@@ -189,7 +187,7 @@ def explain(
     similar to it; returns (coefficients, intercept).
 
     ``model`` needs a ``predict_batch(X) -> probabilities`` method; ``stds``
-    are the per-feature standard deviations of the training data.
+    are the per-feature standard deviations of the training data, not all zero.
     """
     points = perturb_instance(instance, stds, pool_size(num_samples), rng)
     sims = cosine_similarity_rows(points, instance)
@@ -218,9 +216,11 @@ def batch_explain(
 ) -> CoefficientMatrix:
     """``runs`` independent repetitions over all ``instances`` (n x d), the
     rows ``instance_ids`` of the dataset; child rng per (run, instance) so
-    results are independent of execution order."""
+    results are independent of execution order. All-zero ``stds`` are refused."""
     d = instances.shape[1]
-    pool_size(num_samples)  # checked before the first cell
+    pool_size(num_samples)  # refused before the first cell, as all-zero scales are
+    if not stds.any():
+        raise DegenerateSampleError("all perturbation scales are zero")
     [mat] = CoefficientMatrix.fill(
         lambda r, i: [lambda: explain(model, instances[i], stds, num_samples,
                                       make_rng(base_seed, r, i))],

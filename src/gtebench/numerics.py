@@ -264,15 +264,10 @@ RIDGE_ALPHA = 1.0
 def weighted_ridge(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     """``(beta, b)`` minimizing sum_i w_i (y_i - beta.x_i - b)^2 + RIDGE_ALPHA *
     ||beta||^2 (b unpenalized), via the weighted-centered normal equations.
+    ``w`` comes from a :func:`neighbourhood` design: non-negative, ``w[0] == 1``.
     """
-    n, d = X.shape
-    if n < 1 or y.shape != (n,) or w.shape != (n,):
-        raise ValueError(f"inconsistent shapes: X {X.shape}, y {y.shape}, w {w.shape}")
-    if w.min() < 0:
-        raise ValueError("weights must be non-negative")
+    d = X.shape[1]
     wsum = w.sum()
-    if wsum == 0:
-        raise ValueError("weights must not all be zero")
     xm = (w @ X) / wsum
     ym = float(w @ y) / wsum
     Xc = X - xm
@@ -346,8 +341,6 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
 
     Raises DegenerateSampleError when the statistic is undefined: fewer than
     two pairs, or differences of zero variance with a nonzero mean."""
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     n = a.size
     if n < 2:
         raise DegenerateSampleError(f"paired t-test needs at least two pairs, got {n}")
@@ -361,13 +354,3 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> TTestResult:
     t = float(mean / (sd / np.sqrt(n)))
     return TTestResult(t, float(n - 1), _t_two_sided_p(t, n - 1), "paired")
 
-
-def minmax_normalize(v: np.ndarray) -> np.ndarray:
-    """Affine map of a float array to [0, 1]; a degenerate range (max == min) maps to all 0."""
-    if v.size < 1:
-        raise ValueError("need at least one value")
-    lo = v.min()
-    span = v.max() - lo
-    if span == 0:
-        return np.zeros_like(v)
-    return (v - lo) / span

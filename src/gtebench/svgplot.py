@@ -45,8 +45,6 @@ def line_chart(
     xlabel: str,
     ylabel: str,
 ) -> str:
-    if not series:
-        raise ValueError("at least one series required")
     width, height = 900, 420
     ml, mr, mt, mb = 60, 160, 40, 50  # margins: left/right/top/bottom
     pw, ph = width - ml - mr, height - mt - mb

@@ -135,6 +135,25 @@ def summary_csv_oracle(first_column: str, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The evaluation measures' steps as first written: the reference for
+# evalmetrics.c_of_ed and evalmetrics.rank_features.
+
+
+def minmax_normalize_oracle(v):
+    """Affine map of a float array to [0, 1]; a degenerate range (max == min) maps to all 0."""
+    lo = v.min()
+    span = v.max() - lo
+    if span == 0:
+        return np.zeros_like(v)
+    return (v - lo) / span
+
+
+def rank_features_oracle(c):
+    """Feature indices by descending absolute value, ties by ascending index."""
+    return np.lexsort((np.arange(c.size), -np.abs(c)))
+
+
+# ---------------------------------------------------------------------------
 # Per-target neighbourhood fits, each module with its own copy of the rank ->
 # top-k -> weighted-ridge policy: the reference for explainer.explain and
 # gte.gte_explain, which share gtebench.numerics.neighbourhood.

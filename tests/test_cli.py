@@ -439,6 +439,20 @@ class TestFailedCells:
         assert "all 6 cells failed" in capsys.readouterr().err
         assert not (workdir / "ev").exists()
 
+    def test_explain_with_all_zero_scales_exit_4(self, workdir, capsys):
+        """A one-row dataset has zero std in every feature, so every cell would
+        fail alike: explain refuses it before the first cell and writes nothing."""
+        keep = (3, 2, 1)
+        removals = [list(p) for p in product(range(2, 6), range(4), range(4)) if p != keep]
+        (workdir / "one.json").write_text(json.dumps({"removals": removals}))
+        assert run("generate", "loan", "--config", workdir / "one.json", "--out", "one.csv") == 0
+        assert run("train", "one.csv", "--out", "m.json", "--epochs", 2) == 0
+        capsys.readouterr()
+        assert run("explain", "m.json", "one.csv", "--num-samples", 5, "--runs", 3,
+                   "--out", "e.csv") == 4
+        assert capsys.readouterr().err == "error: all perturbation scales are zero\n"
+        assert not (workdir / "e.csv").exists()
+
 
 class TestOnlyCorrectSample:
     """``explain --only-correct --sample N`` explains N distinct rows drawn from
@@ -751,13 +765,16 @@ class TestRejectedInputs:
         ("time", lambda doc: doc["variations"][1].update(class_id=True), ("'class_id'", "bool")),
         ("time", lambda doc: doc["variations"][1]["ops"][0].__setitem__(2, "7"),
          ("variation 1", "[['TT', 'mul', '7']]")),
+        # an op's variable is one of the schema's, checked as the config is read
+        ("time", lambda doc: doc["variations"][1]["ops"][0].__setitem__(0, "XX"),
+         ("unknown feature 'XX'",)),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
             "loan-removal-bool", "loan-removal-two-values", "loan-removal-x1-off-grid",
             "loan-removal-x2-off-grid", "kind-capitalised",
             "precision-float", "precision-15", "precision-negative", "precision-bool",
-            "class-id-float", "class-id-bool", "op-parameter-str"])
+            "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())

@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gtebench.evalmetrics import (
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import sha256_file
 from gtebench.numerics import make_rng, paired_t_test
-from oracles import per_instance_csv_oracle, summary_csv_oracle
+from oracles import per_instance_csv_oracle, rank_features_oracle, summary_csv_oracle
 
 
 def _matrix(coefs, source="explainer", dataset_hash="dsh"):
@@ -88,9 +89,16 @@ class TestRankFeatures:
     def test_all_tie(self):
         assert list(rank_features(np.zeros(3))) == [0, 1, 2]
 
-    def test_non_finite(self):
-        with pytest.raises(ValueError):
-            rank_features(np.array([np.nan, 1.0]))
+    def test_equals_lexsort_rule_on_ties(self):
+        """Every vector of up to 4 entries from a tie-heavy set with +-0.0, and
+        longer random ones, ranks as the lexsort of (index, -|c|) does."""
+        values = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0])
+        vectors = [np.array(c) for d in range(1, 5) for c in product(values, repeat=d)]
+        rng = make_rng(4)
+        vectors += [rng.choice(values, size=d) for d in range(5, 40) for _ in range(20)]
+        for c in vectors:
+            got, want = rank_features(c), rank_features_oracle(c)
+            assert got.dtype == want.dtype and np.array_equal(got, want), c
 
     def test_positive_scaling_invariance(self):
         rng = make_rng(2)
@@ -117,10 +125,6 @@ class TestOrderCorrect:
             e = rng.permutation(4)
             second, allc = order_correct(g, e)
             assert allc <= second
-
-    def test_non_permutation(self):
-        with pytest.raises(ValueError):
-            order_correct(np.array([0, 0, 1]), np.array([0, 1, 2]))
 
 
 class TestImplementationInvariance:

@@ -34,8 +34,12 @@ class TestPerturbInstance:
         assert np.all(pts[:, 1] == 2.0)
 
     def test_all_zero_scale_error(self):
-        with pytest.raises(DegenerateSampleError):
-            perturb_instance(np.array([1.0, 2.0]), np.zeros(2), 5, make_rng(0))
+        """All-zero scales are refused by ``batch_explain`` before its first
+        cell (the model is never called), not once per cell."""
+        for zero in (np.zeros(2), np.full(2, -0.0)):
+            with pytest.raises(DegenerateSampleError, match="all perturbation scales are zero"):
+                batch_explain(None, np.ones((3, 2)), zero, 5, runs=2, base_seed=0,
+                              dataset_hash="h", instance_ids=np.arange(3))
 
     def test_count_and_shape(self):
         pts = perturb_instance(np.ones(4), np.ones(4), 1000, make_rng(1))

@@ -14,7 +14,7 @@ import pytest
 
 from gtebench.artifacts import MAX_DIGITS
 from gtebench.errors import DegenerateSampleError, ZeroVectorError
-from gtebench.explainer import perturb_instance
+from gtebench.explainer import batch_explain, perturb_instance
 from gtebench.model import ModelConfig, TrainedModel, _forward, init_params, param_views
 from gtebench.numerics import cosine_similarity_rows, make_rng, row_norms
 from oracles import (
@@ -158,11 +158,12 @@ def test_perturb_instance_equals_oracle(n):
             # the same draws were taken from the stream
             assert got_rng.random() == want_rng.random()
             assert _same_bits(instance, before[0]) and _same_bits(std_arg, before[1])
-    # the instance as a row of a matrix (a view), and all-zero scales
+    # the instance as a row of a matrix (a view); all-zero scales are refused
+    # by batch_explain before its first cell, so no model is needed
     pool = make_rng(3).normal(size=(4, 3))
     assert _same_bits(perturb_instance(pool[2], np.ones(3), 5, make_rng(4)),
                       perturb_instance_oracle(pool[2], np.ones(3), 5, make_rng(4)))
     assert _same_bits(pool, make_rng(3).normal(size=(4, 3)))
     for zero in (np.zeros(3), np.full(3, -0.0)):
         with pytest.raises(DegenerateSampleError):
-            perturb_instance(pool[0], zero, 5, make_rng(0))
+            batch_explain(None, pool, zero, 5, 1, 0, "h", np.arange(len(pool)))

@@ -139,10 +139,6 @@ class TestAccuracy:
         relabeled = loan_nn1.predict_batch(loan_dataset.X).argmax(axis=1)
         assert accuracy(loan_nn1, loan_dataset.X, relabeled) == 1.0
 
-    def test_empty(self, loan_nn1):
-        with pytest.raises(ValueError):
-            accuracy(loan_nn1, np.empty((0, 3)), np.empty(0, int))
-
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, loan_nn1, tmp_path, loan_dataset):

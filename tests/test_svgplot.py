@@ -1,7 +1,5 @@
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from gtebench.svgplot import Series, line_chart
 
 
@@ -27,11 +25,6 @@ def test_deterministic_bytes():
 def test_constant_series_ok():
     svg = line_chart([Series("flat", (0.5, 0.5, 0.5), "red")], "t", "x", "y")
     assert "<polyline" in svg
-
-
-def test_empty_rejected():
-    with pytest.raises(ValueError):
-        line_chart([], "t", "x", "y")
 
 
 def test_markup_in_a_name_is_escaped():
