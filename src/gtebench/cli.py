@@ -61,11 +61,7 @@ def cmd_generate(args) -> StageResult:
     default = "loan_default.json" if args.dataset == "loan" else f"{args.dataset}_desk.json"
     cfg_path = _input(args, args.config, config=True) or CONFIGS / default
     if args.dataset == "loan":
-        removals = load_loan_removals(cfg_path)
-        try:
-            ds = generate_loan(removals, seed=args.seed)
-        except ConfigError as exc:  # a removal not three ints or off the grid, or no row left
-            raise ConfigError(f"{cfg_path}: {exc}") from exc
+        ds = generate_loan(load_loan_removals(cfg_path), seed=args.seed)
     else:
         cfg = EquationConfig.load(cfg_path)
         if cfg.equation != args.dataset:
@@ -106,7 +102,7 @@ def _select_instances(args, ds: Dataset, models: list[TrainedModel]) -> np.ndarr
     """The rows to explain: all of them, or with ``--only-correct`` those that
     every model predicts correctly; then a uniform ``--sample`` of these."""
     if args.sample and args.sample > len(ds):
-        raise ConfigError(f"--sample {args.sample} exceeds the dataset's {len(ds)} rows")
+        raise ConfigError(f"{args.dataset}: --sample {args.sample} exceeds its {len(ds)} rows")
     idx = np.arange(len(ds))
     if args.only_correct:
         idx = np.flatnonzero(jointly_correct(models, ds.X, ds.labels))
@@ -129,6 +125,10 @@ def cmd_explain(args) -> StageResult:
     ds = Dataset.load_csv(_input(args, args.dataset))
     m = TrainedModel.load(_input(args, args.model))
     second = TrainedModel.load(_input(args, args.second_model)) if args.second_model else None
+    for path, model in ((args.model, m), (args.second_model, second)):
+        if model is not None and model.config.layers[0] != ds.n_features:
+            raise IncompatibilityError(f"{path}: the model takes {model.config.layers[0]} "
+                                       f"features, {args.dataset} has {ds.n_features}")
     idx = _select_instances(args, ds, [m, second])
     mat = batch_explain(m, ds.X[idx], ds.X.std(axis=0), args.num_samples, args.runs, args.seed,
                         dataset_hash=ds.config_hash, instance_ids=idx)
@@ -140,6 +140,8 @@ def cmd_explain(args) -> StageResult:
 
 def cmd_align(args) -> StageResult:
     ds = Dataset.load_csv(_input(args, args.dataset))
+    if (ns := max(args.num_samples)) >= len(ds):
+        raise ConfigError(f"{args.dataset}: num_samples ({ns}) must be below dataset size ({len(ds)})")
     if args.instances_from:
         idx = CoefficientMatrix.load_csv(_input(args, args.instances_from)).instance_ids
         bad = idx[(idx < 0) | (idx >= len(ds))]
@@ -166,9 +168,18 @@ def cmd_evaluate(args) -> StageResult:
     second = CoefficientMatrix.load_csv(_input(args, args.second)) if args.second else None
     for path, mat, source in ((args.exp, exp, "explainer"), (args.gte, gte_mat, "gte"),
                               (args.second, second, "explainer")):
-        if mat is not None and mat.source != source:
+        if mat is None:
+            continue
+        if mat.source != source:
             raise IncompatibilityError(f"{path}: source {mat.source!r} where {source!r} "
                                        f"is expected")
+        for what, a, b in (("shape", mat.shape, gte_mat.shape),
+                           ("dataset hash", mat.dataset_hash, gte_mat.dataset_hash)):
+            if a != b:
+                raise IncompatibilityError(f"{path} has {what} {a!r}, {args.gte} {b!r}")
+        if not np.array_equal(mat.instance_ids, gte_mat.instance_ids):
+            raise IncompatibilityError(f"{path} and {args.gte} explain different instances "
+                                       f"or orders")
     report = evalmetrics.build_report(exp, gte_mat, second)
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
     # every evaluate entry written so far was hashed with the ranking and zero rules
@@ -194,6 +205,8 @@ def cmd_report(args) -> StageResult:
     dirs = [_input(args, Path(d, "report.json")).parent for d in args.eval_dirs]
     for d in dirs:
         check_text_cell(d.name, "evaluation directory name")
+        if [e.name for e in dirs].count(d.name) > 1:  # their summaries and legends would be alike
+            raise ConfigError(f"two evaluation directories are named {d.name!r}")
     reports = [(d.name, evalmetrics.EvalReport.load(d)) for d in dirs]
     out_dir = _resolve(args.out_dir)
     svgs = {}

@@ -205,13 +205,25 @@ LOAN_SCHEMA = FeatureSchema(
 )
 
 
-def load_loan_removals(path: str | Path) -> tuple[list, ...]:
-    """The ``removals`` of a loan config as JSON gives them, which ``generate_loan``
-    checks: the (x1, x2, x3) grid points left out. The shipped ``loan_default.json``
-    removes the implausible ones: no job (x1=2) with the two top credit tiers, and
-    a >3-year job (x1=5) with the worst credit tier at low debt."""
+LOAN_GRID = tuple(product(range(2, 6), range(0, 4), range(0, 4)))  # (x1, x2, x3), row order
+
+
+def load_loan_removals(path: str | Path) -> frozenset[tuple[int, int, int]]:
+    """The grid points a loan config's ``removals`` leave out: each three JSON
+    integers on ``LOAN_GRID``, and not all of them. The shipped ``loan_default.json``
+    removes the implausible ones: no job (x1=2) with the two top credit tiers,
+    and a >3-year job (x1=5) with the worst credit tier at low debt."""
     def build(doc):
-        return tuple(artifacts.typed(doc, removals=list)["removals"])
+        removals = artifacts.typed(doc, removals=list)["removals"]
+        for r in removals:
+            if type(r) is not list or len(r) != 3 or any(type(v) is not int for v in r):
+                raise ConfigError(f"removal entry {r!r} is not three integers")
+            if tuple(r) not in LOAN_GRID:
+                raise ConfigError(f"removal entry {tuple(r)} outside the 4x4x4 grid")
+        removed = frozenset(map(tuple, removals))
+        if len(removed) == len(LOAN_GRID):
+            raise ConfigError("the removal list eliminates every instance of the 4x4x4 grid")
+        return removed
 
     return artifacts.read_json(path, build)
 
@@ -229,20 +241,10 @@ def loan_label(score: float) -> int:
     return 1 if score >= 32 else 0
 
 
-def generate_loan(removals, seed: int = 0) -> Dataset:
-    """The 4x4x4 loan grid less ``removals``, each a tuple or list of three ints."""
-    grid = list(product(range(2, 6), range(0, 4), range(0, 4)))
-    removal_set = set()
-    for r in removals:
-        if type(r) not in (tuple, list) or len(r) != 3 or any(type(v) is not int for v in r):
-            raise ConfigError(f"removal entry {r!r} is not three integers")
-        if tuple(r) not in grid:
-            raise ConfigError(f"removal entry {tuple(r)} outside the 4x4x4 grid")
-        removal_set.add(tuple(r))
-    kept = [g for g in grid if g not in removal_set]
-    if not kept:
-        raise ConfigError("the removal list eliminates every instance of the 4x4x4 grid")
-    X = np.array(kept, dtype=float).reshape(len(kept), 3)
+def generate_loan(removals: frozenset[tuple[int, int, int]], seed: int = 0) -> Dataset:
+    """The points of ``LOAN_GRID`` less ``removals``, as ``load_loan_removals`` reads them."""
+    kept = [g for g in LOAN_GRID if g not in removals]
+    X = np.array(kept, dtype=float)
     labels = np.array([loan_label(loan_score(*g)) for g in kept], dtype=int)
     return Dataset(
         schema=LOAN_SCHEMA,
@@ -250,7 +252,7 @@ def generate_loan(removals, seed: int = 0) -> Dataset:
         labels=labels,
         n_classes=2,
         seed=seed,
-        config_hash=config_hash({"loan_removals": sorted(removal_set)}),
+        config_hash=config_hash({"loan_removals": sorted(removals)}),
         equation="loan",
     )
 
@@ -330,7 +332,8 @@ class EquationConfig:
         has every variable of the equation and of the ops, that every number
         of every feature is finite, that ``lo <= hi``, that every mode code
         is an integer, and that every feature but the mode has numbers
-        ``mu``, ``sigma >= 0`` and ``trunc_lo <= trunc_hi``."""
+        ``mu``, ``sigma >= 0`` and ``trunc_lo <= trunc_hi``, with ``mu`` in
+        that range at ``sigma`` 0."""
         f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
                             schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in EQUATION_VARIABLES:
@@ -370,10 +373,11 @@ class EquationConfig:
                                   f"{list(feat.mode_values)}")
             if not feat.lo <= feat.hi:
                 raise ConfigError(f"feature {feat.name!r} needs lo <= hi: {feat.lo}, {feat.hi}")
-            if feat.kind != "mode":
-                if not (feat.sigma >= 0 and feat.trunc_lo <= feat.trunc_hi):
-                    raise ConfigError(f"feature {feat.name!r} needs sigma >= 0 and trunc_lo <= "
-                                      f"trunc_hi: {feat.sigma}, {feat.trunc_lo}, {feat.trunc_hi}")
+            mu, sigma, lo, hi = feat.mu, feat.sigma, feat.trunc_lo, feat.trunc_hi
+            if feat.kind != "mode" and not (sigma >= 0 and lo <= hi and (sigma or lo <= mu <= hi)):
+                raise ConfigError(f"feature {feat.name!r} needs sigma >= 0, trunc_lo <= trunc_hi "
+                                  f"and, at sigma 0, mu between them: sigma {sigma}, mu {mu}, "
+                                  f"trunc_lo {lo}, trunc_hi {hi}")
         return EquationConfig(**f)
 
     @staticmethod

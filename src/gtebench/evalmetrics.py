@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .errors import IncompatibilityError, NumericFailure
+from .errors import NumericFailure
 from .explainer import CoefficientMatrix
 from .numerics import TTestResult, paired_t_test
 
@@ -158,17 +158,6 @@ def write_summary(path: str | Path, first_column: str,
     )
 
 
-def _check_compatible(a: CoefficientMatrix, b: CoefficientMatrix) -> None:
-    if a.shape != b.shape:
-        raise IncompatibilityError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.dataset_hash != b.dataset_hash:
-        raise IncompatibilityError(
-            f"dataset hash mismatch: {a.dataset_hash!r} vs {b.dataset_hash!r}"
-        )
-    if not np.array_equal(a.instance_ids, b.instance_ids):
-        raise IncompatibilityError("the matrices explain different instances or orders")
-
-
 def _run_means(ed: np.ndarray, ok: np.ndarray) -> np.ndarray:
     """Per-instance mean of ``ed`` over the runs in ``ok``; NaN where none is."""
     with np.errstate(invalid="ignore"):
@@ -180,13 +169,11 @@ def build_report(
     gte: CoefficientMatrix,
     second_exp: CoefficientMatrix | None = None,
 ) -> EvalReport:
-    """Score ``exp`` against ``gte`` cell by cell. A cell where either fit
-    failed is left out of ED, C-of-ED and the order measures; an instance's
-    scores average its surviving runs, and an instance with none has no
-    score. Raises NumericFailure when no cell survives."""
-    _check_compatible(exp, gte)
-    if second_exp is not None:
-        _check_compatible(second_exp, gte)
+    """Score ``exp`` against ``gte`` cell by cell; every matrix has the shape,
+    dataset hash and instance ids of ``gte``. A cell where either fit failed is
+    left out of ED, C-of-ED and the order measures; an instance's scores average
+    its surviving runs, and an instance with none has no score. Raises
+    NumericFailure when no cell survives."""
     runs, n, d = exp.shape
     ok = exp.ok & gte.ok
     if not ok.any():

@@ -32,7 +32,7 @@ def gte_design(
     Deterministic for fixed (dataset, index, k); ties in similarity are broken
     by ascending row id, so the first ``j + 1`` rows are the design at any
     ``j`` < ``k``. ``norms`` are the row norms of ``dataset.X``; ``1 <= k <
-    len(dataset)``, which ``batch_gte`` checks.
+    len(dataset)``.
     """
     target = dataset.X[index]
     sims = cosine_similarity_rows(dataset.X, target, norms)
@@ -61,8 +61,8 @@ def batch_gte(
     runs: int,
     base_seed: int,
 ) -> list[CoefficientMatrix]:
-    """One runs x len(indices) x d tensor per entry of ``num_samples``, source
-    tag "gte".
+    """One runs x len(indices) x d tensor per entry of ``num_samples``, each
+    below ``len(dataset)``, source tag "gte".
 
     Each target's design is built once, at the largest ``num_samples``, and
     every value fits its leading rows. The procedure is deterministic on fixed
@@ -72,8 +72,6 @@ def batch_gte(
     for j, ns in enumerate(num_samples):  # also when there is no target to rank
         if ns < 1:
             raise ConfigError(f"num_samples must be positive, got {ns}")
-        if ns >= len(dataset):
-            raise ConfigError(f"num_samples ({ns}) must be below dataset size ({len(dataset)})")
         if ns in num_samples[:j]:
             raise ConfigError(f"--num-samples lists {ns} more than once")
     norms = row_norms(dataset.X)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import artifacts
 from .datagen import Dataset
-from .errors import ConfigError, DivergenceError, IncompatibilityError
+from .errors import ConfigError, DivergenceError
 from .numerics import make_rng
 
 MODEL_FORMAT_VERSION = 1
@@ -63,11 +63,7 @@ class TrainedModel:
     # -- inference ---------------------------------------------------------
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities of the rows of the (n, d) float array ``X``."""
-        if X.shape[1] != self.config.layers[0]:
-            raise IncompatibilityError(
-                f"model expects {self.config.layers[0]} features, got {X.shape[1]}"
-            )
+        """Class probabilities of the rows of the (n, layers[0]) float array ``X``."""
         X = X - self.norm_lo
         X /= self.norm_span
         return _forward(self.weights, self.biases, self.config.activation, X)
@@ -219,8 +215,8 @@ def train(
     mcfg: ModelConfig,
     tcfg: TrainConfig,
 ) -> TrainedModel:
-    """Mini-batch SGD on cross-entropy.  ``split`` is the train fraction;
-    split = 1 keeps no held-out test set.
+    """Mini-batch SGD on cross-entropy; ``mcfg.layers`` go from the dataset's features
+    to its classes. ``split`` is the train fraction; split = 1 keeps no held-out test set.
 
     Every weight and bias is a view into one vector, and each batch's
     gradients into a second one of the same layout, so that one step updates
@@ -230,11 +226,6 @@ def train(
     n = len(dataset)
     if not (0 < split <= 1):
         raise ConfigError(f"split must be in (0, 1], got {split}")
-    if mcfg.layers[0] != dataset.n_features or mcfg.layers[-1] != dataset.n_classes:
-        raise ConfigError(
-            f"model layers {mcfg.layers} do not fit dataset "
-            f"({dataset.n_features} features, {dataset.n_classes} classes)"
-        )
 
     perm = make_rng(tcfg.seed, 1).permutation(n)
     n_train = max(1, int(round(split * n)))

@@ -47,11 +47,10 @@ def truncated_normal(
     """``size`` draws of normal(mu, sigma) restricted to [lo, hi], by inverse-CDF
     on the truncated interval.  One uniform draw is consumed per sample, which
     keeps seeded streams aligned regardless of how narrow the interval is.
-    Needs ``sigma >= 0`` and ``lo <= hi``, which ``EquationConfig.from_dict`` checks.
+    Needs ``sigma >= 0``, ``lo <= hi`` and, at sigma 0, ``lo <= mu <= hi``, which
+    ``EquationConfig.from_dict`` checks.
     """
     if sigma == 0:
-        if not (lo <= mu <= hi):
-            raise ConfigError(f"sigma=0 with mu={mu} outside [{lo}, {hi}]")
         return np.full(size, float(mu))
     pa = ndtr((lo - mu) / sigma)
     pb = ndtr((hi - mu) / sigma)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtebench import cli
+from gtebench import cli, gte
 from gtebench.cli import main
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
@@ -219,13 +219,15 @@ class TestTrainExplainAlignEvaluate:
         assert "e.csv" in capsys.readouterr().err
         assert not (workdir / "ev3").exists()
 
-    def test_align_num_samples_too_large_exit_2(self, workdir, capsys):
+    def test_align_num_samples_too_large_exit_2(self, workdir, capsys, monkeypatch):
         # the whole list is checked before the first fit or write
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        monkeypatch.setattr(gte, "weighted_ridge", lambda *a: pytest.fail("fitted"))
         for values in ("60", "5,60"):
             assert run("align", "loan.csv", "--num-samples", values, "--runs", 2,
                        "--out-prefix", "g") == 2
-            assert "num_samples (60) must be below dataset size (54)" in capsys.readouterr().err
+            assert ("loan.csv: num_samples (60) must be below dataset size (54)"
+                    in capsys.readouterr().err)
             assert not list(workdir.glob("g_ns*"))
 
     @pytest.mark.parametrize("values, words", [
@@ -552,8 +554,8 @@ class TestRejectedInputs:
         (("--sample", 0), "--sample"),
         (("--sample", -3), "--sample"),
         (("--second-model", "m2.json"), "--second-model"),
-        (("--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
-        (("--only-correct", "--sample", 60), "--sample 60 exceeds the dataset's 54 rows"),
+        (("--sample", 60), "loan.csv: --sample 60 exceeds its 54 rows"),
+        (("--only-correct", "--sample", 60), "loan.csv: --sample 60 exceeds its 54 rows"),
         (("--num-samples", 0), "num_samples must be in [1, 100000]"),
         (("--num-samples", 100_001), "num_samples must be in [1, 100000]"),
         (("--scale", 0), "--scale"),
@@ -768,13 +770,16 @@ class TestRejectedInputs:
         # an op's variable is one of the schema's, checked as the config is read
         ("time", lambda doc: doc["variations"][1]["ops"][0].__setitem__(0, "XX"),
          ("unknown feature 'XX'",)),
+        # at sigma 0 every base value is mu, which must lie in the sampling range
+        ("time", lambda doc: doc["schema"][0].update(sigma=0, mu=4.0), ("'TT'", "mu 4.0")),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
             "loan-removal-bool", "loan-removal-two-values", "loan-removal-x1-off-grid",
             "loan-removal-x2-off-grid", "kind-capitalised",
             "precision-float", "precision-15", "precision-negative", "precision-bool",
-            "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema"])
+            "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema",
+            "sigma-0-mu-outside"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
@@ -1002,14 +1007,56 @@ class TestRejectedInputs:
                        "--out-prefix", "h") == 0
 
     def test_model_for_another_dataset_exit_3(self, quick, capsys):
+        """Each model's input width is the dataset's, checked before
+        --only-correct predicts; the error names the model and the dataset."""
         doc = json.loads((CFG / "distance_desk.json").read_text())
         doc["rows_per_class"] = 5
         (quick / "d.json").write_text(json.dumps(doc))
         assert run("generate", "distance", "--config", quick / "d.json", "--out", "d.csv") == 0
+        assert run("train", "d.csv", "--out", "md.json", "--epochs", 2) == 0
         capsys.readouterr()
         assert run("explain", "m1.json", "d.csv", "--num-samples", 5, "--out", "o.csv") == 3
-        self._one_error_line(capsys, "model expects 3 features, got 5")
+        self._one_error_line(capsys, "m1.json: the model takes 3 features, d.csv has 5")
+        assert run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--only-correct",
+                   "--second-model", "md.json", "--out", "o.csv") == 3
+        self._one_error_line(capsys, "md.json: the model takes 5 features, loan.csv has 3")
         assert not (quick / "o.csv").exists()
+
+    @pytest.mark.parametrize("shape, change, words", [
+        ((2, 54, 3), {}, "x.csv has shape (2, 54, 3), g_ns5.csv (1, 54, 3)"),
+        ((1, 54, 4), {}, "x.csv has shape (1, 54, 4), g_ns5.csv (1, 54, 3)"),
+        ((1, 54, 3), {"dataset_hash": "other"}, "x.csv has dataset hash 'other', g_ns5.csv '"),
+        ((1, 54, 3), {"instance_ids": np.arange(54)[::-1]},
+         "x.csv and g_ns5.csv explain different instances or orders"),
+    ], ids=["runs", "features", "dataset-hash", "instance-ids"])
+    @pytest.mark.parametrize("option", [(), ("--second",)], ids=["exp", "second"])
+    def test_evaluate_mismatched_matrix_exit_3(self, quick, capsys, shape, change, words, option):
+        """An explainer matrix, ``exp`` or ``--second``, has the shape,
+        dataset hash and instance ids of the GTE matrix; the error names both."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        gte_mat = CoefficientMatrix.load_csv(quick / "g_ns5.csv")
+        fields = dict(source="explainer", config_hash="c", dataset_hash=gte_mat.dataset_hash,
+                      seed=0, instance_ids=gte_mat.instance_ids) | change
+        CoefficientMatrix(coefficients=np.zeros(shape), intercepts=np.zeros(shape[:2]),
+                          **fields).save_csv(quick / "x.csv")
+        argv = ("e.csv", "g_ns5.csv", "--second", "x.csv") if option else ("x.csv", "g_ns5.csv")
+        capsys.readouterr()
+        assert run("evaluate", *argv, "--out-dir", "ev") == 3
+        self._one_error_line(capsys, words)
+        assert not (quick / "ev").exists()
+
+    def test_report_duplicate_name_exit_2(self, quick, capsys):
+        """Two evaluations of one name would share a summary row name and a
+        legend entry: refused before anything is written."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g")
+        for parent in ("a", "b"):
+            assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", f"{parent}/ev") == 0
+        capsys.readouterr()
+        assert run("report", "a/ev", "b/ev", "--out-dir", "rep") == 2
+        self._one_error_line(capsys, "two evaluation directories are named 'ev'")
+        assert not (quick / "rep").exists()
 
 
 @pytest.mark.parametrize("epochs, words", [

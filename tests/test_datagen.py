@@ -6,12 +6,14 @@ import pytest
 
 from gtebench.datagen import (
     Dataset,
+    LOAN_GRID,
     EquationConfig,
     VariationSpec,
     apply_variation_raw,
     config_hash,
     generate_equation_dataset,
     generate_loan,
+    load_loan_removals,
     loan_label,
     loan_score,
 )
@@ -47,22 +49,30 @@ class TestGenerateLoan:
     def test_empty_removals(self):
         assert len(generate_loan(())) == 64
 
-    def test_full_removal_rejected(self):
-        everything = tuple(product(range(2, 6), range(0, 4), range(0, 4)))
-        with pytest.raises(ConfigError, match="every instance"):
-            generate_loan(everything)
+    @staticmethod
+    def _load(tmp_path, removals):
+        """``load_loan_removals`` of a loan config with these ``removals``."""
+        (tmp_path / "loan.json").write_text(json.dumps({"removals": removals}))
+        return load_loan_removals(tmp_path / "loan.json")
 
-    def test_invalid_removal(self):
-        with pytest.raises(ConfigError):
-            generate_loan(((9, 9, 9),))
+    def test_full_removal_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="loan.json: .*every instance"):
+            self._load(tmp_path, LOAN_GRID)
 
-    @pytest.mark.parametrize("entry", [(2.9, 3, 0), (2.0, 3, 0), ("2", 3, 0), (True, 3, 0),
-                                       (np.int64(2), 3, 0), (2, 3), (2, 3, 0, 0), 5])
-    def test_removal_not_three_ints(self, entry):
-        """A removal is three ints: 2.9 is not truncated to 2, nor a bool, a
-        string or a numpy integer read as an int."""
-        with pytest.raises(ConfigError, match="is not three integers"):
-            generate_loan((entry,))
+    def test_invalid_removal(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"loan.json: .*\(9, 9, 9\) outside the 4x4x4 grid"):
+            self._load(tmp_path, [[9, 9, 9]])
+
+    @pytest.mark.parametrize("entry", [[2.9, 3, 0], [2.0, 3, 0], ["2", 3, 0], [True, 3, 0],
+                                       [None, 3, 0], [2, 3], [2, 3, 0, 0], 5])
+    def test_removal_not_three_ints(self, tmp_path, entry):
+        """A removal is three JSON integers: 2.9 and 2.0 are not read as 2,
+        nor a bool, a string or a null as an int."""
+        with pytest.raises(ConfigError, match="loan.json: .* is not three integers"):
+            self._load(tmp_path, [entry])
+
+    def test_removals_are_grid_points(self, tmp_path):
+        assert self._load(tmp_path, [[2, 3, 3], [2, 3, 3], [5, 0, 3]]) == {(2, 3, 3), (5, 0, 3)}
 
     def test_labels_match_brute_force(self, loan_dataset):
         # re-evaluate the scoring rule independently over the full grid

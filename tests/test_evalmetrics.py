@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtebench.errors import IncompatibilityError, NumericFailure
+from gtebench.cli import main
+from gtebench.errors import NumericFailure
 from gtebench.evalmetrics import (
     EvalReport,
     build_report,
@@ -21,7 +22,7 @@ from gtebench.numerics import make_rng, paired_t_test
 from oracles import per_instance_csv_oracle, rank_features_oracle, summary_csv_oracle
 
 
-def _matrix(coefs, source="explainer", dataset_hash="dsh"):
+def _matrix(coefs, source="explainer"):
     coefs = np.asarray(coefs, dtype=float)
     runs, n, d = coefs.shape
     return CoefficientMatrix(
@@ -29,7 +30,7 @@ def _matrix(coefs, source="explainer", dataset_hash="dsh"):
         intercepts=np.zeros((runs, n)),
         source=source,
         config_hash="cfg",
-        dataset_hash=dataset_hash,
+        dataset_hash="dsh",
         seed=0,
         instance_ids=np.arange(n),
     )
@@ -49,6 +50,19 @@ def _ed(a, b) -> float:
     return build_report(_matrix([[a]]), _matrix([[b]], source="gte")).instance_scores[0].mean_ed
 
 
+def _refused_pair(tmp_path, monkeypatch, capsys, exp, gte):
+    """The one error line of ``evaluate`` on the pair, which it refuses with
+    exit 3 before ``build_report`` runs or anything is written."""
+    monkeypatch.setenv("GTEBENCH_DATA_DIR", str(tmp_path))
+    exp.save_csv(tmp_path / "x.csv")
+    gte.save_csv(tmp_path / "g.csv")
+    assert main(["evaluate", "x.csv", "g.csv", "--out-dir", "ev"]) == 3
+    assert not (tmp_path / "ev").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
 class TestEuclidean:
     def test_identical(self):
         assert _ed([1, 2, 3], [1, 2, 3]) == 0.0
@@ -59,9 +73,10 @@ class TestEuclidean:
     def test_sqrt2(self):
         assert _ed((1, 1), (2, 2)) == pytest.approx(1.41421356, abs=1e-8)
 
-    def test_mismatch(self):
-        with pytest.raises(IncompatibilityError):
-            _ed([1], [1, 2])
+    def test_mismatch(self, tmp_path, monkeypatch, capsys):
+        err = _refused_pair(tmp_path, monkeypatch, capsys,
+                            _matrix([[[1]]]), _matrix([[[1, 2]]], source="gte"))
+        assert "x.csv has shape (1, 1, 1), g.csv (1, 1, 2)" in err
 
 
 class TestCOfEd:
@@ -192,20 +207,10 @@ class TestBuildReport:
         assert rep.invariance.p_value == 1.0
         assert rep.invariance_not_rejected
 
-    def test_feature_count_mismatch(self):
-        with pytest.raises(IncompatibilityError):
-            build_report(_matrix(np.zeros((1, 2, 3))), _matrix(np.zeros((1, 2, 4))))
-
-    def test_dataset_hash_mismatch(self):
-        with pytest.raises(IncompatibilityError, match="h1.*h2"):
-            build_report(_matrix(np.zeros((1, 2, 3)), dataset_hash="h1"),
-                         _matrix(np.zeros((1, 2, 3)), dataset_hash="h2"))
-
-    def test_instance_ids_mismatch(self):
-        swapped = _matrix(np.zeros((1, 2, 3)))
-        swapped.instance_ids = np.array([1, 0])
-        with pytest.raises(IncompatibilityError, match="different instances"):
-            build_report(_matrix(np.zeros((1, 2, 3))), swapped)
+    def test_feature_count_mismatch(self, tmp_path, monkeypatch, capsys):
+        err = _refused_pair(tmp_path, monkeypatch, capsys, _matrix(np.zeros((1, 2, 3))),
+                            _matrix(np.zeros((1, 2, 4)), source="gte"))
+        assert "x.csv has shape (1, 2, 3), g.csv (1, 2, 4)" in err
 
     def test_save_load_round_trip(self, tmp_path):
         rng = make_rng(6)

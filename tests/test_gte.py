@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from gtebench.datagen import Dataset, FeatureSchema
 from gtebench import gte
-from gtebench.errors import ConfigError, NonFiniteFitError
+from gtebench.cli import main
+from gtebench.errors import NonFiniteFitError
 from gtebench.explainer import CoefficientMatrix
 from gtebench.gte import batch_gte, gte_design, gte_explain
 from gtebench.numerics import make_rng, row_norms, weighted_ridge
@@ -160,11 +161,26 @@ class TestBatchGte:
         assert mat.shape[2] == loan_dataset.n_features
 
     @pytest.mark.parametrize("targets", [3, 0])
-    def test_num_samples_too_large_before_any_fit(self, monkeypatch, targets):
+    def test_num_samples_too_large_before_any_fit(self, tmp_path, monkeypatch, capsys, targets):
+        """align checks every value against the dataset's size before the
+        first fit: with ``targets`` rows named by --instances-from, and with
+        none named (0), where every row is a target."""
+        monkeypatch.setenv("GTEBENCH_DATA_DIR", str(tmp_path))
         ds = _linear_threshold_dataset(n=30)
+        ds.X = np.round(ds.X, 3)  # the precision the CSV writes
+        ds.save_csv(tmp_path / "d.csv")
+        argv = ["align", "d.csv", "--num-samples", "5,30", "--runs", "1", "--out-prefix", "g"]
+        if targets:
+            CoefficientMatrix(coefficients=np.zeros((1, targets, 2)),
+                              intercepts=np.zeros((1, targets)), source="gte",
+                              config_hash="c", dataset_hash="d", seed=0,
+                              instance_ids=np.arange(targets)).save_csv(tmp_path / "ids.csv")
+            argv += ["--instances-from", "ids.csv"]
         monkeypatch.setattr(gte, "weighted_ridge", lambda *a: pytest.fail("fitted"))
-        with pytest.raises(ConfigError, match=r"num_samples \(30\) must be below dataset size"):
-            batch_gte(ds, np.arange(targets), [5, 30], runs=1, base_seed=0)
+        assert main(argv) == 2
+        assert ("d.csv: num_samples (30) must be below dataset size (30)"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.glob("g_ns*"))
 
     def test_failures_copied_with_runs(self, tmp_path):
         ds = _linear_threshold_dataset(n=30)

@@ -56,10 +56,6 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(XOR, 0.0, ModelConfig((2, 4, 2), "relu"), TCFG)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            train(XOR, 1.0, ModelConfig((3, 4, 2), "relu"), TCFG)
-
     def test_bit_reproducible(self, loan_dataset):
         mcfg = ModelConfig((3, 8, 2), "relu")
         tcfg = TrainConfig(epochs=20, learning_rate=0.2, batch_size=8, seed=5)
@@ -125,10 +121,6 @@ class TestPredict:
         a = loan_nn1.predict_batch(loan_dataset.X).argmax(axis=1)
         b = loan_nn2.predict_batch(loan_dataset.X).argmax(axis=1)
         assert np.array_equal(a, b)
-
-    def test_dimension_mismatch(self, loan_nn1):
-        with pytest.raises(ValueError):
-            loan_nn1.predict_batch(np.array([[1.0, 2.0]]))
 
 
 class TestAccuracy:

@@ -8,7 +8,7 @@ import mpmath
 from scipy import special
 
 from gtebench.datagen import EquationConfig
-from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError, ZeroVectorError
+from gtebench.errors import DegenerateSampleError, SingularSystemError, ZeroVectorError
 from gtebench.numerics import (
     RIDGE_ALPHA,
     _t_two_sided_p,
@@ -57,10 +57,6 @@ class TestTruncatedNormal:
     def test_vanishing_variance(self):
         draws = truncated_normal(3, 1e-12, 0, 10, make_rng(2), size=5)
         assert draws == pytest.approx([3.0] * 5, abs=1e-9)
-
-    def test_zero_sigma_outside(self):
-        with pytest.raises(ConfigError):
-            truncated_normal(5, 0, 0, 1, make_rng(0), size=1)
 
     @given(
         mu=st.floats(-10, 10),
