@@ -11,7 +11,9 @@
 # the tanh nn2, explain --sample: a 7-class softmax) and the 504,000-row
 # time_full dataset (generate, then align the desk run's 20 instances at ns
 # 5,25,50), which writes and reads the dataset CSV in many chunks and runs
-# GTE at large N. Every file written,
+# GTE at large N. A small time run from a config the script writes (generate,
+# train, explain, align at ns 5,25, evaluate) has all-zero rows among its
+# targets, so every matrix it writes holds failed cells. Every file written,
 # manifest.jsonl aside, must be byte-identical. The manifests must hold the
 # same entries in the same order: stage, config hash, seed, output digests and
 # input digests, with paths relative to the output directory, or to the tree
@@ -66,6 +68,28 @@ run_sequence() {
     cli generate time --out time/time.csv --seed 7
     cli train time/time.csv --model-config "$cfg/nn2.json" --out time/nn2.json --split 0.8 --epochs 3 --lr 0.3 --batch-size 16 --seed 12
     cli explain time/nn2.json time/time.csv --num-samples 25 --runs 5 --sample 20 --seed 100 --out time/exp.csv
+    # failed cells: 120 time rows of 0/1 values; 4 of the 30 sampled targets are all
+    # zero, so each matrix records 12 ZeroVectorError cells (4 targets x 3 runs)
+    mkdir -p fail
+    cat > fail/config.json <<'JSON'
+{"equation": "time",
+ "schema": [
+  {"name": "TT", "kind": "continuous", "lo": 0, "hi": 10, "precision": 0,
+   "mu": 0, "sigma": 1, "trunc_lo": 0, "trunc_hi": 1},
+  {"name": "Speed", "kind": "continuous", "lo": 0, "hi": 10, "precision": 0,
+   "mu": 0, "sigma": 1, "trunc_lo": 0, "trunc_hi": 1},
+  {"name": "FE", "kind": "continuous", "lo": 0, "hi": 10, "precision": 0,
+   "mu": 0, "sigma": 1, "trunc_lo": 0, "trunc_hi": 1},
+  {"name": "m", "kind": "mode", "lo": 0, "hi": 1, "precision": 0, "mode_values": [0, 1]}
+ ],
+ "variations": [{"class_id": 0, "ops": []}, {"class_id": 1, "ops": [["TT", "mul", 2]]}],
+ "rows_per_class": 60}
+JSON
+    cli generate time --config fail/config.json --out fail/time.csv --seed 7
+    cli train fail/time.csv --out fail/m.json --epochs 3 --seed 11
+    cli explain fail/m.json fail/time.csv --num-samples 5 --runs 3 --sample 30 --seed 100 --out fail/exp.csv
+    cli align fail/time.csv --num-samples 5,25 --runs 3 --instances-from fail/exp.csv --out-prefix fail/gte
+    cli evaluate fail/exp.csv fail/gte_ns25.csv --out-dir fail/eval
     # time full: 504,000 rows from the shipped config, 20 GTE targets
     cli generate time --config "$cfg/time_full.json" --out time/time_full.csv --seed 7
     cli align time/time_full.csv --num-samples 5,25,50 --instances-from time/exp.csv --out-prefix time/gte_full
@@ -84,7 +108,9 @@ out, tree = map(os.path.realpath, sys.argv[1:])
 
 
 def rel(path):
-    path = os.path.realpath(path)
+    # a relative path, as a config given as such is recorded, is relative to OUT, where
+    # the CLI ran
+    path = os.path.realpath(os.path.join(out, path))
     if os.path.commonpath([path, out]) == out:
         return os.path.relpath(path, out)
     return os.path.join("<tree>", os.path.relpath(path, tree))

@@ -97,14 +97,22 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
-        """Checks that there is at least one feature, each feature's ``kind``,
-        and that its ``precision`` is an integer that leaves a field room for
-        a digit before the point."""
+        """Checks that there is at least one feature, that each name can head
+        a dataset CSV column (once, not ``label`` or ``variation_id``, no
+        ',', '\\r' or '\\n'), each feature's ``kind``, and that its
+        ``precision`` is an integer that leaves a field room for a digit
+        before the point."""
         if not items:
             raise ConfigError("the schema lists no feature")
         features = tuple(Feature(**{**_drop_removed(it, "mode_table"),
                                     "mode_values": tuple(it.get("mode_values") or ())})
                          for it in items)
+        header = _csv_columns(FeatureSchema(features))[0]
+        for name in header[:len(features)]:
+            artifacts.check_text_cell(name, "feature name")
+            if header.count(name) > 1:
+                raise ConfigError(f"feature name {name!r} would head two columns of the "
+                                  f"dataset CSV {header}")
         for f in features:
             if (f.kind not in ("continuous", "ordinal", "mode") or type(f.precision) is not int
                     or not 0 <= f.precision < artifacts.MAX_DIGITS):

@@ -46,45 +46,23 @@ class CoefficientMatrix:
         return self.coefficients.shape
 
     @classmethod
-    def fill(cls, cell, runs: int, distinct_runs: int, n_features: int,
-             fields: list[dict]) -> list["CoefficientMatrix"]:
-        """One matrix per entry of ``fields`` (the other dataclass fields, the
-        same ``instance_ids`` in each), filled cell by cell over every run below
-        ``distinct_runs`` and every instance: ``cell(r, i)`` does the work the
-        matrices share and returns one zero-argument fit per matrix, each giving
-        (coefficients, intercept). Each later run is a copy of run 0, failures
-        included.
-
-        A numeric failure leaves a NaN cell and a (run, instance, message)
-        failure: in every matrix when ``cell`` raises it, in its own matrix
-        when a fit does. Failures are listed in run-major order.
-        """
+    def empty(cls, runs: int, n_features: int, **fields) -> "CoefficientMatrix":
+        """A matrix of NaN cells and no failures; ``fields`` are the other
+        dataclass fields, ``instance_ids`` among them."""
         if runs < 1:
             raise ConfigError(f"runs must be positive, got {runs}")
-        n = len(fields[0]["instance_ids"])
-        mats = [cls(coefficients=np.full((runs, n, n_features), np.nan),
-                    intercepts=np.full((runs, n), np.nan), **f) for f in fields]
-        # an overflow or NaN inside a cell ends as its recorded failure, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(runs):
-                if r >= distinct_runs:
-                    for m in mats:
-                        m.coefficients[r], m.intercepts[r] = m.coefficients[0], m.intercepts[0]
-                        m.failures += [(r, i, msg) for r0, i, msg in m.failures if r0 == 0]
-                    continue
-                for i in range(n):
-                    try:
-                        fits = cell(r, i)
-                    except NumericFailure as exc:  # record, keep going
-                        for m in mats:
-                            m.failures.append((r, i, _failure_message(exc)))
-                        continue
-                    for m, fit in zip(mats, fits, strict=True):
-                        try:
-                            m.coefficients[r, i], m.intercepts[r, i] = fit()
-                        except NumericFailure as exc:
-                            m.failures.append((r, i, _failure_message(exc)))
-        return mats
+        n = len(fields["instance_ids"])
+        return cls(coefficients=np.full((runs, n, n_features), np.nan),
+                   intercepts=np.full((runs, n), np.nan), **fields)
+
+    def put(self, r: int, i: int, fit, *args) -> None:
+        """Store ``fit(*args)``, a (coefficients, intercept) pair, in cell
+        (r, i). A numeric failure leaves the cell NaN and appends (r, i,
+        "Name: message") to ``failures``."""
+        try:
+            self.coefficients[r, i], self.intercepts[r, i] = fit(*args)
+        except NumericFailure as exc:  # record, keep going
+            self.failures.append((r, i, f"{type(exc).__name__}: {exc}"))
 
     @property
     def ok(self) -> np.ndarray:
@@ -139,10 +117,6 @@ class CoefficientMatrix:
 
 def _csv_header(d: int) -> list[str]:
     return ["run", "instance_id", "intercept"] + [f"coef_{j + 1}" for j in range(d)]
-
-
-def _failure_message(exc: NumericFailure) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _sidecar_fields(doc: dict) -> dict:
@@ -216,24 +190,23 @@ def batch_explain(
 ) -> CoefficientMatrix:
     """``runs`` independent repetitions over all ``instances`` (n x d), the
     rows ``instance_ids`` of the dataset; child rng per (run, instance) so
-    results are independent of execution order. All-zero ``stds`` are refused."""
-    d = instances.shape[1]
+    results are independent of execution order. ``runs`` below 1 is refused,
+    then all-zero ``stds``."""
     pool_size(num_samples)  # refused before the first cell, as all-zero scales are
+    mat = CoefficientMatrix.empty(
+        runs, instances.shape[1], source="explainer",
+        # every explainer matrix written so far was hashed with these keys, the
+        # pool, the std multiplier and alpha once being settable
+        config_hash=config_hash({"num_samples": num_samples, "n_perturb": None,
+                                 "alpha": RIDGE_ALPHA, "scale": 1.0, "clamp_to_schema": False,
+                                 "selection": "top_k", "kernel_width": 0.25}),
+        dataset_hash=dataset_hash, seed=base_seed, instance_ids=instance_ids)
     if not stds.any():
         raise DegenerateSampleError("all perturbation scales are zero")
-    [mat] = CoefficientMatrix.fill(
-        lambda r, i: [lambda: explain(model, instances[i], stds, num_samples,
-                                      make_rng(base_seed, r, i))],
-        runs, runs, d,
-        [dict(source="explainer",
-              # every explainer matrix written so far was hashed with these keys,
-              # the pool, the std multiplier and alpha once being settable
-              config_hash=config_hash({"num_samples": num_samples, "n_perturb": None,
-                                       "alpha": RIDGE_ALPHA, "scale": 1.0,
-                                       "clamp_to_schema": False, "selection": "top_k",
-                                       "kernel_width": 0.25}),
-              dataset_hash=dataset_hash,
-              seed=base_seed,
-              instance_ids=instance_ids)],
-    )
+    # an overflow or NaN inside a cell ends as its recorded failure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(runs):
+            for i, instance in enumerate(instances):
+                mat.put(r, i, explain, model, instance, stds, num_samples,
+                        make_rng(base_seed, r, i))
     return mat

@@ -8,12 +8,10 @@ same-class indicator as the regression target.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .datagen import Dataset, config_hash
-from .errors import ConfigError
+from .errors import ConfigError, NumericFailure
 from .explainer import CoefficientMatrix
 from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, neighbourhood, row_norms,
                        weighted_ridge)
@@ -65,8 +63,10 @@ def batch_gte(
     below ``len(dataset)``, source tag "gte".
 
     Each target's design is built once, at the largest ``num_samples``, and
-    every value fits its leading rows. The procedure is deterministic on fixed
-    data, so run 0 is computed and every other run is a copy of it;
+    every value fits its leading rows; a design that fails is a failed cell in
+    every matrix. The procedure is deterministic on fixed data, so only run 0
+    is computed: every later run is a copy of its cells, and its failures are
+    appended once per later run, keeping them in run-major order.
     ``base_seed`` only labels the sidecars.
     """
     for j, ns in enumerate(num_samples):  # also when there is no target to rank
@@ -74,19 +74,28 @@ def batch_gte(
             raise ConfigError(f"num_samples must be positive, got {ns}")
         if ns in num_samples[:j]:
             raise ConfigError(f"--num-samples lists {ns} more than once")
-    norms = row_norms(dataset.X)
-    k = max(num_samples)
-
-    def cell(r, i):
-        design = gte_design(dataset, indices[i], k, norms)
-        return [functools.partial(gte_explain, design, ns) for ns in num_samples]
-
-    return CoefficientMatrix.fill(
-        cell, runs, 1, dataset.n_features,
+    mats = [CoefficientMatrix.empty(
+        runs, dataset.n_features, source="gte",
         # every GTE matrix written so far was hashed with these keys, alpha once
         # being settable
-        [dict(source="gte", config_hash=config_hash({"num_samples": ns, "alpha": RIDGE_ALPHA,
-                                                     "resample_per_run": False}),
-              dataset_hash=dataset.config_hash, seed=base_seed, instance_ids=indices)
-         for ns in num_samples],
-    )
+        config_hash=config_hash({"num_samples": ns, "alpha": RIDGE_ALPHA,
+                                 "resample_per_run": False}),
+        dataset_hash=dataset.config_hash, seed=base_seed, instance_ids=indices)
+        for ns in num_samples]
+    norms = row_norms(dataset.X)
+    k = max(num_samples)
+    # an overflow or NaN inside a cell ends as its recorded failure, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, index in enumerate(indices):
+            try:
+                design = gte_design(dataset, index, k, norms)
+            except NumericFailure as exc:  # no fit runs for this target
+                for m in mats:
+                    m.failures.append((0, i, f"{type(exc).__name__}: {exc}"))
+                continue
+            for m, ns in zip(mats, num_samples):
+                m.put(0, i, gte_explain, design, ns)
+    for m in mats:
+        m.coefficients[1:], m.intercepts[1:] = m.coefficients[0], m.intercepts[0]
+        m.failures += [(r, i, msg) for r in range(1, runs) for _, i, msg in m.failures]
+    return mats

@@ -441,19 +441,33 @@ class TestFailedCells:
         assert "all 6 cells failed" in capsys.readouterr().err
         assert not (workdir / "ev").exists()
 
-    def test_explain_with_all_zero_scales_exit_4(self, workdir, capsys):
-        """A one-row dataset has zero std in every feature, so every cell would
-        fail alike: explain refuses it before the first cell and writes nothing."""
+    @pytest.fixture
+    def one_row(self, workdir, capsys):
+        """A one-row loan dataset, ``one.csv``, and a model of it, ``m.json``:
+        every feature has zero std."""
         keep = (3, 2, 1)
         removals = [list(p) for p in product(range(2, 6), range(4), range(4)) if p != keep]
         (workdir / "one.json").write_text(json.dumps({"removals": removals}))
         assert run("generate", "loan", "--config", workdir / "one.json", "--out", "one.csv") == 0
         assert run("train", "one.csv", "--out", "m.json", "--epochs", 2) == 0
         capsys.readouterr()
+        return workdir
+
+    def test_explain_with_all_zero_scales_exit_4(self, one_row, capsys):
+        """A one-row dataset has zero std in every feature, so every cell would
+        fail alike: explain refuses it before the first cell and writes nothing."""
         assert run("explain", "m.json", "one.csv", "--num-samples", 5, "--runs", 3,
                    "--out", "e.csv") == 4
         assert capsys.readouterr().err == "error: all perturbation scales are zero\n"
-        assert not (workdir / "e.csv").exists()
+        assert not (one_row / "e.csv").exists()
+
+    def test_explain_runs_0_with_all_zero_scales_exit_2(self, one_row, capsys):
+        """``--runs 0`` is a config error on any dataset, one whose scales are
+        all zero too: it exited 4 there, and 2 on a dataset with spread."""
+        assert run("explain", "m.json", "one.csv", "--num-samples", 5, "--runs", 0,
+                   "--out", "e.csv") == 2
+        assert capsys.readouterr().err == "error: runs must be positive, got 0\n"
+        assert not (one_row / "e.csv").exists()
 
 
 class TestOnlyCorrectSample:
@@ -772,6 +786,14 @@ class TestRejectedInputs:
          ("unknown feature 'XX'",)),
         # at sigma 0 every base value is mu, which must lie in the sampling range
         ("time", lambda doc: doc["schema"][0].update(sigma=0, mu=4.0), ("'TT'", "mu 4.0")),
+        # a feature name heads one dataset CSV column: "m,x" split the header, which train
+        # then refused, and a repeated name or "label" wrote two columns of one name
+        ("time", lambda doc: doc["schema"][3].update(name="m,x"), ("feature name 'm,x'",)),
+        ("time", lambda doc: doc["schema"][3].update(name="m\nx"), ("feature name 'm\\nx'",)),
+        ("time", lambda doc: doc["schema"][3].update(name="TT"), ("feature name 'TT'",)),
+        ("time", lambda doc: doc["schema"][3].update(name="label"), ("feature name 'label'",)),
+        ("time", lambda doc: doc["schema"][3].update(name="variation_id"),
+         ("feature name 'variation_id'",)),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
@@ -779,7 +801,8 @@ class TestRejectedInputs:
             "loan-removal-x2-off-grid", "kind-capitalised",
             "precision-float", "precision-15", "precision-negative", "precision-bool",
             "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema",
-            "sigma-0-mu-outside"])
+            "sigma-0-mu-outside", "name-comma", "name-newline", "name-repeated", "name-label",
+            "name-variation-id"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())

@@ -182,19 +182,32 @@ class TestBatchGte:
                 in capsys.readouterr().err)
         assert not list(tmp_path.glob("g_ns*"))
 
-    def test_failures_copied_with_runs(self, tmp_path):
+    def test_failures_copied_with_runs(self, tmp_path, monkeypatch):
+        """A failed design (target 1) and a failed fit (target 0 at ns 10) are
+        copied to every run, interleaved in run-major order."""
         ds = _linear_threshold_dataset(n=30)
         ds.X[3] = 0.0  # a zero-vector target cannot be ranked
-        mats = batch_gte(ds, np.array([2, 3, 4]), [10, 4], runs=3, base_seed=0)
-        for mat in mats:
-            assert [f[:2] for f in mat.failures] == [(0, 1), (1, 1), (2, 1)]
-            assert mat.failures[0][2].startswith("ZeroVectorError")
-            assert np.isnan(mat.coefficients[:, 1]).all()
+
+        def ridge(X, y, w):
+            if len(X) == 11 and np.array_equal(X[0], ds.X[2]):
+                raise NonFiniteFitError("non-finite ridge solution")
+            return weighted_ridge(X, y, w)
+
+        monkeypatch.setattr(gte, "weighted_ridge", ridge)
+        many, few = batch_gte(ds, np.array([2, 3, 4]), [10, 4], runs=3, base_seed=0)
+        assert [f[:2] for f in many.failures] == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert [f[2].split(":")[0] for f in many.failures] == ["NonFiniteFitError",
+                                                               "ZeroVectorError"] * 3
+        assert [f[:2] for f in few.failures] == [(0, 1), (1, 1), (2, 1)]
+        assert all(f[2].startswith("ZeroVectorError") for f in few.failures)
+        assert np.isnan(many.coefficients[:, :2]).all() and np.isnan(few.coefficients[:, 1]).all()
+        assert np.isfinite(many.coefficients[:, 2]).all()
+        assert np.isfinite(few.coefficients[:, [0, 2]]).all()
+        for mat in (many, few):
             # the file validates: its non-finite cells are exactly the failures
             mat.save_csv(tmp_path / "g.csv")
             back = CoefficientMatrix.load_csv(tmp_path / "g.csv")
             assert back.failures == mat.failures
-        assert mats[0].failures == mats[1].failures
 
     def test_fit_failure_stays_in_its_matrix(self, monkeypatch):
         # the ten-row fit of either target fails, the one-row fit of the same
