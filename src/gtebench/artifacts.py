@@ -113,56 +113,69 @@ def _fixed_point(path: Path, header: list[str], precisions: list[int],
     A cell is an optional '-', the digits of |k| (at least p + 1, so that
     0.080 keeps its leading zero) with a '.' before the last p, and a ',' or
     the row's '\n'. The cells' widths give every byte's position in one
-    buffer per chunk."""
+    buffer per chunk, which starts as all ','."""
     cells, oks = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a refused cell's k may be inf or NaN
         for x, p in zip(chunk, precisions):
             scale = 10.0 ** p
             x = np.asarray(x, float)  # integers below 10**MAX_DIGITS convert exactly
-            k = np.rint(x * scale)
-            oks.append((np.abs(k) < 10.0 ** MAX_DIGITS) & (k / scale == x))
-            cells.append([p, np.signbit(k), np.abs(k).astype(np.int64)])
-    bad = ~np.array(oks).T
-    if bad.any():
-        i, j = divmod(int(bad.argmax()), len(oks))  # the first, row by row
+            k = x * scale
+            np.rint(k, out=k)
+            ok = k / scale == x
+            a = np.abs(k)
+            ok &= a < 10.0 ** MAX_DIGITS
+            oks.append(ok)
+            cells.append([p, np.signbit(k), a])
+    if not all(ok.all() for ok in oks):
+        i, j = divmod(int((~np.array(oks).T).argmax()), len(oks))  # the first, row by row
         p = precisions[j]
         raise ConfigError(f"{path}: cannot write {header[j]} {chunk[j][i].item()!r} of data row "
                           f"{start + i + 1} as %.{p}f: only finite multiples of 1e-{p} below "
                           f"1e{MAX_DIGITS - p} in magnitude are written")
-    width = np.zeros(len(chunk[0]), np.int64)
+    width = np.full(len(chunk[0]), len(chunk))  # a separator per cell
     for cell in cells:
         p, neg, a = cell
-        nd = np.full(len(a), p + 1)
-        for t in range(p + 1, len(str(a.max()))):
-            nd += a >= 10 ** t
-        cell.append(nd)
-        width += neg + nd + (p > 0) + 1
+        w = np.full(len(a), p + 1 + (p > 0), np.uint8)  # the cell's bytes but its sign
+        places = max(p + 1, len(str(int(a.max()))))
+        for t in range(p + 1, places):
+            w += a >= 10.0 ** t
+        cell += [places, int(w.min()) - (p > 0)]
+        w += neg
+        cell.append(w)
+        width += w
+    pad = 1 + MAX_DIGITS  # bytes before the first row, so that no ``at`` below is negative
     end = np.cumsum(width)
-    buf = np.empty(int(end[-1]), np.uint8)
+    end += pad
+    buf = np.full(int(end[-1]), ord(","), np.uint8)
+    buf[end - 1] = ord("\n")
     pos = end - width  # where each row's next cell starts
-    for j, (p, neg, a, nd) in enumerate(cells):
-        # a '-' at every cell's start: a cell without a sign writes its
-        # leading digit over it
-        buf[pos] = ord("-")
-        first = pos + neg
-        stop = first + nd + (p > 0)
-        buf[stop] = ord("\n" if j == len(cells) - 1 else ",")
+    for p, neg, a, places, short, w in cells:
+        stop = pos + w  # the cell's separator
+        at = stop - (places + (p > 0))  # where a cell of every place starts
         if p:
-            buf[stop - p - 1] = ord(".")
-        digits = np.empty((int(nd.max()), len(a)), np.uint8)
-        for i in range(len(digits)):
-            q = a // 10
-            digits[i] = a - 10 * q
-            a = q
+            buf[places - p:][at] = ord(".")
+        # digit i of |k| by uint32 division, 9 digits at a time: 10**9 < 2**32,
+        # and a float below 2**53 divides exactly
+        digits = np.empty((places, len(a)), np.uint8)
+        for g in range(0, places, 9):
+            part = (a // 10.0 ** g % 1e9 if places > 9 else a).astype(np.uint32)
+            for i in range(g, min(g + 9, places)):
+                q = part // 10
+                np.subtract(part, 10 * q, out=digits[i], casting="unsafe")
+                part = q
         digits += ord("0")
-        # most significant first: the places a short cell does not have clamp
-        # to its first digit's byte, which its true leading digit overwrites
-        short = int(nd.min())
-        for i in range(len(digits) - 1, -1, -1):
-            at = stop - (1 + i + (p > 0 and i >= p))
-            buf[at if i < short else np.maximum(at, first)] = digits[i]
+        # most significant first, each place o bytes after ``at``: the places
+        # a short cell does not have clamp to its first byte, which its true
+        # leading digit, or its sign, overwrites
+        for i in range(places - 1, -1, -1):
+            o = places - 1 - i + (i < p)
+            if i < short:
+                buf[o:][at] = digits[i]
+            else:
+                buf[np.maximum(at + o, pos)] = digits[i]
+        buf[pos[neg]] = ord("-")
         pos = stop + 1
-    return buf
+    return buf[pad:]
 
 
 def read_json(path: str | Path, build: Callable[[Any], T]) -> T:
@@ -241,9 +254,18 @@ def read_fixed_csv(path: str | Path, header: list[str], precisions: list[int],
     in a newline or start with ``header``, raises a ConfigError naming the
     file, and the column, field and row if any."""
     raw = _checked_bytes(path, header)
-    n = raw.count(b"\n") - 1
+    data = np.frombuffer(raw, np.uint8)
+    start = raw.index(b"\n") + 1
+    # chunks of CHUNK_ROWS rows as long as the first, each cut after a newline
+    step = CHUNK_ROWS * (raw.find(b"\n", start) + 1 - start)
+    n = sum(np.count_nonzero(data[i:i + step] == ord("\n")) for i in range(start, len(raw), step))
     blocks = np.empty((n, lead)), np.empty((n, len(header) - lead))
-    _parse_fixed(path, raw, header, precisions, [*blocks[0].T, *blocks[1].T])
+    columns = [*blocks[0].T, *blocks[1].T]
+    row = 0
+    while start < len(raw):
+        stop = raw.index(b"\n", min(start + step, len(raw)) - 1) + 1
+        row += _parse_fixed(path, raw, header, precisions, start, stop, row, columns)
+        start = stop
     return blocks
 
 
@@ -260,35 +282,61 @@ def _checked_bytes(path: str | Path, header: list[str]) -> bytes:
 
 
 def _parse_fixed(path: str | Path, raw: bytes, header: list[str], precisions: list[int],
-                 columns: list[np.ndarray]) -> None:
-    """Fill ``columns`` with the data rows of ``raw``, column j parsed as
-    fixed-point with ``precisions[j]`` decimals, about ``CHUNK_ROWS`` rows at
-    a time; ``_parse_error`` at the first chunk that holds a field or a
-    separator outside the grammar."""
-    width = len(columns)
-    separators = np.array([ord(",")] * (width - 1) + [ord("\n")], np.uint8)
-    start = raw.index(b"\n") + 1
-    # chunks of CHUNK_ROWS rows as long as the first, each cut after a newline
-    step = CHUNK_ROWS * (raw.find(b"\n", start) + 1 - start)
-    row = 0
-    while start < len(raw):
-        stop = raw.index(b"\n", min(start + step, len(raw)) - 1) + 1
-        b = np.frombuffer(raw, np.uint8, stop - start, start)
-        # ',' and '\n' are the only bytes <= 44 a field in the grammar leaves
-        at = np.flatnonzero(b <= ord(","))
-        if at.size % width or not (b[at].reshape(-1, width) == separators).all():
+                 start: int, stop: int, row: int, columns: list[np.ndarray]) -> int:
+    """Parses the data rows ``raw[start:stop]``, data row ``row + 1`` on,
+    column j as fixed-point with ``precisions[j]`` decimals into
+    ``columns[j][row:]``, and returns how many rows it parsed;
+    ``_parse_error`` if a field or a separator is outside the grammar.
+
+    The chunk is copied after ``pad`` bytes, with the newline before it. A
+    view of that copy shifted back c bytes reads, at the fields' ends, the
+    byte c before each end: one gather per column reads a digit place of
+    every field, or the '.' at its fixed place. A place that a field lacks
+    reads the bytes before it, or the padding, and a mask drops it. The
+    digits, summed as integers, are divided once by 10**p."""
+    width = len(header)
+    pad = 1 + MAX_DIGITS  # the most a place's byte lies before its field's end
+    buf = np.empty(pad + stop - start + 1, np.uint8)
+    buf[pad:] = np.frombuffer(raw, np.uint8, stop - start + 1, start - 1)
+    b = buf[pad:]
+    # ',' and '\n' are the only bytes <= 44 a field in the grammar leaves;
+    # at[0] is the newline before the chunk, and each row's last a '\n'
+    at = np.flatnonzero(b <= ord(","))
+    rows = (len(at) - 1) // width
+    last = at[width::width].copy()
+    if (len(at) != rows * width + 1 or np.count_nonzero(b == ord(",")) != rows * (width - 1)
+            or not (b.take(last) == ord("\n")).all()):
+        raise _parse_error(path, raw[start:stop], header, precisions, row)
+    # a field's sign is a '-' just after its separator
+    minus = np.flatnonzero(b == ord("-"))
+    field = np.searchsorted(at, minus) - 1
+    sign_row, sign_column = np.divmod(field[at[field] + 1 == minus], width)
+    before = np.concatenate(([0], last[:-1]))  # the separator before each field of the column
+    for j, (p, column) in enumerate(zip(precisions, columns)):
+        end = last if j == width - 1 else at[1 + j::width].copy()  # contiguous, for the gathers
+        negative = sign_row[sign_column == j]
+        nd = end - before  # the field's bytes and separator, less its sign:
+        nd[negative] -= 1  # its digits and ``extra``, the separator and '.'
+        extra = 1 + (p > 0)
+        short, longest = int(nd.min()) - extra, int(nd.max()) - extra
+        if short <= p or longest > MAX_DIGITS or (
+                p and not (buf[pad - p - 1:].take(end) == ord(".")).all()):
             raise _parse_error(path, raw[start:stop], header, precisions, row)
-        ends = at.reshape(-1, width).T.copy()
-        begins = np.empty_like(ends)
-        begins[1:] = ends[:-1] + 1
-        begins[0, 0], begins[0, 1:] = 0, ends[-1, :-1] + 1
-        for p, end, begin, out in zip(precisions, ends, begins, columns):
-            value = _fixed_field(b, p, begin, end)
-            if value is None:
+        k, kind = 0, np.min_scalar_type(10 ** longest - 1)  # the narrowest that holds k
+        for i in range(longest):
+            # digit i from the right
+            digit = buf[pad - 1 - i - (0 < p <= i):].take(end)
+            digit -= ord("0")
+            if i >= short:
+                digit *= nd > i + extra
+            if digit.max() > 9:
                 raise _parse_error(path, raw[start:stop], header, precisions, row)
-            out[row:row + len(value)] = value
-        row += ends.shape[1]
-        start = stop
+            k = digit * kind.type(10 ** i) + k
+        value = column[row:row + rows]
+        np.divide(k, 10.0 ** p, out=value)  # k < 10**MAX_DIGITS < 2**53 converts exactly
+        value[negative] *= -1
+        before = end
+    return rows
 
 
 def _parse_error(path: str | Path, chunk: bytes, header: list[str], precisions: list[int],
@@ -307,31 +355,3 @@ def _parse_error(path: str | Path, chunk: bytes, header: list[str], precisions: 
                 return ConfigError(f"{path}: {name} {field.decode('utf-8', 'replace')!r} of data "
                                    f"row {i} is not {grammar} with at most {MAX_DIGITS} digits")
     return ConfigError(f"{path}: data rows {row + 1} on do not parse")
-
-
-def _fixed_field(b: np.ndarray, p: int, begin: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """The values of the fields ``b[begin:end]``, each ``-?[0-9]+`` followed,
-    if p > 0, by '.' and p digits, with at most MAX_DIGITS digits; None
-    if any field is not."""
-    neg = b[begin] == ord("-")
-    first = begin + neg
-    nd = end - first - (p > 0)  # digits, '.' aside
-    if not ((nd > p) & (nd <= MAX_DIGITS)).all():
-        return None
-    if p and not (b[end - p - 1] == ord(".")).all():
-        return None
-    k = np.zeros(len(nd))
-    short = int(nd.min())
-    for i in range(int(nd.max())):
-        # digit i from the right; a cell with fewer digits reads its first
-        # digit again, and the mask drops it
-        at = end - (1 + i + (p > 0 and i >= p))
-        digit = b[at if i < short else np.maximum(at, first)] - np.uint8(ord("0"))
-        if digit.max() > 9:
-            return None
-        if i >= short:
-            digit *= nd > i
-        k += digit * 10.0 ** i
-    value = k / 10.0 ** p if p else k
-    return np.negative(value, out=value, where=neg)
-

@@ -97,11 +97,11 @@ class FeatureSchema:
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
-        """Checks that there is at least one feature, that each name can head
-        a dataset CSV column (once, not ``label`` or ``variation_id``, no
-        ',', '\\r' or '\\n'), each feature's ``kind``, and that its
-        ``precision`` is an integer that leaves a field room for a digit
-        before the point."""
+        """Checks that there is at least one feature, that each name is a
+        non-empty string that can head a dataset CSV column (once, not
+        ``label`` or ``variation_id``, no ',', '\\r' or '\\n'), each
+        feature's ``kind``, and that its ``precision`` is an integer that
+        leaves a field room for a digit before the point."""
         if not items:
             raise ConfigError("the schema lists no feature")
         features = tuple(Feature(**{**_drop_removed(it, "mode_table"),
@@ -109,6 +109,8 @@ class FeatureSchema:
                          for it in items)
         header = _csv_columns(FeatureSchema(features))[0]
         for name in header[:len(features)]:
+            if not isinstance(name, str) or not name:
+                raise ConfigError(f"feature name {name!r} must be a non-empty string")
             artifacts.check_text_cell(name, "feature name")
             if header.count(name) > 1:
                 raise ConfigError(f"feature name {name!r} would head two columns of the "

@@ -112,11 +112,27 @@ def first_unwritable(precisions, columns):
 
 
 @st.composite
-def fixed_point_tables(draw):
+def high_precision_columns(draw):
+    """(precisions, columns) of values on their p-decimal grid, p 7 to 14,
+    with up to 15 digits, -0.0 among them."""
+    precisions = draw(st.lists(st.integers(7, 14), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    columns = []
+    for p in precisions:
+        k = st.integers(1 - 10**15, 10**15 - 1) | st.integers(-10**(p + 1), 10**(p + 1))
+        col = np.array(draw(st.lists(k | st.just(0), min_size=n, max_size=n)), dtype=float)
+        col /= 10.0 ** p
+        col[col == 0] *= draw(st.sampled_from([1, -1]))
+        columns.append(col)
+    return precisions, columns
+
+
+@st.composite
+def fixed_point_tables(draw, precision=st.integers(0, 6)):
     """(precisions, rows of field strings): each field ``-?[0-9]+`` with, for
     p > 0, '.' and p digits, 1 to 15 digits in all, leading zeros and
     ``-0.000`` included."""
-    precisions = draw(st.lists(st.integers(0, 6), min_size=1, max_size=4))
+    precisions = draw(st.lists(precision, min_size=1, max_size=4))
     n = draw(st.integers(0, 12))
 
     def field(p):
@@ -544,6 +560,48 @@ class TestFixedPointReader:
         assert back.labels.dtype.kind == "i"
         assert back.X.tobytes() == ds.X.tobytes()
         assert np.array_equal(back.labels, ds.labels)
+
+
+class TestFixedPointHighPrecision:
+    """Precisions 7 to 14, the rest of what a schema accepts, with fields of
+    up to 15 digits: the writer prints as ``%.{p}f``, and the reader parses
+    as ``np.loadtxt`` does, bit for bit, -0 included."""
+
+    @SETTINGS
+    @given(case=high_precision_columns(), chunk=st.integers(1, 5))
+    def test_writer_bytes_and_read_back(self, case, chunk, tmp_path, monkeypatch):
+        precisions, columns = case
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        header = [f"c{j}" for j in range(len(precisions))]
+        p, = write_fixed_csv(tmp_path / "x.csv", header, precisions, columns)
+        assert p.read_text() == csv_oracle(header, [f"%.{q}f" for q in precisions], columns)
+        got = read_fixed_csv(p, header, precisions, 0)[1]
+        assert got.tobytes() == read_floats(p, header).tobytes()
+        assert got.tobytes() == np.column_stack(columns).tobytes()
+
+    @SETTINGS
+    @given(table=fixed_point_tables(st.integers(7, 14)), chunk=st.integers(1, 5), data=st.data())
+    def test_reader_equals_loadtxt(self, table, chunk, data, tmp_path, monkeypatch):
+        precisions, rows = table
+        monkeypatch.setattr(artifacts, "CHUNK_ROWS", chunk)
+        header, text = _table_text(precisions, rows)
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        lead = data.draw(st.integers(0, len(header)))
+        got = read_fixed_csv(p, header, precisions, lead)
+        expect = read_floats(p, header)
+        assert got[0].tobytes() == np.ascontiguousarray(expect[:, :lead]).tobytes()
+        assert got[1].tobytes() == np.ascontiguousarray(expect[:, lead:]).tobytes()
+
+    @pytest.mark.parametrize("p", range(7, 15))
+    def test_signed_zero_and_widest_fields(self, p, tmp_path):
+        widest = (10**15 - 1) / 10.0**p
+        x = np.array([-0.0, 0.0, widest, -widest, 1 / 10.0**p, -1 / 10.0**p])
+        path, = write_fixed_csv(tmp_path / "x.csv", ["x"], [p], [x])
+        assert path.read_text() == csv_oracle(["x"], [f"%.{p}f"], [x])
+        assert path.read_text().split("\n")[1] == "-0." + "0" * p
+        got = read_fixed_csv(path, ["x"], [p], 1)[0]
+        assert got.tobytes() == read_floats(path, ["x"]).tobytes() == x[:, None].tobytes()
 
 
 class TestMatrixFiles:

@@ -794,6 +794,12 @@ class TestRejectedInputs:
         ("time", lambda doc: doc["schema"][3].update(name="label"), ("feature name 'label'",)),
         ("time", lambda doc: doc["schema"][3].update(name="variation_id"),
          ("feature name 'variation_id'",)),
+        # a name is a non-empty string: "" would head an empty column,
+        # TT,Speed,FE,,label,variation_id
+        ("time", lambda doc: doc["schema"][3].update(name=5),
+         ("feature name 5 must be a non-empty string",)),
+        ("time", lambda doc: doc["schema"][3].update(name=""),
+         ("feature name '' must be a non-empty string",)),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
@@ -802,7 +808,7 @@ class TestRejectedInputs:
             "precision-float", "precision-15", "precision-negative", "precision-bool",
             "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema",
             "sigma-0-mu-outside", "name-comma", "name-newline", "name-repeated", "name-label",
-            "name-variation-id"])
+            "name-variation-id", "name-int", "name-empty"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
