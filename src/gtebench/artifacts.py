@@ -331,9 +331,12 @@ def _parse_fixed(path: str | Path, raw: bytes, header: list[str], precisions: li
                 digit *= nd > i + extra
             if digit.max() > 9:
                 raise _parse_error(path, raw[start:stop], header, precisions, row)
-            k = digit * kind.type(10 ** i) + k
+            # dtype= sums in ``kind`` under either promotion rules: numpy 1.x
+            # casts a scalar down to the narrowest type that holds its value
+            k = np.multiply(digit, kind.type(10 ** i), dtype=kind) + k
         value = column[row:row + rows]
-        np.divide(k, 10.0 ** p, out=value)  # k < 10**MAX_DIGITS < 2**53 converts exactly
+        # k < 10**MAX_DIGITS < 2**53 converts exactly
+        np.divide(k, 10.0 ** p, out=value, dtype=float)
         value[negative] *= -1
         before = end
     return rows
