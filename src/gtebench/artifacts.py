@@ -190,11 +190,15 @@ def read_json(path: str | Path, build: Callable[[Any], T]) -> T:
 
 
 def typed(doc: dict, **kinds) -> dict:
-    """``{key: doc[key]}`` for each keyword, each value of the JSON type given
-    for it: a type or a tuple of types, where float takes an int too and no
-    type but bool takes a bool. KeyError or TypeError otherwise."""
+    """``{key: doc[key]}`` for each keyword, in keyword order, each value of
+    the JSON type given for it: a type or a tuple of types, where float takes
+    an int too and no type but bool takes a bool. ``doc`` holds these keys and
+    no other: KeyError for a missing key, TypeError for a value of another
+    type or a key not given."""
     for key, kind in kinds.items():
         _check_type(repr(key), doc[key], kind)
+    if unknown := [key for key in doc if key not in kinds]:
+        raise TypeError(f"unknown key {', '.join(map(repr, unknown))}")
     return {key: doc[key] for key in kinds}
 
 

@@ -19,7 +19,7 @@ from .explainer import CoefficientMatrix, batch_explain
 from .gte import batch_gte
 from .manifest import record_stage
 from .model import ModelConfig, TrainConfig, TrainedModel, jointly_correct, train
-from .numerics import RIDGE_ALPHA, make_rng
+from .numerics import make_rng
 
 EXIT_CONFIG = 2
 EXIT_INCOMPATIBLE = 3
@@ -135,7 +135,9 @@ def cmd_explain(args) -> StageResult:
     out = _resolve(args.out)
     written = mat.save_csv(out)
     print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
-    return "explain", mat.config_hash, written
+    cfg = {"num_samples": args.num_samples, "runs": args.runs, "sample": args.sample,
+           "only_correct": args.only_correct}
+    return "explain", config_hash(cfg), written
 
 
 def cmd_align(args) -> StageResult:
@@ -156,9 +158,7 @@ def cmd_align(args) -> StageResult:
         out = _resolve(f"{args.out_prefix}_ns{ns}.csv")
         outputs |= mat.save_csv(out)
         print(f"wrote {out} (shape {mat.shape}, {len(mat.failures)} failures)")
-    # alpha is hashed as when it was an option
-    return "align", config_hash({"num_samples": args.num_samples, "alpha": RIDGE_ALPHA,
-                                 "runs": args.runs}), outputs
+    return "align", config_hash({"num_samples": args.num_samples, "runs": args.runs}), outputs
 
 
 def cmd_evaluate(args) -> StageResult:
@@ -182,10 +182,8 @@ def cmd_evaluate(args) -> StageResult:
                                        f"or orders")
     report = evalmetrics.build_report(exp, gte_mat, second)
     written = report.save(_resolve(args.out_dir), dataset_name=args.dataset_name)
-    # every evaluate entry written so far was hashed with the ranking and zero rules
     cfg = {"exp": exp.config_hash, "gte": gte_mat.config_hash,
-           "second": second.config_hash if second else None, "rank_by": "absolute",
-           "zero_tolerance": 0.0, "dataset_name": args.dataset_name}
+           "second": second.config_hash if second else None, "dataset_name": args.dataset_name}
     print(f"ave_c_of_ed={report.ave_c_of_ed:.4f} ave_second={report.ave_second:.4f} "
           f"ave_all={report.ave_all:.4f}")
     if report.invariance is not None:

@@ -28,20 +28,6 @@ from .numerics import make_rng, truncated_normal
 # ---------------------------------------------------------------------------
 # Schema
 
-# keys of the generator's config and sidecar files that are no longer read -> their old default
-_REMOVED = {"grid_mode": False, "grid_points": 8, "mode_table": []}
-
-
-def _drop_removed(doc: dict, *keys: str) -> dict:
-    """``doc`` without ``keys``, each of which may hold only its old default."""
-    doc = dict(doc)
-    for key in keys:
-        value = doc.pop(key, _REMOVED[key])
-        if type(value) is not type(_REMOVED[key]) or value != _REMOVED[key]:
-            raise ConfigError(f"{key!r} is no longer supported and may only be "
-                              f"{json.dumps(_REMOVED[key])}, got {json.dumps(value)}")
-    return doc
-
 
 @dataclass(frozen=True)
 class Feature:
@@ -91,9 +77,8 @@ class FeatureSchema:
         return X
 
     def to_dict(self) -> list[dict]:
-        # every dataset sidecar and config hash so far was written with the removed mode_table
-        return [{**{k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(f).items()},
-                 "mode_table": []} for f in self.features]
+        return [{k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(f).items()}
+                for f in self.features]
 
     @staticmethod
     def from_dict(items: list[dict]) -> "FeatureSchema":
@@ -101,11 +86,11 @@ class FeatureSchema:
         non-empty string that can head a dataset CSV column (once, not
         ``label`` or ``variation_id``, no ',', '\\r' or '\\n'), each
         feature's ``kind``, and that its ``precision`` is an integer that
-        leaves a field room for a digit before the point."""
+        leaves a field room for a digit before the point. A key that is not a
+        field of ``Feature`` is a TypeError naming it."""
         if not items:
             raise ConfigError("the schema lists no feature")
-        features = tuple(Feature(**{**_drop_removed(it, "mode_table"),
-                                    "mode_values": tuple(it.get("mode_values") or ())})
+        features = tuple(Feature(**{**it, "mode_values": tuple(it.get("mode_values") or ())})
                          for it in items)
         header = _csv_columns(FeatureSchema(features))[0]
         for name in header[:len(features)]:
@@ -322,7 +307,6 @@ class EquationConfig:
     rows_per_class: int
 
     def to_dict(self) -> dict:
-        # every dataset config hash so far was taken with the removed grid keys
         return {
             "equation": self.equation,
             "schema": self.schema.to_dict(),
@@ -331,8 +315,6 @@ class EquationConfig:
                 for v in self.variations
             ],
             "rows_per_class": self.rows_per_class,
-            "grid_mode": False,
-            "grid_points": 8,
         }
 
     @staticmethod
@@ -343,9 +325,9 @@ class EquationConfig:
         of every feature is finite, that ``lo <= hi``, that every mode code
         is an integer, and that every feature but the mode has numbers
         ``mu``, ``sigma >= 0`` and ``trunc_lo <= trunc_hi``, with ``mu`` in
-        that range at ``sigma`` 0."""
-        f = artifacts.typed(_drop_removed(d, "grid_mode", "grid_points"), equation=str,
-                            schema=list, variations=list, rows_per_class=int)
+        that range at ``sigma`` 0. The config, each variation and each feature
+        hold only the keys ``to_dict`` writes: any other is a TypeError."""
+        f = artifacts.typed(d, equation=str, schema=list, variations=list, rows_per_class=int)
         if f["equation"] not in EQUATION_VARIABLES:
             raise ConfigError(f"equation must be one of {sorted(EQUATION_VARIABLES)}: "
                               f"{f['equation']!r}")
@@ -356,7 +338,6 @@ class EquationConfig:
                        for op in ops):
                 raise TypeError(f"variation {class_id}: each op must be [variable, op, number], "
                                 f"got {ops!r}")
-            # the parameter stays a float, as every dataset config hash so far was taken with
             variations.append(VariationSpec(class_id, tuple((a, b, float(c)) for a, b, c in ops)))
         f["variations"] = tuple(variations)
         ids = sorted(v.class_id for v in f["variations"])
@@ -374,7 +355,8 @@ class EquationConfig:
         for feat in f["schema"].features:
             keys = ("lo", "hi") + (("mu", "sigma", "trunc_lo", "trunc_hi") if feat.kind != "mode"
                                    else ())
-            numbers = artifacts.typed(vars(feat), **dict.fromkeys(keys, float))
+            numbers = artifacts.typed({k: getattr(feat, k) for k in keys},
+                                      **dict.fromkeys(keys, float))
             for key, v in numbers.items():
                 if not math.isfinite(v):
                     raise ConfigError(f"feature {feat.name!r}: {key} must be finite, got {v}")
@@ -421,6 +403,6 @@ def generate_equation_dataset(cfg: EquationConfig, seed: int) -> Dataset:
         labels=np.repeat([spec.class_id for spec in specs], len(base_raw)),
         n_classes=len(cfg.variations),
         seed=seed,
-        config_hash=config_hash(cfg.to_dict()),
+        config_hash=config_hash({**cfg.to_dict(), "seed": seed}),
         equation=cfg.equation,
     )

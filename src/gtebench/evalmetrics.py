@@ -119,9 +119,9 @@ class EvalReport:
 
     @staticmethod
     def from_dict(doc: dict) -> "EvalReport":
-        """Inverse of ``to_dict``; a report without instance scores, a score,
-        count, rate or t-test value of another JSON type, or a verdict its
-        p-value does not give is rejected."""
+        """Inverse of ``to_dict``; a report without instance scores, a key it
+        does not write, a score, count, rate or t-test value of another JSON
+        type, or a verdict its p-value does not give is rejected."""
         f = artifacts.typed(
             doc, instances=list, ave_c_of_ed=float, ave_second=float, ave_all=float,
             invariance=(dict, type(None)), zero_counts_exp=list, zero_rates_exp=list,
@@ -133,7 +133,7 @@ class EvalReport:
         kinds = {k.name: int if k.name == "instance_id" else float for k in fields(InstanceScore)}
         scores = []
         for s in f.pop("instances"):
-            artifacts.typed(s, **kinds)  # and InstanceScore refuses a missing or extra key
+            artifacts.typed(s, **kinds)
             scores.append(InstanceScore(**s))
         if not scores:
             raise ValueError("no instance scores")

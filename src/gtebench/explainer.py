@@ -13,8 +13,7 @@ import numpy as np
 from . import artifacts
 from .datagen import config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure
-from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, make_rng, neighbourhood,
-                       weighted_ridge)
+from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
 
 MAX_PERTURBATION_POOL = 100_000
 
@@ -46,14 +45,16 @@ class CoefficientMatrix:
         return self.coefficients.shape
 
     @classmethod
-    def empty(cls, runs: int, n_features: int, **fields) -> "CoefficientMatrix":
-        """A matrix of NaN cells and no failures; ``fields`` are the other
-        dataclass fields, ``instance_ids`` among them."""
+    def empty(cls, runs: int, n_features: int, num_samples: int, **fields) -> "CoefficientMatrix":
+        """A matrix of NaN cells and no failures, fitted on ``num_samples``
+        rows, the one setting its ``config_hash`` covers; ``fields`` are the
+        other dataclass fields, ``instance_ids`` among them."""
         if runs < 1:
             raise ConfigError(f"runs must be positive, got {runs}")
         n = len(fields["instance_ids"])
         return cls(coefficients=np.full((runs, n, n_features), np.nan),
-                   intercepts=np.full((runs, n), np.nan), **fields)
+                   intercepts=np.full((runs, n), np.nan),
+                   config_hash=config_hash({"num_samples": num_samples}), **fields)
 
     def put(self, r: int, i: int, fit, *args) -> None:
         """Store ``fit(*args)``, a (coefficients, intercept) pair, in cell
@@ -193,14 +194,9 @@ def batch_explain(
     results are independent of execution order. ``runs`` below 1 is refused,
     then all-zero ``stds``."""
     pool_size(num_samples)  # refused before the first cell, as all-zero scales are
-    mat = CoefficientMatrix.empty(
-        runs, instances.shape[1], source="explainer",
-        # every explainer matrix written so far was hashed with these keys, the
-        # pool, the std multiplier and alpha once being settable
-        config_hash=config_hash({"num_samples": num_samples, "n_perturb": None,
-                                 "alpha": RIDGE_ALPHA, "scale": 1.0, "clamp_to_schema": False,
-                                 "selection": "top_k", "kernel_width": 0.25}),
-        dataset_hash=dataset_hash, seed=base_seed, instance_ids=instance_ids)
+    mat = CoefficientMatrix.empty(runs, instances.shape[1], num_samples, source="explainer",
+                                  dataset_hash=dataset_hash, seed=base_seed,
+                                  instance_ids=instance_ids)
     if not stds.any():
         raise DegenerateSampleError("all perturbation scales are zero")
     # an overflow or NaN inside a cell ends as its recorded failure, not a warning

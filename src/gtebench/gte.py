@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .datagen import Dataset, config_hash
+from .datagen import Dataset
 from .errors import ConfigError, NumericFailure
 from .explainer import CoefficientMatrix
-from .numerics import (RIDGE_ALPHA, cosine_similarity_rows, neighbourhood, row_norms,
-                       weighted_ridge)
+from .numerics import cosine_similarity_rows, neighbourhood, row_norms, weighted_ridge
 
 
 def gte_design(
@@ -74,14 +73,10 @@ def batch_gte(
             raise ConfigError(f"num_samples must be positive, got {ns}")
         if ns in num_samples[:j]:
             raise ConfigError(f"--num-samples lists {ns} more than once")
-    mats = [CoefficientMatrix.empty(
-        runs, dataset.n_features, source="gte",
-        # every GTE matrix written so far was hashed with these keys, alpha once
-        # being settable
-        config_hash=config_hash({"num_samples": ns, "alpha": RIDGE_ALPHA,
-                                 "resample_per_run": False}),
-        dataset_hash=dataset.config_hash, seed=base_seed, instance_ids=indices)
-        for ns in num_samples]
+    mats = [CoefficientMatrix.empty(runs, dataset.n_features, ns, source="gte",
+                                    dataset_hash=dataset.config_hash, seed=base_seed,
+                                    instance_ids=indices)
+            for ns in num_samples]
     norms = row_norms(dataset.X)
     k = max(num_samples)
     # an overflow or NaN inside a cell ends as its recorded failure, not a warning

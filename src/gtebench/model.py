@@ -90,12 +90,13 @@ class TrainedModel:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainedModel":
-        """Inverse of ``save``; every array must have the shape ``layers`` gives it."""
-        if artifacts.typed(doc, format_version=int)["format_version"] != MODEL_FORMAT_VERSION:
+        """Inverse of ``save``: its keys only, each array of the shape ``layers`` gives it."""
+        if doc["format_version"] != MODEL_FORMAT_VERSION:  # before the keys it may change
             raise ConfigError(f"unsupported model format version, expected {MODEL_FORMAT_VERSION}")
-        f = artifacts.typed(doc, config=dict, weights=list, biases=list, norm_lo=list,
-                            norm_span=list, train_accuracy=float,
+        f = artifacts.typed(doc, format_version=int, config=dict, weights=list, biases=list,
+                            norm_lo=list, norm_span=list, train_accuracy=float,
                             test_accuracy=(float, type(None)), seed=int)
+        del f["format_version"]
         c = artifacts.typed(f["config"], layers=list, activation=str)
         f["config"] = ModelConfig(tuple(c["layers"]), c["activation"])
         f["weights"], f["biases"] = [*map(_unhex, f["weights"])], [*map(_unhex, f["biases"])]

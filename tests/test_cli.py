@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gtebench import cli, gte
 from gtebench.cli import main
+from gtebench.datagen import config_hash
 from gtebench.evalmetrics import EvalReport
 from gtebench.explainer import CoefficientMatrix
 from gtebench.manifest import sha256_file, verify_manifest
@@ -754,8 +755,8 @@ class TestRejectedInputs:
         ("time", lambda doc: doc["schema"][0].pop("mu"), ()),
         ("time", lambda doc: doc["schema"][0].update(trunc_lo=3.0, trunc_hi=0.5), ()),
         ("time", lambda doc: doc["schema"][0].update(sigma=-0.8), ()),
-        # mode_table is no longer read: any table but [] is refused, a short one too
-        ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0]), ()),
+        # mode_table is no field of a feature
+        ("time", lambda doc: doc["schema"][0].update(mode_table=[1.0, 2.0]), ("'mode_table'",)),
         ("loan", lambda doc: doc.update(removals=[list(g) for g in product(range(2, 6),
                                                                            range(4), range(4))]),
          ()),
@@ -800,6 +801,10 @@ class TestRejectedInputs:
          ("feature name 5 must be a non-empty string",)),
         ("time", lambda doc: doc["schema"][3].update(name=""),
          ("feature name '' must be a non-empty string",)),
+        # a key the generator does not read is refused, not ignored
+        ("time", lambda doc: doc.update(foo=1), ("'foo'",)),
+        ("time", lambda doc: doc["variations"][1].update(foo=1), ("'foo'",)),
+        ("loan", lambda doc: doc.update(foo=1), ("'foo'",)),
     ], ids=["loan-empty", "loan-removal-not-int", "rows-per-class-str", "feature-without-mu",
             "trunc-lo-above-hi", "sigma-negative", "mode-table-too-short",
             "loan-removes-every-row", "loan-removal-float", "loan-removal-str",
@@ -808,7 +813,8 @@ class TestRejectedInputs:
             "precision-float", "precision-15", "precision-negative", "precision-bool",
             "class-id-float", "class-id-bool", "op-parameter-str", "op-variable-outside-schema",
             "sigma-0-mu-outside", "name-comma", "name-newline", "name-repeated", "name-label",
-            "name-variation-id", "name-int", "name-empty"])
+            "name-variation-id", "name-int", "name-empty", "unknown-key", "variation-unknown-key",
+            "loan-unknown-key"])
     def test_generate_config_exit_2(self, workdir, capsys, dataset, edit, words):
         doc = json.loads((CFG / f"{dataset}_{'default' if dataset == 'loan' else 'desk'}.json")
                          .read_text())
@@ -853,43 +859,52 @@ class TestRejectedInputs:
         self._one_error_line(capsys, "cfg.json", repr(doc["schema"][feature]["name"]), key)
         assert not (workdir / "o.csv").exists()
 
-    @pytest.mark.parametrize("key, default, other", [
-        ("grid_mode", False, True),
-        ("grid_points", 8, 3),
-        ("mode_table", [], [1.0, 2.0, 1.0, 1.0, 1.0]),
+    @pytest.mark.parametrize("key, default", [
+        ("grid_mode", False),
+        ("grid_points", 8),
+        ("mode_table", []),
     ], ids=["grid_mode", "grid_points", "mode_table"])
-    def test_removed_config_key(self, workdir, capsys, key, default, other):
-        """A key the generator no longer reads loads at its old default, to
-        the same dataset and sidecar bytes, and exits 2 at any other value."""
+    def test_removed_config_key(self, workdir, capsys, key, default):
+        """A key of a removed generator option is refused as any unknown key
+        is, at its old default too."""
         doc = json.loads((CFG / "time_desk.json").read_text())
-        doc["rows_per_class"] = 5
-        holder = doc["schema"][0] if key == "mode_table" else doc
-
-        def generate(out):
-            (workdir / "cfg.json").write_text(json.dumps(doc))
-            return run("generate", "time", "--config", workdir / "cfg.json", "--out", out)
-
-        assert generate("new.csv") == 0
-        holder[key] = default
-        assert generate("old.csv") == 0
-        for suffix in ("", ".meta.json"):
-            assert ((workdir / f"old.csv{suffix}").read_bytes()
-                    == (workdir / f"new.csv{suffix}").read_bytes())
-        holder[key] = other
-        assert generate("o.csv") == 2
+        (doc["schema"][0] if key == "mode_table" else doc)[key] = default
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        assert run("generate", "time", "--config", workdir / "cfg.json", "--out", "o.csv") == 2
         self._one_error_line(capsys, "cfg.json", repr(key))
         assert not (workdir / "o.csv").exists()
 
     def test_dataset_sidecar_removed_key_exit_2(self, workdir, capsys):
+        """A dataset sidecar that lists the removed mode_table, as every one
+        once did, is refused: its dataset is to be generated again."""
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
         meta_path = workdir / "loan.csv.meta.json"
         meta = json.loads(meta_path.read_text())
-        assert [f["mode_table"] for f in meta["schema"]] == [[], [], []]
-        meta["schema"][0]["mode_table"] = [2.0]
+        for feature in meta["schema"]:
+            feature["mode_table"] = []
         meta_path.write_text(json.dumps(meta))
         assert run("align", "loan.csv", "--num-samples", "5", "--out-prefix", "g") == 2
         self._one_error_line(capsys, "loan.csv.meta.json", "'mode_table'")
         assert not (workdir / "g_ns5.csv").exists()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("nn1.json", ("train", "loan.csv", "--model-config", "{dir}/nn1.json", "--epochs", 2,
+                      "--out", "o.json")),
+        ("loan.csv.meta.json", ("align", "loan.csv", "--num-samples", "5", "--out-prefix", "o")),
+        ("e.csv.meta.json", ("align", "loan.csv", "--num-samples", "5", "--instances-from",
+                             "e.csv", "--out-prefix", "o")),
+    ], ids=["model-config", "dataset-sidecar", "matrix-sidecar"])
+    def test_unknown_key_exit_2(self, quick, capsys, name, argv):
+        """A key that its reader does not read is refused: one ``error:``
+        line names the file and the key, and nothing is written."""
+        run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
+        path = quick / name
+        doc = json.loads((path if path.exists() else CFG / name).read_text())
+        path.write_text(json.dumps({**doc, "foo": 1}))
+        capsys.readouterr()
+        assert run(*(str(a).format(dir=quick) for a in argv)) == 2
+        self._one_error_line(capsys, name, "'foo'")
+        assert not list(quick.glob("o*"))
 
     def test_matrix_sidecar_without_source_exit_2(self, quick, capsys):
         run("explain", "m1.json", "loan.csv", "--num-samples", 5, "--out", "e.csv")
@@ -1075,6 +1090,23 @@ class TestRejectedInputs:
         self._one_error_line(capsys, words)
         assert not (quick / "ev").exists()
 
+    def test_evaluate_matrices_of_two_seeds_exit_3(self, workdir, capsys):
+        """An equation dataset's hash covers its seed: an explainer matrix of
+        the rows drawn at seed 1 is not scored against GTE of those at seed 2."""
+        doc = json.loads((CFG / "time_desk.json").read_text())
+        doc["rows_per_class"] = 5
+        (workdir / "cfg.json").write_text(json.dumps(doc))
+        for seed in (1, 2):
+            assert run("generate", "time", "--config", workdir / "cfg.json", "--seed", seed,
+                       "--out", f"t{seed}.csv") == 0
+        assert run("train", "t1.csv", "--out", "m.json", "--epochs", 2) == 0
+        assert run("explain", "m.json", "t1.csv", "--num-samples", 5, "--out", "e.csv") == 0
+        assert run("align", "t2.csv", "--num-samples", "5", "--out-prefix", "g") == 0
+        capsys.readouterr()
+        assert run("evaluate", "e.csv", "g_ns5.csv", "--out-dir", "ev") == 3
+        self._one_error_line(capsys, "e.csv has dataset hash")
+        assert not (workdir / "ev").exists()
+
     def test_report_duplicate_name_exit_2(self, quick, capsys):
         """Two evaluations of one name would share a summary row name and a
         legend entry: refused before anything is written."""
@@ -1138,21 +1170,42 @@ class TestManifestHashes:
         assert set(entries[1]["inputs"]) == {str(workdir / n) for n in ("e.csv", "g_ns5.csv",
                                                                         "e2.csv")}
 
+    def test_explain_hash_covers_its_options(self, workdir):
+        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+        run("train", "loan.csv", "--out", "m.json", "--epochs", 2)
+        for k, extra in enumerate([("--runs", 1), ("--runs", 3), ("--sample", 10),
+                                   ("--only-correct",)]):
+            assert run("explain", "m.json", "loan.csv", "--num-samples", 5, *extra,
+                       "--out", f"e{k}.csv") == 0
+        hashes = [e["config_hash"] for e in _stage_entries(workdir, "explain")]
+        assert len(hashes) == len(set(hashes)) == 4
+        # a matrix sidecar holds the hash of the fit, which only --num-samples sets
+        assert {json.loads((workdir / f"e{k}.csv.meta.json").read_text())["config_hash"]
+                for k in range(4)} == {config_hash({"num_samples": 5})}
+
     def test_default_explain_and_align_config_hashes(self, workdir):
-        # the configs' hashes are part of every matrix sidecar: changing how a
-        # config is serialised would orphan every matrix written before
+        # each pinned hash is that of the settings its stage reads, written beside it
         run("generate", "loan", "--out", "loan.csv", "--seed", 7)
         run("train", "loan.csv", "--out", "m.json", "--epochs", 2)
         assert run("explain", "m.json", "loan.csv", "--num-samples", 25, "--out", "e.csv") == 0
         assert run("align", "loan.csv", "--num-samples", "5,25", "--out-prefix", "g") == 0
+        ns25, ns5 = "62d6f27687a7d1fa", "d4731457b8e52963"
+        assert ns25 == config_hash({"num_samples": 25})
+        assert ns5 == config_hash({"num_samples": 5})
         sidecar = {name: json.loads((workdir / f"{name}.csv.meta.json").read_text())
                    for name in ("e", "g_ns5", "g_ns25")}
         assert {k: v["config_hash"] for k, v in sidecar.items()} == {
-            "e": "1a75aff604ef20c6", "g_ns5": "839295c669448f7f", "g_ns25": "9d16459ae5eb0c29"}
-        assert _stage_entries(workdir, "align")[0]["config_hash"] == "c3f97dc024b1a431"
-        # evaluate hashes the matrices' hashes and its own defaults
+            "e": ns25, "g_ns5": ns5, "g_ns25": ns25}
+        assert _stage_entries(workdir, "explain")[0]["config_hash"] == "df610deb7f11ed69"
+        assert "df610deb7f11ed69" == config_hash({"num_samples": 25, "runs": 1, "sample": None,
+                                                  "only_correct": False})
+        assert _stage_entries(workdir, "align")[0]["config_hash"] == "e6b39c89ccc75129"
+        assert "e6b39c89ccc75129" == config_hash({"num_samples": [5, 25], "runs": 1})
+        # evaluate hashes the matrices' hashes and the dataset name
         assert run("evaluate", "e.csv", "g_ns25.csv", "--out-dir", "ev") == 0
-        assert _stage_entries(workdir, "evaluate")[0]["config_hash"] == "b39db534ca15ffb6"
+        assert _stage_entries(workdir, "evaluate")[0]["config_hash"] == "61dac1b05f16fee3"
+        assert "61dac1b05f16fee3" == config_hash({"exp": ns25, "gte": ns25, "second": None,
+                                                  "dataset_name": "dataset"})
 
 
 # The fuzz below mutates each artifact the CLI reads and runs the one

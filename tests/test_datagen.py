@@ -167,16 +167,28 @@ class TestGenerateEquationDataset:
             assert np.all((col >= f.lo) & (col <= f.hi))
             assert np.array_equal(col, np.round(col, f.precision))
 
+    def test_hash_covers_the_seed(self):
+        """Rows drawn at another seed are another dataset: the hash covers
+        everything ``generate_equation_dataset`` reads."""
+        cfg = EquationConfig(
+            TIME_CFG.equation, TIME_CFG.schema, TIME_CFG.variations, rows_per_class=5
+        )
+        hashes = [generate_equation_dataset(cfg, seed=s).config_hash for s in (1, 2)]
+        assert hashes == [config_hash({**cfg.to_dict(), "seed": s}) for s in (1, 2)]
+        assert hashes[0] != hashes[1]
+
     @pytest.mark.parametrize("name, expected", [
-        ("time_desk", "3c2e9d2be35626f0"),
-        ("time_full", "a67132cccffc6ead"),
-        ("distance_desk", "64ee9dba73fa59a3"),
-        ("distance_full", "64ddf6065de9f3aa"),
-    ])
+        ("time_desk", "8ce91bed3b572f01"),
+        ("time_full", "13f77116f2e01312"),
+        ("distance_desk", "a7b36b2c5daf1758"),
+        ("distance_full", "484e4977e19f6c8d"),
+    ], ids=["time_desk", "time_full", "distance_desk", "distance_full"])
     def test_shipped_config_hash(self, name, expected):
-        # every dataset generated so far from a shipped config carries this hash
-        cfg = EquationConfig.load(resources.files("gtebench.configs") / f"{name}.json")
-        assert config_hash(cfg.to_dict()) == expected
+        # a dataset generated from a shipped config at seed 0 carries this hash:
+        # that of the config file's document, exactly as written, and the seed
+        path = resources.files("gtebench.configs") / f"{name}.json"
+        assert config_hash({**EquationConfig.load(path).to_dict(), "seed": 0}) == expected
+        assert expected == config_hash({**json.loads(path.read_text()), "seed": 0})
 
 
 class TestCsvRoundTrip:
