@@ -1,4 +1,5 @@
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from gtebench.datagen import generate_loan, load_loan_removals
-from gtebench.model import ModelConfig, TrainConfig, train
+from gtebench.model import TrainedModel
+import reference_run
 
 # Every property test draws the same examples on every run, with no time limit
 # and no example database.
@@ -18,15 +20,15 @@ settings.load_profile("gtebench")
 # the removals of the shipped loan config, which leave the 54-row grid
 LOAN_REMOVALS = load_loan_removals(resources.files("gtebench.configs") / "loan_default.json")
 
-# Training settings that take both default architectures to 100% on Loan.
-LOAN_NN1 = dict(
-    mcfg=ModelConfig((3, 16, 16, 2), "relu"),
-    tcfg=TrainConfig(epochs=400, learning_rate=0.3, batch_size=16, seed=11),
-)
-LOAN_NN2 = dict(
-    mcfg=ModelConfig((3, 32, 2), "tanh"),
-    tcfg=TrainConfig(epochs=800, learning_rate=0.5, batch_size=16, seed=12),
-)
+
+@pytest.fixture(scope="session")
+def reference(tmp_path_factory):
+    """The reference run, once: its output directory ``out``, its ``digests``
+    as ``reference_run.run`` returns them and its wall time ``elapsed``."""
+    out = tmp_path_factory.mktemp("reference") / "out"
+    t0 = time.perf_counter()
+    digests = reference_run.run(out)
+    return dict(out=out, digests=digests, elapsed=time.perf_counter() - t0)
 
 
 @pytest.fixture(scope="session")
@@ -34,11 +36,12 @@ def loan_dataset():
     return generate_loan(LOAN_REMOVALS)
 
 
+# both default architectures, trained to 100% on Loan by the reference run
 @pytest.fixture(scope="session")
-def loan_nn1(loan_dataset):
-    return train(loan_dataset, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
+def loan_nn1(reference):
+    return TrainedModel.load(reference["out"] / "nn1.json")
 
 
 @pytest.fixture(scope="session")
-def loan_nn2(loan_dataset):
-    return train(loan_dataset, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
+def loan_nn2(reference):
+    return TrainedModel.load(reference["out"] / "nn2.json")

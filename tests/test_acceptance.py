@@ -1,25 +1,21 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line (run with ``pytest -s tests/test_acceptance.py`` to see them live)."""
 
-import time
+import json
 from itertools import product
 
 import numpy as np
 import pytest
 
-from gtebench.datagen import (
-    EquationConfig,
-    generate_equation_dataset,
-    generate_loan,
-)
+from gtebench.datagen import Dataset, EquationConfig, generate_equation_dataset
 from gtebench.evalmetrics import build_report, zero_census
-from gtebench.explainer import batch_explain
+from gtebench.explainer import CoefficientMatrix, batch_explain
 from gtebench.gte import batch_gte
 from gtebench.model import (ModelConfig, TrainConfig, forward_backward, init_params, param_views,
                             train)
 from gtebench.numerics import RIDGE_ALPHA, _t_two_sided_p, make_rng, weighted_ridge
-from conftest import LOAN_NN1, LOAN_NN2, LOAN_REMOVALS
 from oracles import numeric_gradients, ridge_oracle
+import reference_run
 
 from importlib import resources
 
@@ -32,21 +28,17 @@ def _report(criterion, ok):
 
 
 @pytest.fixture(scope="module")
-def loan_pipeline():
-    """Full Loan run: generate, train NN1/NN2 to 100%, explain both at
-    num_samples=25 with 100 runs, align, evaluate with the invariance test."""
-    t0 = time.time()
-    ds = generate_loan(LOAN_REMOVALS)
-    nn1 = train(ds, 1.0, LOAN_NN1["mcfg"], LOAN_NN1["tcfg"])
-    nn2 = train(ds, 1.0, LOAN_NN2["mcfg"], LOAN_NN2["tcfg"])
-    stds = ds.X.std(axis=0)
-    exp1 = batch_explain(nn1, ds.X, stds, 25, 100, SEED, ds.config_hash, np.arange(len(ds)))
-    exp2 = batch_explain(nn2, ds.X, stds, 25, 100, SEED, ds.config_hash, np.arange(len(ds)))
-    [gte25] = batch_gte(ds, np.arange(len(ds)), [25], 100, SEED)
+def loan_pipeline(reference, loan_nn1, loan_nn2):
+    """The reference run's Loan files: NN1/NN2 trained to 100%, both explained
+    at num_samples=25 with 100 runs and aligned; evaluated here with the
+    invariance test. ``elapsed`` is the whole run's wall time."""
+    out = reference["out"]
+    ds = Dataset.load_csv(out / "loan.csv")
+    exp1, exp2, gte25 = (CoefficientMatrix.load_csv(out / name)
+                         for name in ("exp_nn1.csv", "exp_nn2.csv", "gte_ns25.csv"))
     report = build_report(exp1, gte25, exp2)
-    elapsed = time.time() - t0
-    return dict(ds=ds, nn1=nn1, nn2=nn2, stds=stds, exp1=exp1, exp2=exp2,
-                gte25=gte25, report=report, elapsed=elapsed)
+    return dict(ds=ds, nn1=loan_nn1, nn2=loan_nn2, stds=ds.X.std(axis=0), exp1=exp1, exp2=exp2,
+                gte25=gte25, report=report, elapsed=reference["elapsed"])
 
 
 @pytest.fixture(scope="module")
@@ -180,26 +172,12 @@ def test_criterion_6_brute_force_label_equivalence(loan_pipeline):
     _report("6 (brute-force label equivalence)", loan_ok)
 
 
-def test_criterion_7_determinism(tmp_path, loan_pipeline):
-    from gtebench.svgplot import Series, line_chart
-
-    ds = loan_pipeline["ds"]
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    generate_loan(LOAN_REMOVALS).save_csv(p1)
-    generate_loan(LOAN_REMOVALS).save_csv(p2)
-    csv_ok = p1.read_bytes() == p2.read_bytes()
-
-    stds = loan_pipeline["stds"]
-    e1, e2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    for p in (e1, e2):
-        batch_explain(loan_pipeline["nn1"], ds.X[:10], stds, 10, 2, 5,
-                      ds.config_hash, np.arange(10)).save_csv(p)
-    exp_ok = e1.read_bytes() == e2.read_bytes()
-
-    series = [Series("s", tuple(s.mean_c_of_ed for s in loan_pipeline["report"].instance_scores), "red")]
-    svg_ok = line_chart(series, "c_of_ed", "instance", "c_of_ed") == line_chart(
-        series, "c_of_ed", "instance", "c_of_ed")
-    _report("7 (determinism)", csv_ok and exp_ok and svg_ok)
+def test_criterion_7_determinism(reference):
+    # every byte the reference run writes, datasets, models, matrices, reports and SVGs,
+    # equals the table another process committed
+    pinned = json.loads(reference_run.TABLE.read_text(encoding="utf-8"))
+    print(f"\n  {len(pinned['files'])} files, {len(pinned['manifest'])} manifest entries")
+    _report("7 (determinism)", reference["digests"] == pinned)
 
 
 def test_criterion_8_self_comparison(loan_pipeline):
