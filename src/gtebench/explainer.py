@@ -13,7 +13,8 @@ import numpy as np
 from . import artifacts
 from .datagen import config_hash
 from .errors import ConfigError, DegenerateSampleError, NumericFailure
-from .numerics import cosine_similarity_rows, make_rng, neighbourhood, weighted_ridge
+from .numerics import (cell_seed_type, cell_states, cosine_similarity_rows, neighbourhood,
+                       weighted_ridge)
 
 MAX_PERTURBATION_POOL = 100_000
 
@@ -190,19 +191,23 @@ def batch_explain(
     instance_ids: np.ndarray,
 ) -> CoefficientMatrix:
     """``runs`` independent repetitions over all ``instances`` (n x d), the
-    rows ``instance_ids`` of the dataset; child rng per (run, instance) so
-    results are independent of execution order. ``runs`` below 1 is refused,
-    then all-zero ``stds``."""
+    rows ``instance_ids`` of the dataset. Cell (r, i) draws from its own
+    stream, the one ``make_rng(base_seed, r, i)`` gives, so results are
+    independent of execution order; :func:`cell_states` derives every cell's
+    state in one batch before the first cell runs. ``runs`` below 1 is
+    refused, then all-zero ``stds``, then a negative ``base_seed``."""
     pool_size(num_samples)  # refused before the first cell, as all-zero scales are
     mat = CoefficientMatrix.empty(runs, instances.shape[1], num_samples, source="explainer",
                                   dataset_hash=dataset_hash, seed=base_seed,
                                   instance_ids=instance_ids)
     if not stds.any():
         raise DegenerateSampleError("all perturbation scales are zero")
+    states = cell_states(base_seed, runs, len(instances))
+    cell_seed = cell_seed_type()
     # an overflow or NaN inside a cell ends as its recorded failure, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(runs):
             for i, instance in enumerate(instances):
-                mat.put(r, i, explain, model, instance, stds, num_samples,
-                        make_rng(base_seed, r, i))
+                rng = np.random.Generator(np.random.PCG64(cell_seed(states[r, i])))
+                mat.put(r, i, explain, model, instance, stds, num_samples, rng)
     return mat

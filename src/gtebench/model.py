@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +59,36 @@ class TrainedModel:
     train_accuracy: float
     test_accuracy: float | None
     seed: int
+    # the row count of the last batch of more than one row, and the operands
+    # kept for it (see predict_batch); neither is saved or compared
+    _rows: int = field(default=0, init=False, repr=False, compare=False)
+    _row_operands: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- inference ---------------------------------------------------------
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Class probabilities of the rows of the (n, layers[0]) float array ``X``."""
-        X = X - self.norm_lo
-        X /= self.norm_span
-        return _forward(self.weights, self.biases, self.config.activation, X)
+        """Class probabilities of the rows of the (n, layers[0]) float array ``X``.
+
+        numpy adds or divides by a 1-D operand one broadcast row at a time,
+        which on a few columns costs more than the arithmetic. So when a batch
+        has the same row count n > 1 as the model's previous multi-row batch,
+        as an explainer's perturbation pools do, ``norm_lo``, ``norm_span``
+        and each bias are repeated to n rows once and kept; one such set at
+        most, dropped at the next multi-row count. Each element takes the same
+        operation either way, so every output bit is the same. The kept rows
+        are copies: change the biases or the scaling in place and they go stale.
+        """
+        n = X.shape[0]
+        lo, span, biases = self.norm_lo, self.norm_span, self.biases
+        if n > 1 and n == self._rows:
+            if self._row_operands is None:
+                self._row_operands = tuple(np.tile(v, (n, 1)) for v in (lo, span, *biases))
+            lo, span, *biases = self._row_operands
+        elif n > 1:
+            self._rows, self._row_operands = n, None
+        X = X - lo
+        X /= span
+        return _forward(self.weights, biases, self.config.activation, X)
 
     # -- persistence -------------------------------------------------------
 

@@ -4,11 +4,15 @@ regression, and the small amount of statistics the pipeline needs.
 
 All functions are pure; random ones take an explicit numpy Generator obtained
 from :func:`make_rng` so that every stream is reproducible and child streams
-derived from (seed, index...) paths are disjoint by construction.
+derived from (seed, index...) paths are disjoint by construction. A grid of
+streams, one per (run, instance) cell, can instead come from
+:func:`cell_states` in one batch: each cell's PCG64 state equals the one
+``make_rng(seed, run, instance)`` seeds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +38,105 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# the constants of numpy's SeedSequence hash (Melissa O'Neill's seed_seq_fe)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_steps(init: int, mult: int):
+    """The running hash constants of one SeedSequence pass: ``(c, c * mult)``
+    for c = init, init * mult, ... (mod 2^32). They do not depend on the data."""
+    c = init
+    while True:
+        nxt = (c * mult) & _MASK32
+        yield np.uint32(c), np.uint32(nxt)
+        c = nxt
+
+
+def _hashed(value: np.ndarray, steps) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of each uint32 in ``value``, at the next step."""
+    c, nxt = next(steps)
+    v = (value ^ c) * nxt
+    return v ^ (v >> np.uint32(16))
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of ``x`` and ``y``, elementwise in uint32."""
+    v = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return v ^ (v >> np.uint32(16))
+
+
+def cell_states(seed: int, runs: int, n: int) -> np.ndarray:
+    """The PCG64 seed words of every cell of a ``runs`` x ``n`` grid: a
+    (runs, n, 4) uint64 array whose [r, i] row is
+    ``SeedSequence(seed, spawn_key=(r, i)).generate_state(4, np.uint64)``,
+    the words ``make_rng(seed, r, i)`` seeds its PCG64 with.
+
+    A port of numpy's SeedSequence hash in uint32 arithmetic, on the whole
+    grid at once. Its entropy is the seed's 32-bit words, least significant
+    first and zero-padded to the pool size of 4, then r and i. ``runs`` and
+    ``n`` are below 2^32, so each of r and i is one word. A negative seed is
+    refused as :func:`make_rng` refuses it.
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    # shaped so that the seed's words broadcast against r down and i across
+    entropy = [np.full((1, 1), w, dtype=np.uint32) for w in words]
+    entropy += [np.arange(runs, dtype=np.uint32)[:, None], np.arange(n, dtype=np.uint32)[None, :]]
+
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hashed(e, steps) for e in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], steps))
+    for e in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mixed(pool[dst], _hashed(e, steps))
+
+    # generate_state: eight uint32 words cycled from the pool, paired little-endian
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    state = [_hashed(pool[j % _POOL_SIZE], steps).astype(np.uint64) for j in range(8)]
+    out = np.empty((runs, n, 4), dtype=np.uint64)
+    for k in range(4):
+        out[:, :, k] = state[2 * k] | (state[2 * k + 1] << np.uint64(32))
+    return out
+
+
+@functools.cache
+def cell_seed_type() -> type:
+    """The seed sequence that hands PCG64 fixed words, one row of
+    :func:`cell_states`: ``np.random.Generator(np.random.PCG64(cell_seed_type()(w)))``
+    is the generator ``make_rng(seed, r, i)`` returns. PCG64 asks for 4
+    uint64 words, the one request it answers.
+
+    Built on first use, so that importing this module does not import
+    ``numpy.random`` (about 5 ms of every CLI start).
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class CellSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return CellSeed
 
 
 def truncated_normal(

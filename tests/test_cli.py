@@ -132,13 +132,28 @@ class TestGenerate:
 
 
 class TestTrainExplainAlignEvaluate:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        """A data dir in which loan.csv, nn1.json and nn2.json were made once
+        for the class, each recorded in its manifest."""
+        data = tmp_path_factory.mktemp("loan_trained")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("GTEBENCH_DATA_DIR", str(data))
+            run("generate", "loan", "--out", "loan.csv", "--seed", 7)
+            assert run("train", "loan.csv", "--model-config", CFG / "nn1.json",
+                       "--out", "nn1.json", "--epochs", 400, "--lr", 0.3, "--seed", 11) == 0
+            assert run("train", "loan.csv", "--model-config", CFG / "nn2.json",
+                       "--out", "nn2.json", "--epochs", 800, "--lr", 0.5, "--seed", 12) == 0
+        return data
+
     @pytest.fixture
-    def loan_artifacts(self, workdir):
-        run("generate", "loan", "--out", "loan.csv", "--seed", 7)
-        assert run("train", "loan.csv", "--model-config", CFG / "nn1.json",
-                   "--out", "nn1.json", "--epochs", 400, "--lr", 0.3, "--seed", 11) == 0
-        assert run("train", "loan.csv", "--model-config", CFG / "nn2.json",
-                   "--out", "nn2.json", "--epochs", 800, "--lr", 0.5, "--seed", 12) == 0
+    def loan_artifacts(self, trained, workdir):
+        """A copy of ``trained`` in the test's own data dir; the manifest's
+        paths name the copies."""
+        for path in trained.iterdir():
+            shutil.copy(path, workdir)
+        manifest = workdir / "manifest.jsonl"
+        manifest.write_text(manifest.read_text().replace(str(trained), str(workdir)))
         return workdir
 
     def test_train_prints_accuracy(self, loan_artifacts, capsys, workdir):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtebench.errors import ConfigError, DegenerateSampleError, SingularSystemError
+from gtebench import explainer
 from gtebench.explainer import (
     MAX_PERTURBATION_POOL,
     CoefficientMatrix,
@@ -128,6 +129,12 @@ class TestBatchExplain:
                                           make_rng(seed, r, i))
                     assert np.array_equal(mat.coefficients[r, i], coef)
                     assert mat.intercepts[r, i] == inter
+
+    def test_negative_seed_refused_before_any_cell(self, loan_nn1, loan_dataset, monkeypatch):
+        monkeypatch.setattr(explainer, "explain", lambda *a: pytest.fail("explained a cell"))
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -3"):
+            batch_explain(loan_nn1, loan_dataset.X[:2], np.ones(3), 5, runs=1, base_seed=-3,
+                          dataset_hash="h", instance_ids=np.arange(2))
 
     def test_numeric_failures_recorded_other_errors_raised(self):
         class FailingModel:

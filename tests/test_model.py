@@ -9,6 +9,7 @@ from gtebench.model import (
     ModelConfig,
     TrainConfig,
     TrainedModel,
+    _forward,
     accuracy,
     forward_backward,
     init_params,
@@ -116,6 +117,29 @@ class TestPredict:
     def test_known_instance(self, loan_nn1):
         # (5, 3, 0) scores 157 -> Accepted (class 1)
         assert int(np.argmax(loan_nn1.predict_batch(np.array([[5.0, 3.0, 0.0]]))[0])) == 1
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [2, 10])
+    def test_row_operands_same_bits(self, activation, classes, tmp_path):
+        """Operands repeated to the rows of a repeated batch size give the bits
+        of the 1-D operands; one set is kept, and none after a one-off size."""
+        rng = make_rng(21)
+        mcfg = ModelConfig((3, 16, 8, classes), activation)
+        n_params = sum((a + 1) * b for a, b in zip(mcfg.layers, mcfg.layers[1:]))
+        weights, biases = param_views(mcfg.layers, rng.normal(size=n_params))
+        model = TrainedModel(mcfg, weights, biases, norm_lo=rng.normal(size=3),
+                             norm_span=rng.uniform(0.5, 2.0, size=3), train_accuracy=1.0,
+                             test_accuracy=None, seed=0)
+        model.save(tmp_path / "before.json")
+        kept = []
+        for n in (500, 1, 500, 1, 7, 7, 16000):
+            X = rng.normal(scale=3.0, size=(n, 3))
+            want = _forward(weights, biases, activation, (X - model.norm_lo) / model.norm_span)
+            assert model.predict_batch(X).tobytes() == want.tobytes()
+            kept.append(None if model._row_operands is None else model._row_operands[0].shape[0])
+        assert kept == [None, None, 500, 500, None, 7, None]
+        model.save(tmp_path / "after.json")
+        assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
 
     def test_functionally_equivalent_argmax(self, loan_nn1, loan_nn2, loan_dataset):
         a = loan_nn1.predict_batch(loan_dataset.X).argmax(axis=1)

@@ -12,6 +12,8 @@ from gtebench.errors import DegenerateSampleError, SingularSystemError, ZeroVect
 from gtebench.numerics import (
     RIDGE_ALPHA,
     _t_two_sided_p,
+    cell_seed_type,
+    cell_states,
     cosine_similarity_rows,
     make_rng,
     ndtr,
@@ -42,6 +44,22 @@ class TestRng:
         a = make_rng(42, 0).random(1000)
         b = make_rng(42, 1).random(1000)
         assert not np.array_equal(a, b)
+
+    # one word, the largest one word, two words and three words of seed; a
+    # one-word seed is zero-padded to four words before the spawn key
+    @pytest.mark.parametrize("seed", [0, 7, 100, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_cell_states_equal_seed_sequence(self, seed):
+        runs, n = 100, 54
+        states = cell_states(seed, runs, n)
+        assert states.shape == (runs, n, 4) and states.dtype == np.uint64
+        want = [np.random.SeedSequence(seed, spawn_key=(r, i)).generate_state(4, np.uint64)
+                for r in range(runs) for i in range(n)]
+        assert np.array_equal(states.reshape(runs * n, 4), want)
+        # a few cells' generators draw make_rng's stream
+        for r, i in ((0, 0), (0, 53), (37, 11), (99, 53)):
+            rng = np.random.Generator(np.random.PCG64(cell_seed_type()(states[r, i])))
+            assert np.array_equal(rng.standard_normal((500, 3)),
+                                  make_rng(seed, r, i).standard_normal((500, 3)))
 
 
 class TestTruncatedNormal:
